@@ -4,7 +4,7 @@
 Submodules
 ----------
 spectral      periodic grid, FFT-based operators, norm kit
-fieldio       binary field/flow dumps and checkpoints
+fieldio       binary field dumps and checkpoints
 elliptic      Monge-Ampere-corrected Poisson solver, corrector solver,
               determinant algebra, bootstrap monitor
 transport     RK4 time integration of Euler / SG / corrector systems

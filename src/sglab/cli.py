@@ -168,7 +168,7 @@ def _cmd_load(args):
     else:
         f, header = load_field(path)
         print(f"field: {json.dumps(header, sort_keys=True)}")
-        print(_field_line(header.get("kind", "field"), f))
+        print(_field_line(header["kind"], f))
     return EXIT_OK
 
 

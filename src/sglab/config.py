@@ -11,11 +11,12 @@ same object.
 import json
 from dataclasses import dataclass, field, asdict
 
-__all__ = ["RunConfig", "ExperimentSpec", "parse_config", "serialize_config", "ConfigError"]
+__all__ = ["MODELS", "RunConfig", "ExperimentSpec", "parse_config", "serialize_config",
+           "ConfigError"]
 
 EXPERIMENT_KINDS = ("stability", "wasserstein", "corrector", "lifespan", "inequalities")
 
-_MODELS = ("Euler", "SGeps", "Corrector")
+MODELS = ("Euler", "SGeps", "Corrector")
 
 
 class ConfigError(ValueError):
@@ -46,8 +47,8 @@ class RunConfig:
             raise ConfigError(f"key 'n': expected int, got {type(self.n).__name__}")
         if not _is_power_of_two(self.n) or self.n < 32:
             raise ConfigError(f"key 'n': must be a power of two >= 32, got {self.n}")
-        if self.model not in _MODELS:
-            raise ConfigError(f"key 'model': must be one of {_MODELS}, got {self.model!r}")
+        if self.model not in MODELS:
+            raise ConfigError(f"key 'model': must be one of {MODELS}, got {self.model!r}")
         for key in ("eps", "t_final", "cfl", "sample_interval"):
             v = getattr(self, key)
             if isinstance(v, bool) or not isinstance(v, (int, float)):

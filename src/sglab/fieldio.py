@@ -1,12 +1,11 @@
-"""Binary field dumps, flow-map dumps, and checkpoint sidecars.
+"""Binary field dumps and checkpoint sidecars.
 
 Field dump layout: one UTF-8 JSON header line terminated by '\n' with keys
 {"n", "kind", "time", "epsilon"}, then n^2 little-endian float64 values,
 row-major with the x index outer and the y index inner. Round-trips are
-bit-exact.
-
-FlowMap dump layout: JSON header {"m", "time"} + 2*m^2 little-endian
-doubles, all x positions (row-major) followed by all y positions.
+bit-exact. Loading rejects a header that is not a JSON object with an
+integer "n" and a string "kind", and a checkpoint sidecar that
+lacks a string "model", numeric "time" and "eps", or an integer "step".
 """
 
 from __future__ import annotations
@@ -21,11 +20,17 @@ from .spectral import ScalarField, TorusGrid
 __all__ = [
     "dump_field",
     "load_field",
-    "dump_flow",
-    "load_flow",
     "write_checkpoint",
     "read_checkpoint",
 ]
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
 
 
 def dump_field(path, f: ScalarField, kind: str, time: float, epsilon: float | None) -> None:
@@ -44,39 +49,17 @@ def load_field(path) -> tuple[ScalarField, dict]:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         header = json.loads(header_line.decode("utf-8"))
-        n = int(header["n"])
-        raw = fh.read(8 * n * n)
-        if len(raw) != 8 * n * n:
-            raise IOError(f"{path}: truncated field payload ({len(raw)} bytes for n={n})")
-        extra = fh.read(1)
-        if extra:
-            raise IOError(f"{path}: trailing bytes after field payload")
+        n = header.get("n") if isinstance(header, dict) else None
+        if not _is_int(n) or not isinstance(header.get("kind"), str):
+            raise ValueError(f"{path}: field header needs an integer 'n' and a string 'kind'")
+        grid = TorusGrid(n)
+        raw = fh.read()
+    if len(raw) < 8 * n * n:
+        raise IOError(f"{path}: truncated field payload ({len(raw)} bytes for n={n})")
+    if len(raw) > 8 * n * n:
+        raise IOError(f"{path}: trailing bytes after field payload")
     values = np.frombuffer(raw, dtype="<f8").reshape(n, n)
-    return ScalarField(TorusGrid(n), values), header
-
-
-def dump_flow(path, positions_x: np.ndarray, positions_y: np.ndarray, time: float) -> None:
-    m = positions_x.shape[0]
-    if positions_x.shape != (m, m) or positions_y.shape != (m, m):
-        raise ValueError("flow positions must be two (m, m) arrays")
-    header = {"m": m, "time": float(time)}
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(np.ascontiguousarray(positions_x, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(positions_y, dtype="<f8").tobytes())
-
-
-def load_flow(path) -> tuple[np.ndarray, np.ndarray, dict]:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        m = int(header["m"])
-        raw = fh.read(2 * 8 * m * m)
-        if len(raw) != 2 * 8 * m * m:
-            raise IOError(f"{path}: truncated flow payload")
-    flat = np.frombuffer(raw, dtype="<f8")
-    x = flat[: m * m].reshape(m, m)
-    y = flat[m * m :].reshape(m, m)
-    return x, y, header
+    return ScalarField(grid, values), header
 
 
 def write_checkpoint(dir_path, rho: ScalarField, potential: ScalarField, *, time: float,
@@ -101,4 +84,10 @@ def read_checkpoint(dir_path) -> dict:
     pot, _ = load_field(os.path.join(dir_path, "potential.field"))
     with open(os.path.join(dir_path, "checkpoint.json"), encoding="utf-8") as fh:
         sidecar = json.load(fh)
+    ok = (isinstance(sidecar, dict) and isinstance(sidecar.get("model"), str)
+          and all(_is_number(sidecar.get(k)) for k in ("time", "eps"))
+          and _is_int(sidecar.get("step")))
+    if not ok:
+        raise ValueError(f"{dir_path}: checkpoint.json needs string 'model', numeric "
+                         "'time' and 'eps', and integer 'step'")
     return {"rho": rho, "potential": pot, "meta": sidecar}

@@ -22,6 +22,7 @@ failures without aborting; results are deterministic given the seed.
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .spectral import (
     norm,
     perp_gradient,
 )
-from .transport import advect_scalar, run_simulation
+from .transport import advect_scalar, cumulative_trapezoid, run_simulation
 
 __all__ = [
     "CheckResult",
@@ -271,7 +272,11 @@ def check_forced_transport_constant(f: ScalarField, t_final: float = 0.4,
 # ------------------------------------------------------------------
 
 class _Bundle:
-    """Per-seed simulation package shared by the trajectory checks."""
+    """Per-seed simulation package shared by the trajectory checks.
+
+    Per-sample norms (Hessian and gradient sup norms, Sobolev norms of
+    rho) come from the runs' diagnostics records, not from recomputation.
+    """
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -302,13 +307,11 @@ class _Bundle:
             )
         return self._backward[key]
 
-    def integral_to(self, values: np.ndarray, idx: int) -> float:
-        """Trapezoid integral of per-sample values up to sample idx."""
-        if idx == 0:
-            return 0.0
-        t = self.times[: idx + 1]
-        v = values[: idx + 1]
-        return float(np.sum(0.5 * (v[1:] + v[:-1]) * np.diff(t)))
+    @cached_property
+    def wente_constant(self) -> float:
+        """Largest Wente quotient over the SG run's potentials."""
+        return max(norm(hessian_det(s.potential), NormKind.Hminus1) / d.hess_l2_psi ** 2
+                   for s, d in zip(self.sg.states, self.sg.diagnostics))
 
 
 def _field_to_modes(f: ScalarField):
@@ -330,15 +333,24 @@ def _bundle_sample_index(bundle: _Bundle, k: int) -> int:
     return 1 + (k % (len(bundle.times) - 1))
 
 
+def _transport_rate(diags) -> np.ndarray:
+    """||D^2 psi||_Linf + ||grad rho||_Linf per sample."""
+    return np.array([d.hess_linf_psi + d.grad_linf_rho for d in diags])
+
+
+def _hm_norm(rec, m: int) -> float:
+    """The stored H^m norm of rho (m = 2 or 3)."""
+    return {2: rec.h2_rho, 3: rec.h3_rho}[m]
+
+
 def _check_grad_ode(bundle: _Bundle, k: int) -> CheckResult:
     """||grad rho(t)||_inf under the Hessian-integral exponential."""
     traj = bundle.sg
     idx = _bundle_sample_index(bundle, k)
-    hess = np.array([hessian_linf(s.potential) for s in traj.states])
-    grow = np.exp(bundle.integral_to(hess, idx))
-    g0 = norm(traj.states[0].rho, NormKind.GradLinf)
-    gt = norm(traj.states[idx].rho, NormKind.GradLinf)
-    ratio = float(gt / (g0 * grow))
+    diags = traj.diagnostics
+    hess = [d.hess_linf_psi for d in diags[: idx + 1]]
+    grow = np.exp(np.trapezoid(hess, bundle.times[: idx + 1]))
+    ratio = float(diags[idx].grad_linf_rho / (diags[0].grad_linf_rho * grow))
     bound = 1.0 + 1e-3
     return CheckResult("grad_ode", ratio, bound, ratio <= bound, bundle.seed,
                        _digest(traj.states[idx].rho, idx, "grad_ode"))
@@ -349,14 +361,9 @@ def _check_hm_transport(bundle: _Bundle, k: int, m: int) -> CheckResult:
     if len(traj.states) < 10:
         raise ValueError("need at least 10 samples")
     idx = _bundle_sample_index(bundle, k)
-    kind = NormKind.Hs(float(m))
-    rate = np.array([
-        hessian_linf(s.potential) + norm(s.rho, NormKind.GradLinf)
-        for s in traj.states
-    ])
-    grow = np.exp(bundle.integral_to(rate, idx))
-    ratio = float(norm(traj.states[idx].rho, kind)
-                  / (norm(traj.states[0].rho, kind) * grow))
+    diags = traj.diagnostics[: idx + 1]
+    grow = np.exp(np.trapezoid(_transport_rate(diags), bundle.times[: idx + 1]))
+    ratio = float(_hm_norm(diags[idx], m) / (_hm_norm(diags[0], m) * grow))
     bound = 1.0 + 1e-2
     name = f"hm_transport_{m}"
     return CheckResult(name, ratio, bound, ratio <= bound, bundle.seed,
@@ -367,7 +374,7 @@ def _check_h1_growth(bundle: _Bundle, k: int) -> CheckResult:
     """||rho(t)||_H1 <= (1 + e^{Mt}) ||rho0||_H1 with M the peak Hessian."""
     traj = bundle.sg
     idx = _bundle_sample_index(bundle, k)
-    M = max(hessian_linf(s.potential) for s in traj.states)
+    M = max(d.hess_linf_psi for d in traj.diagnostics)
     t = float(bundle.times[idx])
     ratio = float(norm(traj.states[idx].rho, NormKind.Hs(1.0))
                   / ((1.0 + np.exp(M * t)) * norm(bundle.rho0, NormKind.Hs(1.0))))
@@ -379,10 +386,10 @@ def _check_l2_hessian(bundle: _Bundle, k: int) -> CheckResult:
     """||D^2 psi||_L2 <= 2 ||rho||_L2 inside the bootstrap window."""
     traj = bundle.sg
     idx = _bundle_sample_index(bundle, k)
-    s = traj.states[idx]
-    ratio = float(hessian_l2(s.potential) / (2.0 * norm(s.rho, NormKind.L2)))
+    d = traj.diagnostics[idx]
+    ratio = float(d.hess_l2_psi / (2.0 * d.l2_rho))
     return CheckResult("l2_hessian", ratio, 1.0, ratio <= 1.0, bundle.seed,
-                       _digest(s.rho, idx, "l2_hessian"))
+                       _digest(traj.states[idx].rho, idx, "l2_hessian"))
 
 
 def _check_vel_gap(bundle: _Bundle, k: int) -> CheckResult:
@@ -423,10 +430,10 @@ def _check_density_stability(bundle: _Bundle, k: int) -> CheckResult:
     """||rho1 - rho2||_L2 <= ||grad rho0||_inf e^{Mt} ||X1 - X2||_L2."""
     idx = _bundle_sample_index(bundle, k)
     diff = bundle.sg.states[idx].rho - bundle.euler.states[idx].rho
-    M = max(max(hessian_linf(s.potential) for s in bundle.sg.states),
-            max(hessian_linf(s.potential) for s in bundle.euler.states))
+    M = max(max(d.hess_linf_psi for d in bundle.sg.diagnostics),
+            max(d.hess_linf_psi for d in bundle.euler.diagnostics))
     t = float(bundle.times[idx])
-    rhs = (norm(bundle.rho0, NormKind.GradLinf) * np.exp(M * t)
+    rhs = (bundle.euler.diagnostics[0].grad_linf_rho * np.exp(M * t)
            * bundle.gaps.flow_gap[idx])
     if rhs == 0.0:
         raise ValueError("degenerate input: coincident flows")
@@ -464,18 +471,13 @@ def _check_flow_gronwall(bundle: _Bundle, k: int) -> CheckResult:
         raise ValueError("degenerate input: coincident flows")
     times = bundle.times[: idx + 1]
     m0 = norm(bundle.rho0, NormKind.Linf)
-    c_w = max(
-        norm(hessian_det(s.potential), NormKind.Hminus1) / hessian_l2(s.potential) ** 2
-        for s in bundle.sg.states
-    )
-    rate = np.array([hessian_linf(s.potential) + np.sqrt(2.0) * m0
-                     for s in bundle.euler.states[: idx + 1]])
-    cum = np.concatenate([[0.0], np.cumsum(
-        0.5 * (rate[1:] + rate[:-1]) * np.diff(times))])
-    source = np.array([BUNDLE_EPS * c_w * hessian_l2(s.potential) ** 2
-                       for s in bundle.sg.states[: idx + 1]])
-    integrand = np.exp(cum[-1] - cum) * source
-    rhs = float(np.sum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(times)))
+    c_w = bundle.wente_constant
+    rate = [d.hess_linf_psi + np.sqrt(2.0) * m0
+            for d in bundle.euler.diagnostics[: idx + 1]]
+    cum = cumulative_trapezoid(rate, times)
+    source = np.array([BUNDLE_EPS * c_w * d.hess_l2_psi ** 2
+                       for d in bundle.sg.diagnostics[: idx + 1]])
+    rhs = float(np.trapezoid(np.exp(cum[-1] - cum) * source, times))
     ratio = float(bundle.gaps.flow_gap[idx] / rhs)
     return CheckResult("flow_gronwall", ratio, 1.0, ratio <= 1.0, bundle.seed,
                        _digest(bundle.gaps.flow_gap[idx], idx, "flow_gronwall"))
@@ -484,25 +486,19 @@ def _check_flow_gronwall(bundle: _Bundle, k: int) -> CheckResult:
 def _check_l2_stab_hm(bundle: _Bundle, k: int, m: int = 3) -> CheckResult:
     """L2 density stability through the H^-1 / H^m interpolation ladder."""
     idx = _bundle_sample_index(bundle, k)
-    kind = NormKind.Hs(float(m))
     diff = bundle.sg.states[idx].rho - bundle.euler.states[idx].rho
     lhs = norm(diff, NormKind.L2)
     hm1 = norm(diff, NormKind.Hminus1)
     if hm1 == 0.0:
         raise ValueError("degenerate input: identical densities")
-    h0 = norm(bundle.rho0, kind)
+    h0 = _hm_norm(bundle.euler.diagnostics[0], m)
     gammas = []
     for traj in (bundle.sg, bundle.euler):
-        rate = np.array([
-            hessian_linf(s.potential) + norm(s.rho, NormKind.GradLinf)
-            for s in traj.states
-        ])
-        integ = np.array([bundle.integral_to(rate, j)
-                          for j in range(len(traj.states))])
+        rate = _transport_rate(traj.diagnostics)
+        integ = np.array([np.trapezoid(rate[: j + 1], bundle.times[: j + 1])
+                          for j in range(len(rate))])
         with np.errstate(divide="ignore", invalid="ignore"):
-            growth = np.array([
-                np.log(norm(s.rho, kind) / h0) for s in traj.states
-            ])
+            growth = np.array([np.log(_hm_norm(d, m) / h0) for d in traj.diagnostics])
         usable = integ > 0.01
         c_m = max(1e-2, float(np.max(growth[usable] / integ[usable]))
                   if np.any(usable) else 1e-2)
@@ -536,11 +532,9 @@ def _check_forced_transport_flow(bundle: _Bundle, k: int) -> CheckResult:
         gy = derivative(bg.rho, (0, 1))
         f = ScalarField(s.rho.grid, u1x.values * gx.values + u1y.values * gy.values)
         force.append(norm(f, NormKind.Hminus1))
-    force = np.asarray(force)
-    hess = np.array([hessian_linf(s.background.potential)
-                     for s in traj.states[: idx + 1]])
-    grow = np.exp(bundle.integral_to(hess, idx))
-    denom = bundle.integral_to(force, idx) * grow
+    times = bundle.times[: idx + 1]
+    hess = [hessian_linf(s.background.potential) for s in traj.states[: idx + 1]]
+    denom = np.trapezoid(force, times) * np.exp(np.trapezoid(hess, times))
     ratio = float(lhs / denom)
     bound = 1.0 + 1e-2
     return CheckResult("forced_transport_flow", ratio, bound, ratio <= bound,

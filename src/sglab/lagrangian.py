@@ -24,7 +24,7 @@ import numpy as np
 from scipy import ndimage
 
 from .spectral import ScalarField, TorusGrid, NormKind, norm, perp_gradient
-from .transport import StepSizeError, Trajectory
+from .transport import StepSizeError, Trajectory, _rk4
 
 __all__ = [
     "FlowMap",
@@ -192,17 +192,12 @@ def advect_flow(velocity_source, labels: FlowMap, t0: float, t1: float, dt: floa
     steps = max(1, int(np.ceil(abs(span) / dt - 1e-12)))
     hstep = span / steps
 
-    x = labels.positions_x.copy()
-    y = labels.positions_y.copy()
+    pos = (labels.positions_x, labels.positions_y)
     t = t0
     for k in range(steps):
-        k1x, k1y = lookup(t, x, y)
-        k2x, k2y = lookup(t + hstep / 2, x + (hstep / 2) * k1x, y + (hstep / 2) * k1y)
-        k3x, k3y = lookup(t + hstep / 2, x + (hstep / 2) * k2x, y + (hstep / 2) * k2y)
-        k4x, k4y = lookup(t + hstep, x + hstep * k3x, y + hstep * k3y)
-        x = x + (hstep / 6) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        y = y + (hstep / 6) * (k1y + 2 * k2y + 2 * k3y + k4y)
+        pos = _rk4(lambda tau, p: lookup(tau, *p), t, pos, hstep)
         t = t0 + (k + 1) * hstep
+    x, y = pos
     return FlowMap(m=labels.m, time=t1, positions_x=x, positions_y=y)
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from .config import MODELS
 from .spectral import (
     ScalarField,
     TorusGrid,
@@ -53,15 +54,11 @@ __all__ = [
     "DiagnosticsRecord",
     "Trajectory",
     "initial_data_field",
-    "velocity",
-    "rhs",
     "step_rk4",
     "run_simulation",
+    "cumulative_trapezoid",
     "advect_scalar",
-    "field_series_interpolator",
 ]
-
-MODELS = ("Euler", "SGeps", "Corrector")
 
 MAX_STEPS = 200_000
 
@@ -264,27 +261,12 @@ def _solve_potential(rho: ScalarField, model: str, eps: float) -> ScalarField:
     return inv_laplacian(rho)
 
 
-def velocity(state: SimState) -> tuple[ScalarField, ScalarField]:
-    """The state's own velocity, perp grad of its potential."""
-    return perp_gradient(state.potential)
-
-
 def advecting_velocity(state: SimState) -> tuple[ScalarField, ScalarField]:
     """Velocity that transports the state's density (background's for
     the corrector, own otherwise)."""
     if state.model == "Corrector":
         return perp_gradient(state.background.potential)
     return perp_gradient(state.potential)
-
-
-def rhs(state: SimState) -> ScalarField:
-    """Time derivative of the state's density."""
-    if state.model == "Corrector":
-        bg = state.background
-        own = _advection(bg.potential, state.rho)
-        cross = _advection(state.potential, bg.rho)
-        return -(own + cross)
-    return -_advection(state.potential, state.rho)
 
 
 def _max_speed(state: SimState) -> float:
@@ -299,6 +281,24 @@ def cfl_limit(state: SimState, cfl: float = 0.5) -> float:
 
 def _project_mean(f: ScalarField) -> ScalarField:
     return f - f.mean()
+
+
+def _rk4(deriv, t, y, h, k1=None):
+    """One classical RK4 step of dy/dt = deriv(t, y) for a tuple state y.
+
+    deriv returns a tuple shaped like y; k1 may carry deriv(t, y) when
+    the caller already has it. Mean projection is left to the caller.
+    """
+    def shifted(a, k):
+        return tuple(yi + a * ki for yi, ki in zip(y, k))
+
+    if k1 is None:
+        k1 = deriv(t, y)
+    k2 = deriv(t + h / 2, shifted(h / 2, k1))
+    k3 = deriv(t + h / 2, shifted(h / 2, k2))
+    k4 = deriv(t + h, shifted(h, k3))
+    return tuple(yi + (h / 6) * (a + 2.0 * b + 2.0 * c + d)
+                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
 
 
 def step_rk4(state: SimState, dt: float, cfl: float = 0.5) -> SimState:
@@ -318,46 +318,35 @@ def step_rk4(state: SimState, dt: float, cfl: float = 0.5) -> SimState:
     model, eps = state.model, state.eps
 
     if model == "Corrector":
-        bg = state.background
-        rb0, rc0 = bg.rho, state.rho
-
-        def stage(rb, rc):
+        def corrector_deriv(t, y):
+            rb, rc = y
             phibar = inv_laplacian(rb)
             phi1 = solve_corrector_potential(rc, phibar)
             kb = -_advection(phibar, rb)
-            kc = -(_advection(phibar, rc) + _advection(phi1, rb))
-            return kb, kc
+            return kb, -(_advection(phibar, rc) + _advection(phi1, rb))
 
-        kb1, kc1 = stage(rb0, rc0)
-        kb2, kc2 = stage(rb0 + (dt / 2) * kb1, rc0 + (dt / 2) * kc1)
-        kb3, kc3 = stage(rb0 + (dt / 2) * kb2, rc0 + (dt / 2) * kc2)
-        kb4, kc4 = stage(rb0 + dt * kb3, rc0 + dt * kc3)
-        rb = _project_mean(rb0 + (dt / 6) * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4))
-        rc = _project_mean(rc0 + (dt / 6) * (kc1 + 2.0 * kc2 + 2.0 * kc3 + kc4))
+        y0 = (state.background.rho, state.rho)
+        rb, rc = (_project_mean(r) for r in _rk4(corrector_deriv, state.time, y0, dt))
         t1 = state.time + dt
         phibar = inv_laplacian(rb)
         new_bg = SimState(t1, "Euler", 0.0, rb, phibar)
         phi1 = solve_corrector_potential(rc, phibar)
         return SimState(t1, "Corrector", eps, rc, phi1, background=new_bg)
 
-    r0 = state.rho
+    def deriv(t, y):
+        (r,) = y
+        return (-_advection(_solve_potential(r, model, eps), r),)
 
-    def stage(r):
-        pot = _solve_potential(r, model, eps)
-        return -_advection(pot, r)
-
-    k1 = -_advection(state.potential, r0)  # reuse the solved potential
-    k2 = stage(r0 + (dt / 2) * k1)
-    k3 = stage(r0 + (dt / 2) * k2)
-    k4 = stage(r0 + dt * k3)
-    r1 = _project_mean(r0 + (dt / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    k1 = (-_advection(state.potential, state.rho),)  # reuse the solved potential
+    (r1,) = _rk4(deriv, state.time, (state.rho,), dt, k1)
+    r1 = _project_mean(r1)
     pot1 = _solve_potential(r1, model, eps)
     return SimState(state.time + dt, model, eps, r1, pot1)
 
 
 # --- trajectory driver -----------------------------------------------------
 
-def _diagnostics(state: SimState, m0: float, a_t: float) -> DiagnosticsRecord:
+def _diagnostics(state: SimState, m0: float) -> DiagnosticsRecord:
     rho, pot = state.rho, state.potential
     status = bootstrap_status(rho, pot, state.eps, m0=m0)
     return DiagnosticsRecord(
@@ -373,7 +362,6 @@ def _diagnostics(state: SimState, m0: float, a_t: float) -> DiagnosticsRecord:
         hessian_margin=status.hessian_margin,
         log_estimate_ratio=status.log_estimate_ratio,
         inside=status.inside,
-        A_t=a_t,
     )
 
 
@@ -394,6 +382,12 @@ def _grad_margin(state: SimState) -> float:
     return 0.25 - state.eps * norm(state.rho, NormKind.GradLinf)
 
 
+def cumulative_trapezoid(values, times) -> np.ndarray:
+    """Trapezoid integrals of a sampled series from times[0] to each sample."""
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([[0.0], np.cumsum(np.diff(times) * (values[1:] + values[:-1]) / 2.0)])
+
+
 def run_simulation(config) -> Trajectory:
     """Integrate config.model to t_final, sampling every sample_interval.
 
@@ -403,6 +397,7 @@ def run_simulation(config) -> Trajectory:
     time is located by linear interpolation of the margin, and the
     trajectory reports exit_reason = "bootstrap_exit". Elliptic failures
     likewise end the run with a partial trajectory instead of raising.
+    Each record's A_t is the Gronwall exponent int_0^t (1 + 2 ||D^2 pot||_Linf).
     """
     if config.n < 32:
         raise ValueError("simulation runs need n >= 32")
@@ -415,7 +410,15 @@ def run_simulation(config) -> Trajectory:
         m0 = norm(state.background.rho, NormKind.Linf)
 
     traj = Trajectory(model=config.model, eps=config.eps, grid=state.rho.grid, m0=m0)
+    _integrate(config, state, traj)
+    growth = [1 + 2 * d.hess_linf_psi for d in traj.diagnostics]
+    for d, a_t in zip(traj.diagnostics, cumulative_trapezoid(growth, traj.times)):
+        d.A_t = float(a_t)
+    return traj
 
+
+def _integrate(config, state: SimState, traj: Trajectory) -> None:
+    """Step and sample into traj until t_final or an exit event."""
     si = config.sample_interval
     sample_times = [k * si for k in range(1, int(np.floor(config.t_final / si + 1e-9)) + 1)]
     if sample_times and abs(sample_times[-1] - config.t_final) <= 1e-9 * max(1.0, config.t_final):
@@ -423,18 +426,10 @@ def run_simulation(config) -> Trajectory:
     if not sample_times or sample_times[-1] < config.t_final - 1e-12:
         sample_times.append(config.t_final)
 
-    a_t = 0.0
-    last_hess = hessian_linf(state.potential)
-    last_t = 0.0
-
     def record(st):
-        nonlocal a_t, last_hess, last_t
-        h = hessian_linf(st.potential)
-        a_t += (st.time - last_t) * 0.5 * ((1 + 2 * last_hess) + (1 + 2 * h))
-        last_hess, last_t = h, st.time
         traj.states.append(st)
         traj.times.append(st.time)
-        traj.diagnostics.append(_diagnostics(st, m0, a_t))
+        traj.diagnostics.append(_diagnostics(st, traj.m0))
 
     record(state)
 
@@ -442,7 +437,7 @@ def run_simulation(config) -> Trajectory:
     if monitor_exit and _grad_margin(state) <= 0:
         traj.exit_reason = "bootstrap_exit"
         traj.exit_time = 0.0
-        return traj
+        return
 
     steps = 0
     margin_prev = _grad_margin(state) if monitor_exit else None
@@ -454,7 +449,7 @@ def run_simulation(config) -> Trajectory:
                     traj.exit_reason = "step_limit"
                     traj.exit_time = state.time
                     record(state)
-                    return traj
+                    return
                 dt = min(cfl_limit(state, config.cfl), target - state.time)
                 state = step_rk4(state, dt, cfl=config.cfl)
                 if state.time > target - 1e-12:
@@ -469,7 +464,7 @@ def run_simulation(config) -> Trajectory:
                         traj.exit_time = state.time - dt * (1.0 - frac)
                         traj.exit_reason = "bootstrap_exit"
                         record(state)
-                        return traj
+                        return
                     margin_prev = margin
             record(state)
     except (EllipticDivergenceError, EllipticConvergenceError) as err:
@@ -479,7 +474,6 @@ def run_simulation(config) -> Trajectory:
             else "elliptic_stall"
         )
         traj.exit_time = state.time
-    return traj
 
 
 def _retime(state: SimState, t: float) -> SimState:
@@ -491,36 +485,6 @@ def _retime(state: SimState, t: float) -> SimState:
 
 # --- passive scalars under a prescribed potential --------------------------
 
-def field_series_interpolator(times, fields):
-    """Cubic Lagrange interpolation of a ScalarField time series.
-
-    Uses the four samples nearest t (fewer near the ends of short
-    series). Raises ValueError outside the sampled window.
-    """
-    times = np.asarray(times, dtype=float)
-    if len(times) != len(fields) or len(times) < 2:
-        raise ValueError("need matching times/fields with at least 2 samples")
-    grid = fields[0].grid
-
-    def at(t: float) -> ScalarField:
-        if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
-            raise ValueError(f"t = {t} outside sampled window [{times[0]}, {times[-1]}]")
-        j = int(np.searchsorted(times, t))
-        lo = max(0, min(j - 2, len(times) - 4))
-        hi = min(len(times), lo + 4)
-        idx = range(lo, hi)
-        vals = np.zeros((grid.n, grid.n))
-        for i in idx:
-            w = 1.0
-            for k in idx:
-                if k != i:
-                    w *= (t - times[k]) / (times[i] - times[k])
-            vals += w * fields[i].values
-        return ScalarField(grid, vals)
-
-    return at
-
-
 def advect_scalar(sigma0: ScalarField, potential_at, t0: float, t1: float,
                   dt: float, forcing_at=None) -> ScalarField:
     """Integrate d_t sigma + u . grad sigma = f with u = perp grad of a
@@ -528,19 +492,17 @@ def advect_scalar(sigma0: ScalarField, potential_at, t0: float, t1: float,
     as the active models. forcing_at may be None for pure transport."""
     steps = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
     h = (t1 - t0) / steps
+
+    def deriv(tau, y):
+        out = -_advection(potential_at(tau), y[0])
+        if forcing_at is not None:
+            out = out + forcing_at(tau)
+        return (out,)
+
     sigma = sigma0
     t = t0
     for _ in range(steps):
-        def deriv(s, tau):
-            out = -_advection(potential_at(tau), s)
-            if forcing_at is not None:
-                out = out + forcing_at(tau)
-            return out
-
-        k1 = deriv(sigma, t)
-        k2 = deriv(sigma + (h / 2) * k1, t + h / 2)
-        k3 = deriv(sigma + (h / 2) * k2, t + h / 2)
-        k4 = deriv(sigma + h * k3, t + h)
-        sigma = _project_mean(sigma + (h / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        (sigma,) = _rk4(deriv, t, (sigma,), h)
+        sigma = _project_mean(sigma)
         t += h
     return sigma

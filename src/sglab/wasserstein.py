@@ -28,7 +28,6 @@ from scipy import sparse
 from scipy.optimize import linprog
 from scipy.special import logsumexp
 
-from .elliptic import hessian_linf
 from .spectral import ScalarField, perp_gradient
 from .transport import Trajectory
 
@@ -42,7 +41,6 @@ __all__ = [
     "torus_cost",
     "w2_sinkhorn",
     "w2_exact_small",
-    "displacement_interpolation",
     "gronwall_w2_bound",
 ]
 
@@ -246,8 +244,8 @@ def _merge_thin_support(weights, cost_to_self, cut=1e-7):
     return merged, idx_keep
 
 
-def _exact_plan(a: DensityOnTorus, b: DensityOnTorus):
-    """LP transport plan (on the full atom set) and cost."""
+def w2_exact_small(a: DensityOnTorus, b: DensityOnTorus) -> OTResult:
+    """Exact W2 via the transport linear program (lattices up to 16^2)."""
     if a.m > EXACT_SIDE_LIMIT or b.m > EXACT_SIDE_LIMIT:
         raise ValueError(f"lattice side exceeds {EXACT_SIDE_LIMIT}")
     cost = torus_cost(a.m, b.m)
@@ -266,12 +264,7 @@ def _exact_plan(a: DensityOnTorus, b: DensityOnTorus):
         raise RuntimeError(f"transport LP failed: {res.message}")
     plan = np.zeros((a.m * a.m, b.m * b.m))
     plan[np.ix_(ia, ib)] = res.x.reshape(p, q)
-    return plan, float(res.fun)
-
-
-def w2_exact_small(a: DensityOnTorus, b: DensityOnTorus) -> OTResult:
-    """Exact W2 via the transport linear program (lattices up to 16^2)."""
-    plan, value = _exact_plan(a, b)
+    value = float(res.fun)
     err = float(np.sum(np.abs(plan.sum(axis=1) - a.weights.ravel()))
                 + np.sum(np.abs(plan.sum(axis=0) - b.weights.ravel())))
     return OTResult(
@@ -281,42 +274,6 @@ def w2_exact_small(a: DensityOnTorus, b: DensityOnTorus) -> OTResult:
         iterations=0,
         marginal_error=err,
     )
-
-
-def displacement_interpolation(a: DensityOnTorus, b: DensityOnTorus,
-                               theta: float) -> DensityOnTorus:
-    """McCann interpolant along the exact plan, theta in [1, 2].
-
-    theta = 1 returns a exactly and theta = 2 returns b up to binning;
-    intermediate mass moves along minimal torus displacements and is
-    deposited on a's lattice with bilinear weights.
-    """
-    if not 1.0 <= theta <= 2.0:
-        raise ValueError("theta must lie in [1, 2]")
-    if a.m != b.m:
-        raise ValueError("interpolation needs matching lattices")
-    m = a.m
-    plan, _ = _exact_plan(a, b)
-    src = np.nonzero(plan > 0)
-    mass = plan[src]
-    ia, ja = np.unravel_index(src[0], (m, m))
-    ib, jb = np.unravel_index(src[1], (m, m))
-    xa = np.stack([ia, ja], axis=1) / m
-    xb = np.stack([ib, jb], axis=1) / m
-    # minimal-image displacement, each component in [-1/2, 1/2)
-    d = np.mod(xb - xa + 0.5, 1.0) - 0.5
-    z = np.mod(xa + (theta - 1.0) * d, 1.0)
-    out = np.zeros((m, m))
-    u = z[:, 0] * m
-    v = z[:, 1] * m
-    i0 = np.floor(u).astype(int)
-    j0 = np.floor(v).astype(int)
-    fu = u - i0
-    fv = v - j0
-    for di, wi in ((0, 1.0 - fu), (1, fu)):
-        for dj, wj in ((0, 1.0 - fv), (1, fv)):
-            np.add.at(out, ((i0 + di) % m, (j0 + dj) % m), mass * wi * wj)
-    return DensityOnTorus(m=m, weights=out / float(np.sum(out)))
 
 
 @dataclass
@@ -332,9 +289,9 @@ def gronwall_w2_bound(traj_sg: Trajectory, traj_euler: Trajectory) -> W2Gronwall
     """Energy-style upper bound B(t) for the squared transport gap.
 
     B(t) = int_0^t exp(A(t) - A(s)) * G(s) ds with
-    A(t) = int_0^t (1 + 2*||D^2 phi_euler||_inf) and
-    G(s) = int |u_sg - u_euler|^2 (1 + eps*rho_sg) dx,
-    both integrals by the trapezoid rule on the shared sample grid.
+    A(t) = int_0^t (1 + 2*||D^2 phi_euler||_inf), the Euler run's stored
+    A_t, and G(s) = int |u_sg - u_euler|^2 (1 + eps*rho_sg) dx; both
+    integrals use the trapezoid rule on the shared sample grid.
     """
     ta = np.asarray(traj_sg.times, dtype=float)
     tb = np.asarray(traj_euler.times, dtype=float)
@@ -346,12 +303,10 @@ def gronwall_w2_bound(traj_sg: Trajectory, traj_euler: Trajectory) -> W2Gronwall
     times = ta[:k]
     eps = traj_sg.eps
 
-    growth = np.empty(k)
     gap2 = np.empty(k)
     for i in range(k):
         se = traj_euler.states[i]
         ss = traj_sg.states[i]
-        growth[i] = 1.0 + 2.0 * hessian_linf(se.potential)
         ue = perp_gradient(se.potential)
         us = perp_gradient(ss.potential)
         dense = 1.0 + eps * ss.rho.values
@@ -359,14 +314,7 @@ def gronwall_w2_bound(traj_sg: Trajectory, traj_euler: Trajectory) -> W2Gronwall
         dy = us[1].values - ue[1].values
         gap2[i] = float(np.mean((dx * dx + dy * dy) * dense))
 
-    a_t = np.concatenate([[0.0], np.cumsum(
-        0.5 * (growth[1:] + growth[:-1]) * np.diff(times))])
-    bound = np.empty(k)
-    for i in range(k):
-        integrand = np.exp(a_t[i] - a_t[: i + 1]) * gap2[: i + 1]
-        if i == 0:
-            bound[0] = 0.0
-        else:
-            seg = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(times[: i + 1])
-            bound[i] = float(np.sum(seg))
+    a_t = np.array([d.A_t for d in traj_euler.diagnostics[:k]])
+    bound = np.array([np.trapezoid(np.exp(a_t[i] - a_t[: i + 1]) * gap2[: i + 1],
+                                   times[: i + 1]) for i in range(k)])
     return W2GronwallSeries(times=times, a_t=a_t, bound=bound)

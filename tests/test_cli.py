@@ -121,3 +121,18 @@ class TestDumpLoad:
 
     def test_missing_path(self, tmp_path):
         assert main(["load", str(tmp_path / "absent")]) == EXIT_INFRA
+
+    @pytest.mark.parametrize("header", [b'{"kind": "rho", "time": 0.0}', b"[32]"],
+                             ids=["no_n", "list_header"])
+    def test_bad_field_header_is_infra_error(self, tmp_path, header):
+        path = tmp_path / "bad.field"
+        path.write_bytes(header + b"\n" + bytes(8 * 32 * 32))
+        assert main(["load", str(path)]) == EXIT_INFRA
+
+    def test_sidecar_without_model_is_infra_error(self, run_cfg, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        main(["dump", "--config", run_cfg, "--out", str(ckpt)])
+        meta = json.loads((ckpt / "checkpoint.json").read_text())
+        del meta["model"]
+        (ckpt / "checkpoint.json").write_text(json.dumps(meta))
+        assert main(["load", str(ckpt)]) == EXIT_INFRA

@@ -1,4 +1,4 @@
-"""Round-trip tests for the binary field/flow dump formats."""
+"""Round-trip tests for the binary field dump format and checkpoints."""
 
 import json
 
@@ -9,8 +9,6 @@ from sglab.spectral import TorusGrid, ScalarField
 from sglab.fieldio import (
     dump_field,
     load_field,
-    dump_flow,
-    load_flow,
     write_checkpoint,
     read_checkpoint,
 )
@@ -61,19 +59,6 @@ def test_field_trailing_bytes_detected(tmp_path):
         fh.write(b"\x00" * 4)
     with pytest.raises(IOError):
         load_field(path)
-
-
-def test_flow_roundtrip(tmp_path):
-    rng = np.random.default_rng(1)
-    px = rng.standard_normal((16, 16))
-    py = rng.standard_normal((16, 16))
-    path = tmp_path / "flow.bin"
-    dump_flow(path, px, py, time=1.5)
-    lx, ly, header = load_flow(path)
-    assert np.array_equal(lx, px)
-    assert np.array_equal(ly, py)
-    assert header["m"] == 16
-    assert header["time"] == 1.5
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from sglab.config import RunConfig
-from sglab.spectral import ScalarField, TorusGrid, NormKind, norm
-from sglab.elliptic import cofactor_contract, hessian_det
+from sglab.spectral import ScalarField, TorusGrid, NormKind, norm, perp_gradient
+from sglab.elliptic import cofactor_contract, hessian_det, hessian_linf
+from sglab.lagrangian import TrajectoryVelocity
 from sglab.transport import (
     SimState,
     StepSizeError,
+    Trajectory,
     advect_scalar,
     cfl_limit,
-    field_series_interpolator,
     initial_data_field,
     run_simulation,
     step_rk4,
@@ -119,16 +120,25 @@ def test_rk4_order():
 def test_sampling_grid_and_alignment():
     cfg_e = RunConfig(n=32, model="Euler", t_final=0.3, sample_interval=0.1)
     cfg_s = RunConfig(n=32, model="SGeps", eps=0.02, t_final=0.3, sample_interval=0.1)
+    cfg_c = RunConfig(n=32, model="Corrector", eps=0.02, t_final=0.3, sample_interval=0.1)
     te = run_simulation(cfg_e)
     ts = run_simulation(cfg_s)
+    tc = run_simulation(cfg_c)
     assert te.times == pytest.approx([0.0, 0.1, 0.2, 0.3], abs=0)
-    assert te.times == ts.times
+    assert te.times == ts.times == tc.times
     assert te.exit_reason is None
     assert len(te.diagnostics) == 4
     rec = te.diagnostics[-1]
     assert rec.t == 0.3
     assert rec.velocity_gap is None
     assert rec.A_t is not None and rec.A_t > 0
+    # the stored per-sample norms are exactly what a recomputation gives
+    for traj in (te, ts, tc):
+        for st, d in zip(traj.states, traj.diagnostics, strict=True):
+            assert d.hess_linf_psi == hessian_linf(st.potential)
+            assert d.grad_linf_rho == norm(st.rho, NormKind.GradLinf)
+            assert d.h2_rho == norm(st.rho, NormKind.Hs(2.0))
+            assert d.h3_rho == norm(st.rho, NormKind.Hs(3.0))
 
 
 def test_final_time_not_on_lattice():
@@ -227,17 +237,26 @@ def test_advect_scalar_constant_forcing_zero_velocity():
 
 
 def test_field_series_interpolator_cubic_exact():
+    # potentials cubic in t times one field: the 4-point Lagrange stencil
+    # of TrajectoryVelocity reproduces the velocity to roundoff
     g = TorusGrid(32)
-    base = ScalarField.from_function(g, lambda x, y: np.cos(TWO_PI * x))
+    base = ScalarField.from_function(
+        g, lambda x, y: np.cos(TWO_PI * x) * np.sin(TWO_PI * y))
+    bx, by = (u.values for u in perp_gradient(base))
     times = [0.0, 0.1, 0.2, 0.3, 0.4]
 
     def coef(t):
         return 1.0 - 2 * t + 3 * t ** 2 - 4 * t ** 3
 
-    fields = [coef(t) * base for t in times]
-    interp = field_series_interpolator(times, fields)
-    for t in (0.05, 0.17, 0.33):
-        got = interp(t)
-        assert np.allclose(got.values, coef(t) * base.values, atol=1e-12)
-    with pytest.raises(ValueError):
-        interp(0.5)
+    zero = ScalarField.zeros(g)
+    states = [SimState(t, "Euler", 0.0, zero, coef(t) * base) for t in times]
+    traj = Trajectory(model="Euler", eps=0.0, grid=g, m0=0.0,
+                      states=states, times=list(times))
+    vel = TrajectoryVelocity(traj)
+    for t in (0.0, 0.05, 0.17, 0.33, 0.4):
+        ux, uy = vel.pair(t)
+        assert np.max(np.abs(ux - coef(t) * bx)) <= 1e-12
+        assert np.max(np.abs(uy - coef(t) * by)) <= 1e-12
+    for t in (-0.01, 0.41):
+        with pytest.raises(ValueError):
+            vel.pair(t)

@@ -1,15 +1,15 @@
-"""Transport distances: entropic solver vs LP oracle, interpolation, bounds."""
+"""Transport distances: entropic solver vs LP oracle, bounds."""
 
 import numpy as np
 import pytest
 
 from sglab.config import RunConfig
+from sglab.elliptic import hessian_linf
 from sglab.spectral import ScalarField, TorusGrid
 from sglab.transport import run_simulation
 from sglab.wasserstein import (
     DensityOnTorus,
     W2ConvergenceError,
-    displacement_interpolation,
     downsample,
     gronwall_w2_bound,
     physical_density,
@@ -172,30 +172,6 @@ def test_sinkhorn_size_guard():
         w2_sinkhorn(a, a)
 
 
-# --------------------------------------------------------- interpolation
-
-def test_displacement_endpoints_and_bound():
-    # wide bumps keep every atom above the LP support threshold, so the
-    # theta = 1 endpoint reproduces the input to roundoff
-    a = bump_density(16, 0.3, 0.5, sigma=0.15)
-    b = bump_density(16, 0.45, 0.55, sigma=0.15)
-    at_a = displacement_interpolation(a, b, 1.0)
-    at_b = displacement_interpolation(a, b, 2.0)
-    assert np.max(np.abs(at_a.weights - a.weights)) < 1e-14
-    assert np.max(np.abs(at_b.weights - b.weights)) < 1e-14
-    mid = displacement_interpolation(a, b, 1.5)
-    assert mid.weights.max() <= max(a.weights.max(), b.weights.max()) * 1.1
-
-
-def test_displacement_argument_errors():
-    a = bump_density(16, 0.3, 0.5)
-    b = bump_density(8, 0.3, 0.5)
-    with pytest.raises(ValueError):
-        displacement_interpolation(a, a, 0.5)
-    with pytest.raises(ValueError):
-        displacement_interpolation(a, b, 1.5)
-
-
 # ------------------------------------------------------------- gronwall
 
 @pytest.fixture(scope="module")
@@ -210,6 +186,17 @@ def test_gronwall_same_trajectory_zero(euler64):
     assert np.all(series.bound == 0.0)
     assert series.bound[0] == 0.0
     assert np.all(np.diff(series.a_t) > 0)
+
+
+def test_gronwall_exponent_is_the_stored_a_t():
+    base = dict(n=32, t_final=0.3, sample_interval=0.1)
+    euler = run_simulation(RunConfig(model="Euler", eps=0.0, **base))
+    sg = run_simulation(RunConfig(model="SGeps", eps=0.02, **base))
+    a_t = gronwall_w2_bound(sg, euler).a_t
+    stored = [d.A_t for d in euler.diagnostics]
+    assert a_t.tobytes() == np.array(stored).tobytes()
+    growth = [1 + 2 * hessian_linf(s.potential) for s in euler.states]
+    assert a_t[-1] == pytest.approx(np.trapezoid(growth, euler.times), rel=1e-14)
 
 
 def test_gronwall_alignment_errors(euler64):
