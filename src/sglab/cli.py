@@ -18,11 +18,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, ExperimentSpec, RunConfig, parse_config
+from .elliptic import EllipticConvergenceError, EllipticDivergenceError
 from .experiments import _record_line, emit_report, run_experiment
 from .fieldio import load_field, read_checkpoint, write_checkpoint
 from .inequalities import run_suite
-from .spectral import NormKind, norm
-from .transport import run_simulation
+from .spectral import NormKind, TorusGrid, norm
+from .transport import ELLIPTIC_EXITS, Trajectory, run_simulation
 
 EXIT_OK = 0
 EXIT_ASSERTION = 2
@@ -52,17 +53,29 @@ def _field_line(label, f):
     return f"  {label}: n={f.grid.n} mean={f.mean():+.3e} l2={l2:.6e} linf={linf:.6e}"
 
 
-def _cmd_run(args):
-    cfg = _want_run_config(_read_config(args.config), "run")
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    traj = run_simulation(cfg)
-    out = Path(args.out or cfg.output_dir)
+def _simulate(cfg):
+    """run_simulation for the run and dump verbs.
+
+    An elliptic failure in the t = 0 solve comes back as a trajectory
+    with no samples, exit_time 0 and the failure's exit_reason, so the
+    verb still writes a well-formed summary before it exits 3.
+    """
+    try:
+        return run_simulation(cfg)
+    except (EllipticDivergenceError, EllipticConvergenceError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return Trajectory(model=cfg.model, eps=cfg.eps, grid=TorusGrid(cfg.n),
+                          m0=float("nan"), exit_reason=ELLIPTIC_EXITS[type(err)],
+                          exit_time=0.0)
+
+
+def _write_run(out, cfg, traj):
+    """Write run.ndjson (one record per sample) and run.json (summary)."""
     out.mkdir(parents=True, exist_ok=True)
     nd = out / "run.ndjson"
     nd.write_text("".join(_record_line(r) + "\n" for r in traj.diagnostics),
                   encoding="utf-8")
-    last = traj.diagnostics[-1]
+    last = traj.diagnostics[-1] if traj.diagnostics else None
     summary = {
         "model": cfg.model,
         "eps": cfg.eps,
@@ -71,18 +84,32 @@ def _cmd_run(args):
         "steps": len(traj.dt_history),
         "exit_reason": traj.exit_reason,
         "exit_time": traj.exit_time,
-        "final_t": last.t,
-        "final_l2_rho": last.l2_rho,
-        "final_grad_margin": last.grad_margin,
+        "final_t": None if last is None else last.t,
+        "final_l2_rho": None if last is None else last.l2_rho,
+        "final_grad_margin": None if last is None else last.grad_margin,
     }
     (out / "run.json").write_text(json.dumps(summary, indent=2) + "\n",
                                   encoding="utf-8")
-    print(f"{cfg.model} eps={cfg.eps:g} n={cfg.n}: "
-          f"{len(traj.times)} samples to t={last.t:g}")
+    return nd
+
+
+def _exit_code(traj):
+    return EXIT_OK if traj.exit_reason in _CLEAN_EXITS else EXIT_INFRA
+
+
+def _cmd_run(args):
+    cfg = _want_run_config(_read_config(args.config), "run")
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    traj = _simulate(cfg)
+    nd = _write_run(Path(args.out or cfg.output_dir), cfg, traj)
+    if traj.times:
+        print(f"{cfg.model} eps={cfg.eps:g} n={cfg.n}: "
+              f"{len(traj.times)} samples to t={traj.times[-1]:g}")
     if traj.exit_reason is not None:
         print(f"exit: {traj.exit_reason} at t={traj.exit_time:g}")
     print(f"wrote {nd}")
-    return EXIT_OK if traj.exit_reason in _CLEAN_EXITS else EXIT_INFRA
+    return _exit_code(traj)
 
 
 def _cmd_experiment(args):
@@ -145,15 +172,21 @@ def _cmd_dump(args):
     cfg = _want_run_config(_read_config(args.config), "dump")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    traj = run_simulation(cfg)
+    traj = _simulate(cfg)
+    out = Path(args.out or cfg.output_dir)
+    if not traj.states:
+        nd = _write_run(out, cfg, traj)
+        print(f"exit: {traj.exit_reason} at t={traj.exit_time:g}; no state to checkpoint")
+        print(f"wrote {nd}")
+        return _exit_code(traj)
     state = traj.states[-1]
-    files = write_checkpoint(args.out or cfg.output_dir, state.rho, state.potential,
+    files = write_checkpoint(out, state.rho, state.potential,
                              time=traj.times[-1], model=cfg.model, eps=cfg.eps,
                              step=len(traj.dt_history))
     print(f"checkpoint at t={traj.times[-1]:g} ({cfg.model}, eps={cfg.eps:g})")
     for kind, path in files.items():
         print(f"  {kind}: {path}")
-    return EXIT_OK if traj.exit_reason in _CLEAN_EXITS else EXIT_INFRA
+    return _exit_code(traj)
 
 
 def _cmd_load(args):

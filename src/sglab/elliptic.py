@@ -10,6 +10,17 @@ determinant frozen at the previous iterate. The map contracts while
 eps * ||D^2 psi||_Linf stays below 1/2, which the bootstrap regime
 (margin against 1/4) guarantees with room to spare.
 
+The sweeps run on rfft2 half-spectra with the cached multipliers of
+`spectral.kernel(n)` (rows p = -n/2..n/2-1 in fftfreq order, columns
+q = 0..n/2). Each sweep forms the Hessian of its new iterate once, as
+one batched irfft2 of three components; that Hessian feeds the next
+sweep's sup-norm guard and its determinant (one masked rfft2), or,
+after convergence, both the residual and the reported Hessian sup
+norm. Update and scale norms are read from the coefficients.
+ScalarField stays the type at the public boundary. The RK4 stages of
+`transport.step_rk4` call the same sweeps and warm-start each stage's
+solve from the previous stage's potential and Hessian.
+
 Matrix norm conventions, used consistently everywhere:
   - pointwise Linf of a Hessian: symmetric 2x2 operator norm
     (largest absolute eigenvalue), maximized over the grid;
@@ -28,9 +39,11 @@ import numpy as np
 from .spectral import (
     ScalarField,
     NormKind,
+    SpectralKernel,
     derivative,
     inv_laplacian,
     dealias,
+    kernel,
     norm,
 )
 
@@ -129,22 +142,85 @@ def det_expansion_residual(phi: ScalarField, eta: ScalarField, eps: float) -> fl
 
 
 def _hessian_operator_linf(pxx, pxy, pyy) -> float:
-    # largest |eigenvalue| of a symmetric 2x2 field, maximized over the grid
-    half_tr = 0.5 * (pxx.values + pyy.values)
-    disc = np.sqrt((0.5 * (pxx.values - pyy.values)) ** 2 + pxy.values ** 2)
+    # largest |eigenvalue| of a symmetric 2x2 field (value arrays),
+    # maximized over the grid
+    half_tr = 0.5 * (pxx + pyy)
+    disc = np.sqrt((0.5 * (pxx - pyy)) ** 2 + pxy ** 2)
     return float(np.max(np.abs(half_tr) + disc))
+
+
+def _hessian_frobenius_l2(pxx, pxy, pyy) -> float:
+    sq = pxx ** 2 + 2.0 * pxy ** 2 + pyy ** 2
+    return float(np.sqrt(np.mean(sq)))
+
+
+def _hessian_values(psi: ScalarField):
+    return tuple(d.values for d in hessian(psi))
 
 
 def hessian_linf(psi: ScalarField) -> float:
     """Pointwise operator norm of D^2 psi, maximized over the grid."""
-    return _hessian_operator_linf(*hessian(psi))
+    return _hessian_operator_linf(*_hessian_values(psi))
 
 
 def hessian_l2(psi: ScalarField) -> float:
     """Frobenius L2 norm of D^2 psi (equals ||lap psi||_L2 on the torus)."""
-    pxx, pxy, pyy = hessian(psi)
-    sq = pxx.values ** 2 + 2.0 * pxy.values ** 2 + pyy.values ** 2
-    return float(np.sqrt(np.mean(sq)))
+    return _hessian_frobenius_l2(*_hessian_values(psi))
+
+
+def _hessian_half(k: SpectralKernel, psi_hat: np.ndarray) -> np.ndarray:
+    """Real-space (psi_xx, psi_xy, psi_yy), stacked, from a half-spectrum."""
+    return np.fft.irfft2(k.hess * psi_hat)
+
+
+def _det_half(k: SpectralKernel, hess: np.ndarray) -> np.ndarray:
+    """Dealiased half-spectrum of det D^2 psi from its real-space Hessian."""
+    pxx, pxy, pyy = hess
+    return k.mask_half * np.fft.rfft2(pxx * pyy - pxy * pxy)
+
+
+def _picard(rho_hat: np.ndarray, eps: float, tol: float = 1e-12,
+            max_iter: int = 100, start=None):
+    """The Picard sweeps of `solve_sg_potential` on rfft2 half-spectra.
+
+    start is None (seed with the Poisson solution) or a warm start
+    (psi_hat, hess) from a nearby solve, hess being psi_hat's stacked
+    Hessian or None. Each sweep forms the Hessian of its new iterate
+    once; it feeds the next sweep's sup-norm guard and determinant, or,
+    after convergence, the residual and the report. Returns
+    (psi_hat, hess, report).
+    """
+    k = kernel(rho_hat.shape[0])
+    k.require_mean_zero(rho_hat)
+    psi_hat, hess = (k.inv_lap_half * rho_hat, None) if start is None else start
+    if hess is None:
+        hess = _hessian_half(k, psi_hat)
+    for sweep in range(1, max_iter + 1):
+        hlinf = _hessian_operator_linf(*hess)
+        if not np.isfinite(hlinf):
+            raise ValueError("field values must be finite")
+        rhs = rho_hat - eps * _det_half(k, hess)
+        k.require_mean_zero(rhs)
+        psi_next = k.inv_lap_half * rhs
+        update = k.h1(psi_next - psi_hat)
+        scale = max(k.h1(psi_next), 1e-14)
+        psi_hat = psi_next
+        hess = _hessian_half(k, psi_hat)
+        if update / scale <= tol:
+            resid = k.l2(k.lap * psi_hat - rho_hat + eps * _det_half(k, hess))
+            return psi_hat, hess, MASolveReport(
+                iterations=sweep,
+                residual=resid,
+                hessian_linf=_hessian_operator_linf(*hess),
+                converged=True,
+            )
+        if eps * hlinf > 0.5:
+            raise EllipticDivergenceError(
+                f"eps*||D^2 psi||_Linf = {eps * hlinf:.3e} > 1/2 at sweep {sweep}"
+            )
+    raise EllipticConvergenceError(
+        f"no convergence to tol={tol:g} within {max_iter} sweeps"
+    )
 
 
 def solve_sg_potential(
@@ -161,42 +237,19 @@ def solve_sg_potential(
     so does any rho whose potential has identically zero determinant
     (e.g. data varying in only one direction).
 
-    Raises EllipticDivergenceError when eps * ||D^2 psi|| exceeds 1/2
-    while the sweep update is still above tol (outside the contraction
-    regime with work left to do; a converged sweep never trips it, so
-    large-Hessian data with vanishing determinant still solve exactly)
-    and EllipticConvergenceError when max_iter sweeps do not reach tol.
+    Raises MeanViolationError when rho (or a sweep's right-hand side)
+    does not have zero mean, ValueError when the Hessian of an iterate
+    is not finite, EllipticDivergenceError when eps * ||D^2 psi||
+    exceeds 1/2 while the sweep update is still above tol (outside the
+    contraction regime with work left to do; a converged sweep never
+    trips it, so large-Hessian data with vanishing determinant still
+    solve exactly) and EllipticConvergenceError when max_iter sweeps do
+    not reach tol.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    psi = inv_laplacian(rho)
-    h1 = NormKind.Hs(1.0)
-    for sweep in range(1, max_iter + 1):
-        hlinf = hessian_linf(psi)
-        det = hessian_det(psi)
-        rhs = ScalarField.from_spectral(
-            rho.grid, rho.spectral - eps * det.spectral
-        )
-        psi_next = inv_laplacian(rhs)
-        update = norm(psi_next - psi, h1)
-        scale = max(norm(psi_next, h1), 1e-14)
-        psi = psi_next
-        if update / scale <= tol:
-            lap = derivative(psi, (2, 0)) + derivative(psi, (0, 2))
-            resid = norm(lap - rho + eps * hessian_det(psi), NormKind.L2)
-            return psi, MASolveReport(
-                iterations=sweep,
-                residual=resid,
-                hessian_linf=hessian_linf(psi),
-                converged=True,
-            )
-        if eps * hlinf > 0.5:
-            raise EllipticDivergenceError(
-                f"eps*||D^2 psi||_Linf = {eps * hlinf:.3e} > 1/2 at sweep {sweep}"
-            )
-    raise EllipticConvergenceError(
-        f"no convergence to tol={tol:g} within {max_iter} sweeps"
-    )
+    psi_hat, _, report = _picard(np.fft.rfft2(rho.values), eps, tol, max_iter)
+    return ScalarField(rho.grid, np.fft.irfft2(psi_hat)), report
 
 
 def solve_corrector_potential(
@@ -220,10 +273,22 @@ def bootstrap_status(
     m0 defaults to ||rho||_Linf of the supplied field; callers tracking a
     trajectory should pass the initial value, which transport conserves.
     """
+    return _bootstrap_margins(rho, hessian_linf(psi), eps, alpha, m0)
+
+
+def _potential_norms(rho, psi, eps, m0):
+    """(||D^2 psi||_Linf, ||D^2 psi||_L2, bootstrap_status(rho, psi, eps,
+    m0=m0)) from one Hessian, each equal to the separate call bit for bit."""
+    hess = _hessian_values(psi)
+    hlinf = _hessian_operator_linf(*hess)
+    return hlinf, _hessian_frobenius_l2(*hess), _bootstrap_margins(rho, hlinf, eps, m0=m0)
+
+
+def _bootstrap_margins(rho, hlinf, eps, alpha=0.5, m0=None) -> BootstrapStatus:
+    """`bootstrap_status` for a potential whose ||D^2 psi||_Linf is hlinf."""
     if m0 is None:
         m0 = norm(rho, NormKind.Linf)
     grad_margin = 0.25 - eps * norm(rho, NormKind.GradLinf)
-    hlinf = hessian_linf(psi)
     hessian_margin = 0.25 - eps * hlinf
     calpha = norm(rho, NormKind.Calpha(alpha))
     if m0 <= 0:

@@ -43,15 +43,95 @@ class MeanViolationError(ValueError):
         self.measured_mean = measured_mean
 
 
+class SpectralKernel:
+    """Per-n spectral multipliers, built once per grid size by `kernel(n)`.
+
+    Full-spectrum tables use the fft2 layout of `ScalarField.spectral`:
+    integer frequencies p (rows) and q (columns) from fftfreq, so the
+    Nyquist index carries -n/2. `deriv[(a, b)]` is the multiplier of
+    d_x^a d_y^b (a + b <= 2), `inv_lap` is -1/|k|^2 with 0 at k = 0, and
+    `mask` is the 2/3-rule keep-mask.
+
+    Half-spectrum tables use the rfft2 layout: rows p from fftfreq,
+    columns q = 0..n/2. `grad` stacks the multipliers i k_x, i k_y and
+    `hess` the multipliers of d_xx, d_xy, d_yy, so one batched irfft2
+    of `grad * hat` or `hess * hat` yields all components; `lap` is
+    their trace. `inv_lap_half` and `mask_half` are the half-spectrum
+    -1/|k|^2 and 2/3 mask. The Hermitian weights `l2_weight` and
+    `h1_weight` turn sums over the half-spectrum into full-spectrum
+    Parseval sums: sum(l2_weight * |hat|^2) is the mean of the squared
+    values, sum(h1_weight * |hat|^2) the squared homogeneous H1 norm.
+    Odd-order multipliers vanish on the Nyquist row (p = -n/2) and
+    column (q = n/2), where the full-spectrum path drops them by taking
+    the real part of the inverse transform; irfft2 would keep them, so
+    zeroing them here keeps the two paths equal.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        freqs = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)  # integer p in [-n/2, n/2)
+        p, q = np.meshgrid(freqs, freqs, indexing="ij")
+        k_mag = 2.0 * np.pi * np.sqrt(p.astype(float) ** 2 + q.astype(float) ** 2)
+        mask = np.abs(np.maximum(np.abs(p), np.abs(q))) <= n / 3.0  # 2/3-rule keep-mask
+        k2 = k_mag ** 2
+        inv_lap = np.zeros_like(k2)
+        nz = k2 > 0
+        inv_lap[nz] = -1.0 / k2[nz]
+        self.freqs, self.p, self.q, self.k_mag, self.mask = freqs, p, q, k_mag, mask
+        self.inv_lap = inv_lap
+        self.deriv = {(a, b): (2j * np.pi * p) ** a * (2j * np.pi * q) ** b
+                      for a, b in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
+
+        m = n // 2 + 1
+        half = (slice(None), slice(0, m))
+        shape = (n, m)
+        kx = 2.0 * np.pi * freqs[:, None].astype(float)
+        ky = 2.0 * np.pi * np.arange(m, dtype=float)[None, :]
+        odd_x = np.where(freqs[:, None] == -(n // 2), 0.0, 1.0)
+        odd_y = np.where(np.arange(m)[None, :] == n // 2, 0.0, 1.0)
+        self.grad = np.stack([np.broadcast_to(1j * kx * odd_x, shape),
+                              np.broadcast_to(1j * ky * odd_y, shape)])
+        self.hess = np.stack([np.broadcast_to(-(kx ** 2), shape),
+                              -(kx * ky) * odd_x * odd_y,
+                              np.broadcast_to(-(ky ** 2), shape)])
+        self.lap = self.hess[0] + self.hess[2]
+        self.inv_lap_half = np.ascontiguousarray(inv_lap[half])
+        self.mask_half = np.ascontiguousarray(mask[half])
+        weight = np.full((1, m), 2.0)
+        weight[0, 0] = weight[0, -1] = 1.0  # columns q = 0 and q = n/2 have no mirror
+        self.l2_weight = weight / float(n) ** 4
+        self.h1_weight = self.l2_weight * k2[half]
+        for a in (freqs, p, q, k_mag, mask, inv_lap, *self.deriv.values(), self.grad,
+                  self.hess, self.lap, self.inv_lap_half, self.mask_half,
+                  self.l2_weight, self.h1_weight):
+            a.setflags(write=False)
+
+    def l2(self, hat: np.ndarray) -> float:
+        """Grid-sample L2 norm (RMS) of the field with half-spectrum hat."""
+        return float(np.sqrt(np.sum(self.l2_weight * _abs2(hat))))
+
+    def h1(self, hat: np.ndarray) -> float:
+        """Homogeneous H1 norm of the field with half-spectrum hat."""
+        return float(np.sqrt(np.sum(self.h1_weight * _abs2(hat))))
+
+    def require_mean_zero(self, hat: np.ndarray, rel_tol: float = 1e-10) -> None:
+        """`_require_mean_zero` read from a half-spectrum: the mean is the
+        zero mode, the RMS comes from Parseval, and n * RMS, which bounds
+        max |values| (Cauchy-Schwarz over the n^2 modes), stands in for
+        it in the absolute floor."""
+        scale = self.l2(hat)
+        _mean_check(float(hat[0, 0].real) / self.n ** 2,
+                    rel_tol * scale + 1e-15 * (1.0 + self.n * scale))
+
+
 @lru_cache(maxsize=32)
-def _grid_cache(n: int):
-    freqs = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)  # integer p in [-n/2, n/2)
-    p, q = np.meshgrid(freqs, freqs, indexing="ij")
-    k_mag = 2.0 * np.pi * np.sqrt(p.astype(float) ** 2 + q.astype(float) ** 2)
-    mask = np.abs(np.maximum(np.abs(p), np.abs(q))) <= n / 3.0  # 2/3-rule keep-mask
-    for a in (freqs, p, q, k_mag, mask):
-        a.setflags(write=False)
-    return freqs, p, q, k_mag, mask
+def kernel(n: int) -> SpectralKernel:
+    """The cached `SpectralKernel` of the n x n grid."""
+    return SpectralKernel(n)
+
+
+def _abs2(hat: np.ndarray) -> np.ndarray:
+    return hat.real ** 2 + hat.imag ** 2
 
 
 @dataclass(frozen=True)
@@ -71,20 +151,20 @@ class TorusGrid:
 
     @property
     def freqs(self) -> np.ndarray:
-        return _grid_cache(self.n)[0]
+        return kernel(self.n).freqs
 
     @property
     def k_mag(self) -> np.ndarray:
         """|k| = 2*pi*sqrt(p^2+q^2) per frequency pair; zero only at (0,0)."""
-        return _grid_cache(self.n)[3]
+        return kernel(self.n).k_mag
 
     def freq_pair(self):
         """Integer frequency arrays (p, q), meshgrid indexing='ij'."""
-        c = _grid_cache(self.n)
-        return c[1], c[2]
+        k = kernel(self.n)
+        return k.p, k.q
 
     def dealias_mask(self) -> np.ndarray:
-        return _grid_cache(self.n)[4]
+        return kernel(self.n).mask
 
     def points(self):
         """Sample coordinates (X, Y), each n x n, x index outer."""
@@ -207,16 +287,19 @@ NormKind.W1inf = NormKind("W1inf")
 NormKind.GradLinf = NormKind("GradLinf")
 
 
-def _require_mean_zero(f: ScalarField, rel_tol: float = 1e-10) -> None:
-    m = f.mean()
-    scale = float(np.sqrt(np.mean(f.values**2)))
-    # absolute floor keeps roundoff-scale means of tiny difference fields
-    # (e.g. converged solver updates) from tripping the guard
-    tol = rel_tol * scale + 1e-15 * (1.0 + float(np.max(np.abs(f.values))))
+def _mean_check(m: float, tol: float) -> None:
     if abs(m) > tol:
         raise MeanViolationError(
             f"field mean {m:.3e} exceeds tolerance {tol:.3e}", m
         )
+
+
+def _require_mean_zero(f: ScalarField, rel_tol: float = 1e-10) -> None:
+    scale = float(np.sqrt(np.mean(f.values**2)))
+    # absolute floor keeps roundoff-scale means of tiny difference fields
+    # (e.g. converged solver updates) from tripping the guard
+    tol = rel_tol * scale + 1e-15 * (1.0 + float(np.max(np.abs(f.values))))
+    _mean_check(f.mean(), tol)
 
 
 def derivative(f: ScalarField, order: tuple[int, int]) -> ScalarField:
@@ -226,8 +309,7 @@ def derivative(f: ScalarField, order: tuple[int, int]) -> ScalarField:
         raise ValueError(f"unsupported derivative order {order}: need a, b >= 0 and a+b <= 2")
     if a == 0 and b == 0:
         return f
-    p, q = f.grid.freq_pair()
-    mult = (2j * np.pi * p) ** a * (2j * np.pi * q) ** b
+    mult = kernel(f.grid.n).deriv[a, b]
     # Odd-order derivatives of the (real-coefficient) Nyquist modes have no
     # real representative on the grid; taking the real part of the inverse
     # transform drops them, which is the standard convention.
@@ -237,11 +319,7 @@ def derivative(f: ScalarField, order: tuple[int, int]) -> ScalarField:
 def inv_laplacian(f: ScalarField) -> ScalarField:
     """Solve Laplace(g) = f spectrally on mean-zero f; <g> = 0."""
     _require_mean_zero(f)
-    k2 = (f.grid.k_mag) ** 2
-    inv = np.zeros_like(k2)
-    nz = k2 > 0
-    inv[nz] = -1.0 / k2[nz]
-    return ScalarField.from_spectral(f.grid, inv * f.spectral)
+    return ScalarField.from_spectral(f.grid, kernel(f.grid.n).inv_lap * f.spectral)
 
 
 def perp_gradient(psi: ScalarField) -> tuple[ScalarField, ScalarField]:

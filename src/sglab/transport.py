@@ -12,7 +12,9 @@ Three models share one stepper:
               with rho1(0) = 0.
 
 Each RK4 stage re-solves its elliptic problem, so the velocity is
-consistent with the stage density. Advection products are 2/3-dealiased;
+consistent with the stage density. The SG/Euler stages run on rfft2
+half-spectra (see `elliptic`); the Corrector stages and `advect_scalar`
+run on ScalarField operations. Advection products are 2/3-dealiased;
 with band-limited states the dealiased quadratic terms are alias-free
 and the semi-discrete scheme conserves the L2 norm exactly, leaving
 only the O(dt^4) time-discretization drift.
@@ -23,6 +25,7 @@ sample clocks of paired runs aligned bit for bit.
 """
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,15 +37,15 @@ from .spectral import (
     dealias,
     derivative,
     inv_laplacian,
+    kernel,
     norm,
     perp_gradient,
 )
 from .elliptic import (
     EllipticConvergenceError,
     EllipticDivergenceError,
-    bootstrap_status,
-    hessian_l2,
-    hessian_linf,
+    _picard,
+    _potential_norms,
     solve_corrector_potential,
     solve_sg_potential,
 )
@@ -65,6 +68,13 @@ MAX_STEPS = 200_000
 
 class StepSizeError(ValueError):
     """Requested step violates the CFL restriction."""
+
+
+# exit_reason of a run ended by an elliptic failure
+ELLIPTIC_EXITS = {
+    EllipticDivergenceError: "elliptic_divergence",
+    EllipticConvergenceError: "elliptic_stall",
+}
 
 
 @dataclass(frozen=True)
@@ -91,6 +101,12 @@ class SimState:
                 raise ValueError("Corrector state needs an Euler background")
             if abs(self.background.time - self.time) > 1e-12:
                 raise ValueError("background time out of sync")
+
+    @cached_property
+    def max_speed(self) -> float:
+        """max |u| of the velocity advecting this state's density."""
+        ux, uy = advecting_velocity(self)
+        return float(np.max(np.hypot(ux.values, uy.values)))
 
 
 @dataclass
@@ -254,6 +270,14 @@ def _advection(potential: ScalarField, rho: ScalarField) -> ScalarField:
     return dealias(ux * rx + uy * ry)
 
 
+def _advection_half(kern, pot_hat: np.ndarray, rho_hat: np.ndarray) -> np.ndarray:
+    """`_advection` on rfft2 half-spectra: 4 inverse transforms (two
+    batched irfft2 calls) and 1 masked rfft2."""
+    px, py = np.fft.irfft2(kern.grad * pot_hat)
+    rx, ry = np.fft.irfft2(kern.grad * rho_hat)
+    return kern.mask_half * np.fft.rfft2(px * ry - py * rx)
+
+
 def _solve_potential(rho: ScalarField, model: str, eps: float) -> ScalarField:
     if model == "SGeps" and eps != 0.0:
         psi, _ = solve_sg_potential(rho, eps)
@@ -269,14 +293,9 @@ def advecting_velocity(state: SimState) -> tuple[ScalarField, ScalarField]:
     return perp_gradient(state.potential)
 
 
-def _max_speed(state: SimState) -> float:
-    ux, uy = advecting_velocity(state)
-    return float(np.max(np.hypot(ux.values, uy.values)))
-
-
 def cfl_limit(state: SimState, cfl: float = 0.5) -> float:
     """Largest admissible step at this state."""
-    return cfl * state.rho.grid.h / max(_max_speed(state), 1e-14)
+    return cfl * state.rho.grid.h / max(state.max_speed, 1e-14)
 
 
 def _project_mean(f: ScalarField) -> ScalarField:
@@ -333,22 +352,42 @@ def step_rk4(state: SimState, dt: float, cfl: float = 0.5) -> SimState:
         phi1 = solve_corrector_potential(rc, phibar)
         return SimState(t1, "Corrector", eps, rc, phi1, background=new_bg)
 
+    # SG/Euler: the stages run on rfft2 half-spectra; each SG stage solve
+    # starts from the previous stage's potential and its Hessian
+    kern = kernel(state.rho.grid.n)
+    pot_hat, hess = np.fft.rfft2(state.potential.values), None
+    sg = model == "SGeps" and eps != 0.0
+
+    def potential(r):
+        nonlocal pot_hat, hess
+        if sg:
+            pot_hat, hess, _ = _picard(r, eps, start=(pot_hat, hess))
+        else:
+            kern.require_mean_zero(r)
+            pot_hat = kern.inv_lap_half * r
+        return pot_hat
+
     def deriv(t, y):
         (r,) = y
-        return (-_advection(_solve_potential(r, model, eps), r),)
+        return (-_advection_half(kern, potential(r), r),)
 
-    k1 = (-_advection(state.potential, state.rho),)  # reuse the solved potential
-    (r1,) = _rk4(deriv, state.time, (state.rho,), dt, k1)
-    r1 = _project_mean(r1)
-    pot1 = _solve_potential(r1, model, eps)
-    return SimState(state.time + dt, model, eps, r1, pot1)
+    r0 = np.fft.rfft2(state.rho.values)
+    k1 = (-_advection_half(kern, pot_hat, r0),)  # reuse the solved potential
+    (r1,) = _rk4(deriv, state.time, (r0,), dt, k1)
+    # the step's increment, not r1, returns to grid values, so a state the
+    # flow leaves unchanged keeps its bits instead of taking a round trip
+    rho1 = _project_mean(state.rho + np.fft.irfft2(r1 - r0))
+    r1[0, 0] = 0.0  # the same mean projection on the half-spectrum
+    pot1 = potential(r1)
+    return SimState(state.time + dt, model, eps, rho1,
+                    ScalarField(state.rho.grid, np.fft.irfft2(pot1)))
 
 
 # --- trajectory driver -----------------------------------------------------
 
 def _diagnostics(state: SimState, m0: float) -> DiagnosticsRecord:
     rho, pot = state.rho, state.potential
-    status = bootstrap_status(rho, pot, state.eps, m0=m0)
+    hess_linf, hess_l2, status = _potential_norms(rho, pot, state.eps, m0)
     return DiagnosticsRecord(
         t=state.time,
         l2_rho=norm(rho, NormKind.L2),
@@ -356,8 +395,8 @@ def _diagnostics(state: SimState, m0: float) -> DiagnosticsRecord:
         grad_linf_rho=norm(rho, NormKind.GradLinf),
         h2_rho=norm(rho, NormKind.Hs(2.0)),
         h3_rho=norm(rho, NormKind.Hs(3.0)),
-        hess_linf_psi=hessian_linf(pot),
-        hess_l2_psi=hessian_l2(pot),
+        hess_linf_psi=hess_linf,
+        hess_l2_psi=hess_l2,
         grad_margin=status.grad_margin,
         hessian_margin=status.hessian_margin,
         log_estimate_ratio=status.log_estimate_ratio,
@@ -468,11 +507,7 @@ def _integrate(config, state: SimState, traj: Trajectory) -> None:
                     margin_prev = margin
             record(state)
     except (EllipticDivergenceError, EllipticConvergenceError) as err:
-        traj.exit_reason = (
-            "elliptic_divergence"
-            if isinstance(err, EllipticDivergenceError)
-            else "elliptic_stall"
-        )
+        traj.exit_reason = ELLIPTIC_EXITS[type(err)]
         traj.exit_time = state.time
 
 

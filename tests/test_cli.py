@@ -51,6 +51,45 @@ class TestRunVerb:
     def test_rejects_experiment_config(self, exp_cfg):
         assert main(["run", "--config", exp_cfg]) == EXIT_INFRA
 
+    def test_divergence_at_t0_leaves_summary(self, tmp_path, capsys):
+        # ||D^2 psi||_Linf of the Poisson seed is 1, so eps = 0.6 trips the
+        # divergence guard in the t = 0 solve
+        out = tmp_path / "div0"
+        cfg = write_json(tmp_path / "div0.json", {
+            "n": 32, "model": "SGeps", "eps": 0.6, "t_final": 0.1,
+            "sample_interval": 0.05, "initial_data": "default",
+            "output_dir": str(out),
+        })
+        for verb in ("run", "dump"):
+            assert main([verb, "--config", cfg, "--out", str(out / verb)]) == EXIT_INFRA
+            assert (out / verb / "run.ndjson").read_text() == ""
+            meta = json.loads((out / verb / "run.json").read_text())
+            assert meta["samples"] == 0 and meta["steps"] == 0
+            assert meta["exit_reason"] == "elliptic_divergence"
+            assert meta["exit_time"] == 0.0
+            assert meta["final_t"] is meta["final_l2_rho"] is meta["final_grad_margin"] is None
+        assert "elliptic_divergence" in capsys.readouterr().out
+
+    def test_divergence_mid_run_leaves_partial_ndjson(self, tmp_path):
+        # a fast-straining datum at eps * ||D^2 psi||_Linf ~ 0.47: the
+        # Hessian grows until the solve leaves its contraction region
+        out = tmp_path / "div"
+        cfg = write_json(tmp_path / "div.json", {
+            "n": 32, "model": "SGeps", "eps": 0.043, "t_final": 1.0,
+            "sample_interval": 0.1,
+            "initial_data": [[1, 1, 4.0, 0.0], [1, -1, 4.0, 0.0], [2, 1, 5.6, 0.0]],
+            "output_dir": str(out),
+        })
+        assert main(["run", "--config", cfg]) == EXIT_INFRA
+        meta = json.loads((out / "run.json").read_text())
+        assert meta["exit_reason"] == "elliptic_divergence"
+        assert 0.0 < meta["exit_time"] < 1.0
+        lines = (out / "run.ndjson").read_text().splitlines()
+        assert 1 < len(lines) == meta["samples"] < 11
+        times = [json.loads(line)["t"] for line in lines]
+        assert times == sorted(times) and times[-1] <= meta["exit_time"]
+        assert meta["final_t"] == times[-1]
+
     def test_rejects_bad_config(self, tmp_path):
         bad = write_json(tmp_path / "bad.json", {"n": 48, "model": "Euler"})
         assert main(["run", "--config", bad]) == EXIT_INFRA
@@ -88,6 +127,15 @@ class TestExperimentVerb:
 
     def test_rejects_run_config(self, run_cfg):
         assert main(["experiment", "--config", run_cfg]) == EXIT_INFRA
+
+    def test_divergence_at_t0_is_infra_error(self, tmp_path):
+        cfg = write_json(tmp_path / "life0.json", {
+            "kind": "lifespan", "eps_list": [0.6, 0.5, 0.4],
+            "base": {"n": 32, "model": "SGeps", "t_final": 0.1,
+                     "sample_interval": 0.05, "initial_data": "default",
+                     "output_dir": str(tmp_path / "life0_out")},
+        })
+        assert main(["experiment", "--config", cfg]) == EXIT_INFRA
 
 
 class TestCheckVerb:

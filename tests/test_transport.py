@@ -5,8 +5,23 @@ import numpy as np
 import pytest
 
 from sglab.config import RunConfig
-from sglab.spectral import ScalarField, TorusGrid, NormKind, norm, perp_gradient
-from sglab.elliptic import cofactor_contract, hessian_det, hessian_linf
+from sglab.spectral import (
+    NormKind,
+    ScalarField,
+    TorusGrid,
+    dealias,
+    derivative,
+    inv_laplacian,
+    norm,
+    perp_gradient,
+)
+from sglab.elliptic import (
+    bootstrap_status,
+    cofactor_contract,
+    hessian_det,
+    hessian_l2,
+    hessian_linf,
+)
 from sglab.lagrangian import TrajectoryVelocity
 from sglab.transport import (
     SimState,
@@ -19,6 +34,7 @@ from sglab.transport import (
     step_rk4,
 )
 from sglab.transport import _initial_state  # test-only import
+from test_elliptic import reference_sg_solve
 
 
 TWO_PI = 2 * np.pi
@@ -115,6 +131,65 @@ def test_rk4_order():
     assert 11.0 < ratio < 22.0
 
 
+def reference_step(state, dt):
+    """One SG/Euler RK4 step on ScalarField operations with a cold
+    reference solve in every stage, as step_rk4 ran before its
+    half-spectrum stages."""
+    def potential(r):
+        if state.model == "SGeps" and state.eps != 0.0:
+            return reference_sg_solve(r, state.eps)[0]
+        return inv_laplacian(r)
+
+    def rate(pot, r):
+        ux, uy = perp_gradient(pot)
+        return -dealias(ux * derivative(r, (1, 0)) + uy * derivative(r, (0, 1)))
+
+    r0 = state.rho
+    k1 = rate(state.potential, r0)
+    r2 = r0 + (dt / 2) * k1
+    k2 = rate(potential(r2), r2)
+    r3 = r0 + (dt / 2) * k2
+    k3 = rate(potential(r3), r3)
+    r4 = r0 + dt * k3
+    k4 = rate(potential(r4), r4)
+    r1 = r0 + (dt / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    r1 = r1 - r1.mean()
+    return r1, potential(r1)
+
+
+@pytest.mark.parametrize("model, eps, preset", [
+    ("SGeps", 0.2, "steep"),
+    ("SGeps", 0.05, "default"),
+    ("Euler", 0.0, "default"),
+])
+def test_step_matches_scalarfield_reference(model, eps, preset):
+    # the half-spectrum stages warm-start each SG solve from the previous
+    # stage's potential; the reference solves every stage cold
+    s0 = _initial_state(RunConfig(n=64, model=model, eps=eps, initial_data=preset))
+    dt = cfl_limit(s0, 0.5)
+    s1 = step_rk4(s0, dt)
+    ref_rho, ref_pot = reference_step(s0, dt)
+    assert norm(s1.rho - ref_rho, NormKind.L2) <= 1e-13 * norm(ref_rho, NormKind.L2)
+    h1 = NormKind.Hs(1.0)
+    assert norm(s1.potential - ref_pot, h1) <= 1e-13 * norm(ref_pot, h1)
+
+
+def test_max_speed_is_computed_once_per_state(monkeypatch):
+    from sglab import transport
+
+    calls = []
+    original = transport.advecting_velocity
+    monkeypatch.setattr(transport, "advecting_velocity",
+                        lambda st: calls.append(st) or original(st))
+    s = euler_state(n=32)
+    limit = cfl_limit(s, 0.5)
+    step_rk4(s, limit, cfl=0.5)  # checks the step against the same limit
+    assert cfl_limit(s, 0.5) == limit
+    assert calls == [s]
+    ux, uy = original(s)
+    assert limit == 0.5 * s.rho.grid.h / float(np.max(np.hypot(ux.values, uy.values)))
+
+
 # --- run_simulation contract ------------------------------------------------
 
 def test_sampling_grid_and_alignment():
@@ -136,6 +211,12 @@ def test_sampling_grid_and_alignment():
     for traj in (te, ts, tc):
         for st, d in zip(traj.states, traj.diagnostics, strict=True):
             assert d.hess_linf_psi == hessian_linf(st.potential)
+            assert d.hess_l2_psi == hessian_l2(st.potential)
+            status = bootstrap_status(st.rho, st.potential, st.eps, m0=traj.m0)
+            assert d.grad_margin == status.grad_margin
+            assert d.hessian_margin == status.hessian_margin
+            assert d.log_estimate_ratio == status.log_estimate_ratio
+            assert d.inside == status.inside
             assert d.grad_linf_rho == norm(st.rho, NormKind.GradLinf)
             assert d.h2_rho == norm(st.rho, NormKind.Hs(2.0))
             assert d.h3_rho == norm(st.rho, NormKind.Hs(3.0))
