@@ -273,22 +273,27 @@ def bootstrap_status(
     m0 defaults to ||rho||_Linf of the supplied field; callers tracking a
     trajectory should pass the initial value, which transport conserves.
     """
-    return _bootstrap_margins(rho, hessian_linf(psi), eps, alpha, m0)
+    return _bootstrap_margins(rho, hessian_linf(psi), norm(rho, NormKind.GradLinf),
+                              eps, alpha, m0)
 
 
 def _potential_norms(rho, psi, eps, m0):
-    """(||D^2 psi||_Linf, ||D^2 psi||_L2, bootstrap_status(rho, psi, eps,
-    m0=m0)) from one Hessian, each equal to the separate call bit for bit."""
+    """(||D^2 psi||_Linf, ||D^2 psi||_L2, ||grad rho||_Linf,
+    bootstrap_status(rho, psi, eps, m0=m0)) from one Hessian and one
+    gradient, each equal to the separate call bit for bit."""
     hess = _hessian_values(psi)
     hlinf = _hessian_operator_linf(*hess)
-    return hlinf, _hessian_frobenius_l2(*hess), _bootstrap_margins(rho, hlinf, eps, m0=m0)
+    grad_linf = norm(rho, NormKind.GradLinf)
+    return (hlinf, _hessian_frobenius_l2(*hess), grad_linf,
+            _bootstrap_margins(rho, hlinf, grad_linf, eps, m0=m0))
 
 
-def _bootstrap_margins(rho, hlinf, eps, alpha=0.5, m0=None) -> BootstrapStatus:
-    """`bootstrap_status` for a potential whose ||D^2 psi||_Linf is hlinf."""
+def _bootstrap_margins(rho, hlinf, grad_linf, eps, alpha=0.5, m0=None) -> BootstrapStatus:
+    """`bootstrap_status` for a potential whose ||D^2 psi||_Linf is hlinf
+    and a density whose ||grad rho||_Linf is grad_linf."""
     if m0 is None:
         m0 = norm(rho, NormKind.Linf)
-    grad_margin = 0.25 - eps * norm(rho, NormKind.GradLinf)
+    grad_margin = 0.25 - eps * grad_linf
     hessian_margin = 0.25 - eps * hlinf
     calpha = norm(rho, NormKind.Calpha(alpha))
     if m0 <= 0:

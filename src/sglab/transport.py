@@ -387,12 +387,12 @@ def step_rk4(state: SimState, dt: float, cfl: float = 0.5) -> SimState:
 
 def _diagnostics(state: SimState, m0: float) -> DiagnosticsRecord:
     rho, pot = state.rho, state.potential
-    hess_linf, hess_l2, status = _potential_norms(rho, pot, state.eps, m0)
+    hess_linf, hess_l2, grad_linf, status = _potential_norms(rho, pot, state.eps, m0)
     return DiagnosticsRecord(
         t=state.time,
         l2_rho=norm(rho, NormKind.L2),
         linf_rho=norm(rho, NormKind.Linf),
-        grad_linf_rho=norm(rho, NormKind.GradLinf),
+        grad_linf_rho=grad_linf,
         h2_rho=norm(rho, NormKind.Hs(2.0)),
         h3_rho=norm(rho, NormKind.Hs(3.0)),
         hess_linf_psi=hess_linf,

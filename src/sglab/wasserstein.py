@@ -4,14 +4,19 @@ Densities are atom collections on a regular m x m lattice (points j/m),
 produced by sampling physical densities 1 + eps*rho and normalizing.
 Two solvers:
 
-* w2_sinkhorn: debiased entropic transport in the log domain. The
-  squared torus cost splits per axis, so each Sinkhorn half-step is a
-  pair of logsumexp contractions over one axis at a time (m^3 work
-  instead of m^4). Regularization is annealed from a coarse value down
+* w2_sinkhorn: debiased entropic transport with log-domain potentials.
+  The squared torus cost splits per axis, so each Sinkhorn half-step is
+  one m x m matrix product per axis with the kernel exp(-cost/reg), in
+  the scaling domain with log absorption (Schmitzer 2019): the max of
+  the exponent is taken out before the product and added back after
+  it. An axis whose product underflows is contracted exactly in the log
+  domain instead. Regularization is annealed from a coarse value down
   to the target, warm-starting the potentials, which keeps the
   iteration count at strong regularization levels. The debiased value
-  is OT(a,b) - (OT(a,a) + OT(b,b))/2 with all three terms computed by
-  the same code path, so bitwise-equal inputs give exactly zero.
+  OT(a,b) - (OT(a,a) + OT(b,b))/2 is one exact sum of per-atom
+  differences of the three solves' potentials, since the three values
+  nearly cancel; bitwise-equal inputs run one solve and give exactly
+  zero.
 
 * w2_exact_small: the linear program on the full product space, for
   cross-checking the entropic solver on problems up to 16 x 16.
@@ -21,12 +26,12 @@ any comparison get the same convention, so the common half-block shift
 cancels from transport distances.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
-from scipy.special import logsumexp
 
 from .spectral import ScalarField, perp_gradient
 from .transport import Trajectory
@@ -47,6 +52,9 @@ __all__ = [
 MAX_COST_ENTRIES = 2 ** 26
 SINKHORN_SIDE_LIMIT = 64
 EXACT_SIDE_LIMIT = 16
+# smallest entry a Sinkhorn kernel product may hold before its axis is
+# contracted exactly in the log domain instead (see _contract)
+PRODUCT_FLOOR = 1e-250
 
 
 class W2ConvergenceError(RuntimeError):
@@ -131,34 +139,70 @@ def torus_cost(ma: int, mb: int) -> np.ndarray:
     return (ca[:, None, :, None] + ca[None, :, None, :]).reshape(ma * ma, mb * mb)
 
 
-def _half_update(pot_other, logw_other, cxa, cxb, reg):
-    """One log-domain Sinkhorn half-step via per-axis contractions.
+def _lse_contract(A, cost, reg):
+    """Exact log-domain contraction over the first axis of A:
+    out[i, l] = log sum_k exp(A[k, l] - cost[i, k] / reg), shifted by
+    the per-(i, l) maximum as scipy.special.logsumexp does."""
+    X = A[None, :, :] - cost[:, :, None] / reg
+    M = np.max(X, axis=1)
+    M[~np.isfinite(M)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(X - M[:, None, :]), axis=1)) + M
+
+
+def _contract(A, K, cost, reg):
+    """log(K @ exp(A)), with K = exp(-cost / reg), for the contraction
+    over the first axis of A.
+
+    Log absorption: the column max of A is taken out before the product
+    and added back after it. Every column of exp(A - M) then holds a 1,
+    so an entry of the product is at least the smallest kernel entry
+    exp(-max cost / reg). An entry below PRODUCT_FLOOR means the kernel
+    may have lost dominant terms to underflow, and the contraction is
+    redone exactly in the log domain.
+    """
+    M = np.max(A, axis=0)
+    M[~np.isfinite(M)] = 0.0
+    P = K @ np.exp(A - M)
+    if float(np.min(P)) < PRODUCT_FLOOR:
+        return _lse_contract(A, cost, reg)
+    return np.log(P) + M
+
+
+def _half_update(pot_other, logw_other, cost, kernel, reg):
+    """One log-domain Sinkhorn half-step as one contraction per axis.
 
     Returns the updated potential on the first marginal's lattice:
-    f[i,j] = -reg * LSE_{k,l}[(g[k,l] - cxa[i,k] - cxb[j,l])/reg + logw[k,l]].
+    f[i,j] = -reg * LSE_{k,l}[(g[k,l] - cost[i,k] - cost[j,l])/reg + logw[k,l]].
+    The squared torus cost splits per axis, and both axes share the 1D
+    cost and its kernel exp(-cost/reg).
     """
     A = pot_other / reg + logw_other
-    # reduce over the first atom axis k: (i, k, l) -> (i, l)
-    B = logsumexp(A[None, :, :] - cxa[:, :, None] / reg, axis=1)
-    # reduce over the second atom axis l: (i, j, l) -> (i, j)
-    T = logsumexp(B[:, None, :] - cxb[None, :, :] / reg, axis=2)
-    return -reg * T
+    # reduce over the first atom axis k: (k, l) -> (i, l)
+    B = _contract(A, kernel, cost, reg)
+    # reduce over the second atom axis l: (l, i) -> (j, i)
+    T = _contract(B.T, kernel, cost, reg)
+    return -reg * T.T
 
 
 def _ot_reg(wa, wb, reg, tol, cap):
-    """Entropic OT value between lattice weight arrays, log domain.
+    """Entropic OT between lattice weight arrays, log domain.
 
     Anneals the regularization from 0.25 down to reg with warm-started
     potentials, then polishes at reg until the L1 marginal violation of
-    the implied plan drops to tol. Returns (value, iterations,
-    marginal_error).
+    the implied plan drops to tol. Returns (f, g, dev, iterations,
+    marginal_error): the potentials on both lattices and dev, the
+    per-atom deviation of the plan's first marginal from wa. The
+    entropic value is sum(wa*f) + sum(wb*g) - reg*sum(dev): the bare sum
+    of potentials is only first-order accurate in the marginal
+    violation, while subtracting reg * (total plan mass - 1) makes the
+    value stationary at the fixed point and hence second-order accurate.
     """
     ma, mb = wa.shape[0], wb.shape[0]
     with np.errstate(divide="ignore"):
         la = np.log(wa)
         lb = np.log(wb)
-    ca = _axis_cost(ma, mb)
-    cb = ca  # both axes use identical 1D lattices, cost is shared
+    ca = _axis_cost(ma, mb)  # both axes use identical 1D lattices
 
     f = np.zeros((ma, ma))
     g = np.zeros((mb, mb))
@@ -170,15 +214,17 @@ def _ot_reg(wa, wb, reg, tol, cap):
         r *= 0.5
     iterations = 0
     for r in stages:
+        k = np.exp(-ca / r)
         for _ in range(2):
-            f = _half_update(g, lb, ca, cb, r)
-            g = _half_update(f, la, ca.T, cb.T, r)
+            f = _half_update(g, lb, ca, k, r)
+            g = _half_update(f, la, ca.T, k.T, r)
             iterations += 1
 
+    k = np.exp(-ca / reg)
     err = np.inf
     while iterations < cap:
-        f_new = _half_update(g, lb, ca, cb, reg)
-        g = _half_update(f_new, la, ca.T, cb.T, reg)
+        f_new = _half_update(g, lb, ca, k, reg)
+        g = _half_update(f_new, la, ca.T, k.T, reg)
         iterations += 1
         # row marginals of the implied plan are wa * exp((f - f_new)/reg)
         err = float(np.sum(wa * np.abs(np.exp((f - f_new) / reg) - 1.0)))
@@ -189,31 +235,35 @@ def _ot_reg(wa, wb, reg, tol, cap):
         raise W2ConvergenceError(
             f"marginal error {err:.3e} after {iterations} iterations", err
         )
-    # Report the full dual objective: the bare sum of potentials is only
-    # first-order accurate in the marginal violation, while subtracting
-    # reg * (total plan mass - 1) makes the value stationary at the fixed
-    # point and hence second-order accurate.
-    f_half = _half_update(g, lb, ca, cb, reg)
-    total_mass = float(np.sum(wa * np.exp((f - f_half) / reg)))
-    value = float(np.sum(f * wa) + np.sum(g * wb)) - reg * (total_mass - 1.0)
-    return value, iterations, err
+    f_half = _half_update(g, lb, ca, k, reg)
+    dev = wa * (np.exp((f - f_half) / reg) - 1.0)
+    return f, g, dev, iterations, err
 
 
 def w2_sinkhorn(a: DensityOnTorus, b: DensityOnTorus, reg: float = 5e-4,
                 tol: float = 1e-9, cap: int = 100_000) -> OTResult:
     """Debiased entropic W2 between two lattice densities.
 
-    Computes sqrt of OT_reg(a,b) - (OT_reg(a,a) + OT_reg(b,b))/2, all
-    three terms by the same solver, so w2_sinkhorn(a, a) is exactly 0.
+    Computes sqrt of OT_reg(a,b) - (OT_reg(a,a) + OT_reg(b,b))/2. The
+    three values nearly cancel, so the difference is taken atom by
+    atom on the potentials and summed exactly (math.fsum). Bitwise-equal
+    weights run one solve and give exactly 0.
     """
     if a.m > SINKHORN_SIDE_LIMIT or b.m > SINKHORN_SIDE_LIMIT:
         raise ValueError(f"lattice side exceeds {SINKHORN_SIDE_LIMIT}")
     if reg <= 0:
         raise ValueError("reg must be positive")
-    v_ab, it_ab, err_ab = _ot_reg(a.weights, b.weights, reg, tol, cap)
-    v_aa, it_aa, err_aa = _ot_reg(a.weights, a.weights, reg, tol, cap)
-    v_bb, it_bb, err_bb = _ot_reg(b.weights, b.weights, reg, tol, cap)
-    s = v_ab - 0.5 * (v_aa + v_bb)
+    wa, wb = a.weights, b.weights
+    if np.array_equal(wa, wb):
+        *_, it, err = _ot_reg(wa, wa, reg, tol, cap)
+        return OTResult(distance=0.0, method="sinkhorn", reg=reg,
+                        iterations=it, marginal_error=err)
+    f_ab, g_ab, dev_ab, it_ab, err_ab = _ot_reg(wa, wb, reg, tol, cap)
+    f_aa, g_aa, dev_aa, it_aa, err_aa = _ot_reg(wa, wa, reg, tol, cap)
+    f_bb, g_bb, dev_bb, it_bb, err_bb = _ot_reg(wb, wb, reg, tol, cap)
+    on_a = wa * (f_ab - 0.5 * (f_aa + g_aa)) - reg * (dev_ab - 0.5 * dev_aa)
+    on_b = wb * (g_ab - 0.5 * (f_bb + g_bb)) + (0.5 * reg) * dev_bb
+    s = math.fsum(np.concatenate([on_a.ravel(), on_b.ravel()]))
     return OTResult(
         distance=float(np.sqrt(max(s, 0.0))),
         method="sinkhorn",

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+from sglab import wasserstein
 from sglab.config import RunConfig
 from sglab.elliptic import hessian_linf
 from sglab.spectral import ScalarField, TorusGrid
@@ -126,12 +128,76 @@ def test_exact_translation_recovery():
 
 # ------------------------------------------------------------- sinkhorn
 
-def test_sinkhorn_identical_inputs_exact_zero():
+def count_calls(monkeypatch, name):
+    """Wrap wasserstein.<name> with a call counter; returns the call list."""
+    calls = []
+    inner = getattr(wasserstein, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(wasserstein, name, counted)
+    return calls
+
+
+def reference_half_update(g, logw, cost, reg):
+    """The broadcast logsumexp half-step over the full (m, m, m) tensor."""
+    A = g / reg + logw
+    B = logsumexp(A[None, :, :] - cost[:, :, None] / reg, axis=1)
+    T = logsumexp(B[:, None, :] - cost[None, :, :] / reg, axis=2)
+    return -reg * T
+
+
+@pytest.mark.parametrize("m, reg, weights, guarded", [
+    (16, 2e-3, "random", False),
+    (32, 5e-4, "random", False),
+    # log-weights span 140: the kernel product underflows on one axis
+    (8, 1e-4, "bump", True),
+])
+def test_half_update_matches_logsumexp(monkeypatch, m, reg, weights, guarded):
+    rng = np.random.default_rng(m)
+    w = (random_density(m, m) if weights == "random"
+         else bump_density(m, 0.3, 0.5, sigma=0.04)).weights
+    if weights == "bump":
+        assert 135 < np.log(w.max() / w.min()) < 145
+    g = 0.1 * rng.random((m, m))
+    cost = wasserstein._axis_cost(m, m)
+    exact = count_calls(monkeypatch, "_lse_contract")
+    f = wasserstein._half_update(g, np.log(w), cost, np.exp(-cost / reg), reg)
+    assert bool(exact) == guarded
+    ref = reference_half_update(g, np.log(w), cost, reg)
+    assert np.max(np.abs(f - ref)) / reg <= 1e-12
+
+
+def test_sinkhorn_identical_inputs_exact_zero(monkeypatch):
+    solves = count_calls(monkeypatch, "_ot_reg")
     a = bump_density(32, 0.3, 0.5)
     r = w2_sinkhorn(a, a, reg=1e-3)
     assert r.distance == 0.0
-    assert r.distance <= 1e-6
+    assert len(solves) == 1
+    assert r.iterations > 0
     assert r.marginal_error <= 1e-8
+
+
+def test_sinkhorn_debiasing_is_shift_invariant():
+    # SG and Euler densities about 2e-8 apart in W2: the three entropic
+    # values (about 1.6e-2 each) cancel to about 5e-16, and the
+    # circulant cost makes the exact value invariant under lattice shifts
+    base = dict(n=64, t_final=0.1, sample_interval=0.1)
+    eps = 0.01
+    euler = run_simulation(RunConfig(model="Euler", eps=0.0, **base))
+    sg = run_simulation(RunConfig(model="SGeps", eps=eps, **base))
+    a = downsample(physical_density(sg.states[-1].rho, eps), 16)
+    b = downsample(physical_density(euler.states[-1].rho, eps), 16)
+    shifts = [(i, j) for i in range(0, 16, 4) for j in range(0, 16, 3)]
+    d = np.array([
+        w2_sinkhorn(DensityOnTorus(16, np.roll(a.weights, s, axis=(0, 1))),
+                    DensityOnTorus(16, np.roll(b.weights, s, axis=(0, 1))),
+                    reg=2e-3).distance
+        for s in shifts])
+    assert 1e-8 < np.median(d) < 1e-7
+    assert (d.max() - d.min()) / np.median(d) <= 1e-3
 
 
 def test_sinkhorn_uniform_pair_zero():
