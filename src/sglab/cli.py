@@ -20,7 +20,7 @@ from pathlib import Path
 from .config import ConfigError, ExperimentSpec, RunConfig, parse_config
 from .elliptic import EllipticConvergenceError, EllipticDivergenceError
 from .experiments import _record_line, emit_report, run_experiment
-from .fieldio import load_field, read_checkpoint, write_checkpoint
+from .fieldio import load_field, read_checkpoint, write_checkpoint, write_text
 from .inequalities import run_suite
 from .spectral import NormKind, TorusGrid, norm
 from .transport import ELLIPTIC_EXITS, Trajectory, run_simulation
@@ -73,8 +73,7 @@ def _write_run(out, cfg, traj):
     """Write run.ndjson (one record per sample) and run.json (summary)."""
     out.mkdir(parents=True, exist_ok=True)
     nd = out / "run.ndjson"
-    nd.write_text("".join(_record_line(r) + "\n" for r in traj.diagnostics),
-                  encoding="utf-8")
+    write_text(nd, "".join(_record_line(r) + "\n" for r in traj.diagnostics))
     last = traj.diagnostics[-1] if traj.diagnostics else None
     summary = {
         "model": cfg.model,
@@ -88,8 +87,7 @@ def _write_run(out, cfg, traj):
         "final_l2_rho": None if last is None else last.l2_rho,
         "final_grad_margin": None if last is None else last.grad_margin,
     }
-    (out / "run.json").write_text(json.dumps(summary, indent=2) + "\n",
-                                  encoding="utf-8")
+    write_text(out / "run.json", json.dumps(summary, indent=2) + "\n")
     return nd
 
 
@@ -158,8 +156,7 @@ def _cmd_check(args):
                              "digest": r.inputs_digest},
                             separators=(",", ":"))
                  for r in rep.results]
-        (out / "suite.ndjson").write_text("".join(s + "\n" for s in lines),
-                                          encoding="utf-8")
+        write_text(out / "suite.ndjson", "".join(s + "\n" for s in lines))
         print(f"wrote {out / 'suite.ndjson'}")
     if rep.errors:
         return EXIT_INFRA

@@ -9,6 +9,7 @@ same object.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 __all__ = ["MODELS", "RunConfig", "ExperimentSpec", "parse_config", "serialize_config",
@@ -21,6 +22,15 @@ MODELS = ("Euler", "SGeps", "Corrector")
 
 class ConfigError(ValueError):
     """Malformed configuration input."""
+
+
+def _is_finite(v) -> bool:
+    """True for a number that converts to a finite float: JSON input can
+    hold NaN, Infinity and integers too large for a float."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -53,6 +63,8 @@ class RunConfig:
             v = getattr(self, key)
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ConfigError(f"key {key!r}: expected number, got {type(v).__name__}")
+            if not _is_finite(v):
+                raise ConfigError(f"key {key!r}: must be a finite number")
             setattr(self, key, float(v))
         if self.eps < 0:
             raise ConfigError(f"key 'eps': must be >= 0, got {self.eps}")
@@ -86,6 +98,8 @@ class RunConfig:
             for v in row:
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise ConfigError(f"key 'initial_data': non-numeric entry in {row!r}")
+                if not _is_finite(v):
+                    raise ConfigError("key 'initial_data': non-finite entry in a mode row")
             if int(p) != p or int(q) != q:
                 raise ConfigError(f"key 'initial_data': mode indices must be integers in {row!r}")
             if p == 0 and q == 0:
@@ -118,6 +132,8 @@ class ExperimentSpec:
         for v in self.eps_list:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ConfigError(f"key 'eps_list': non-numeric entry {v!r}")
+            if not _is_finite(v):
+                raise ConfigError("key 'eps_list': entries must be finite")
             eps.append(float(v))
         if any(e <= 0 for e in eps):
             raise ConfigError("key 'eps_list': entries must be positive")

@@ -40,6 +40,7 @@ import numpy as np
 
 from .config import ExperimentSpec
 from .elliptic import cofactor_contract, hessian_det
+from .fieldio import atomic_open, write_text
 from .inequalities import run_suite
 from .lagrangian import paired_gap_series
 from .spectral import NormKind, ScalarField, derivative, norm
@@ -599,7 +600,7 @@ def _csv_cell(v):
 
 
 def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
@@ -618,7 +619,7 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
 
     def emit(name, text):
         path = out / name
-        path.write_text(text)
+        write_text(path, text)
         written.append(path)
 
     for tag, traj in report.runs.items():
@@ -719,7 +720,7 @@ def _emit_figures(report, out: Path, written):
     if report.kind == "inequalities":
         lines = [json.dumps(r, separators=(",", ":"))
                  for r in report.extras["suite_records"]]
-        (out / "suite.ndjson").write_text("\n".join(lines) + "\n" if lines else "")
+        write_text(out / "suite.ndjson", "\n".join(lines) + "\n" if lines else "")
         written.append(out / "suite.ndjson")
         _write_csv(out / "max_ratios.csv", ["name", "max_ratio", "bound"],
                    [[r["name"], r["max_ratio"], r["bound"]]

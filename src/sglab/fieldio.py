@@ -6,18 +6,26 @@ row-major with the x index outer and the y index inner. Round-trips are
 bit-exact. Loading rejects a header that is not a JSON object with an
 integer "n" and a string "kind", and a checkpoint sidecar that
 lacks a string "model", numeric "time" and "eps", or an integer "step".
+
+Every output file of the package is written through atomic_open: a
+temp file in the target directory, renamed over the target once it is
+complete, so a failed write leaves neither a partial target nor a temp.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 
 from .spectral import ScalarField, TorusGrid
 
 __all__ = [
+    "atomic_open",
+    "write_text",
     "dump_field",
     "load_field",
     "write_checkpoint",
@@ -33,6 +41,32 @@ def _is_number(v) -> bool:
     return _is_int(v) or isinstance(v, float)
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """open() for writing that replaces path only when the block completes.
+
+    Writes go to a hidden temp file next to path, which os.replace moves
+    over path after the block exits normally; if the block or the write
+    raises, the temp file is removed and path is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_text(path, text: str) -> None:
+    """Write UTF-8 text to path through atomic_open."""
+    with atomic_open(path, encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def dump_field(path, f: ScalarField, kind: str, time: float, epsilon: float | None) -> None:
     header = {
         "n": f.grid.n,
@@ -40,7 +74,7 @@ def dump_field(path, f: ScalarField, kind: str, time: float, epsilon: float | No
         "time": float(time),
         "epsilon": None if epsilon is None else float(epsilon),
     }
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
         fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
 
@@ -73,7 +107,7 @@ def write_checkpoint(dir_path, rho: ScalarField, potential: ScalarField, *, time
     dump_field(pot_path, potential, potential_kind, time, eps)
     sidecar = {"time": float(time), "model": model, "eps": float(eps), "step": int(step)}
     sidecar_path = os.path.join(dir_path, "checkpoint.json")
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
+    with atomic_open(sidecar_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, sort_keys=True)
         fh.write("\n")
     return {"rho": rho_path, "potential": pot_path, "meta": sidecar_path}

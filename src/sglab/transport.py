@@ -227,6 +227,32 @@ def _shear_datum(x, y):
     return -4 * np.pi ** 2 * np.cos(2 * np.pi * y) + 0.0 * x
 
 
+def _mode_list_values(n: int, spec) -> np.ndarray:
+    """Grid samples of a mode list through one inverse FFT.
+
+    cos(2 pi(px+qy)) sampled on the n x n grid is (e + conj e)/2 with
+    e the DFT basis vector at (p mod n, q mod n), and sin is
+    (e - conj e)/2i, so each row adds n^2/2 * (c -/+ i s) to the
+    coefficients at +/-(p, q) mod n. Reducing mod n puts aliased rows
+    (|p| >= n/2) where grid sampling puts them, and a Nyquist row, whose
+    two coefficients coincide, gets c and loses s as its samples do.
+    """
+    spec_hat = np.zeros((n, n), dtype=complex)
+    for row in spec:
+        if len(row) != 4:
+            raise ValueError(f"mode row {row!r} is not [p, q, cos, sin]")
+        p, q, c, s = row
+        if int(p) != p or int(q) != q:
+            raise ValueError(f"mode indices must be integers, got {row!r}")
+        if p == 0 and q == 0:
+            raise ValueError("(0, 0) mode is not allowed (zero-mean convention)")
+        p, q = int(p), int(q)
+        half = 0.5 * n * n * complex(float(c), -float(s))
+        spec_hat[p % n, q % n] += half
+        spec_hat[-p % n, -q % n] += half.conjugate()
+    return np.fft.ifft2(spec_hat).real
+
+
 def initial_data_field(grid: TorusGrid, spec) -> ScalarField:
     """Build initial data from a preset name or a Fourier mode list.
 
@@ -243,19 +269,7 @@ def initial_data_field(grid: TorusGrid, spec) -> ScalarField:
             ) from None
         raw = ScalarField.from_function(grid, fn)
     else:
-        X, Y = grid.points()
-        vals = np.zeros((grid.n, grid.n))
-        for row in spec:
-            if len(row) != 4:
-                raise ValueError(f"mode row {row!r} is not [p, q, cos, sin]")
-            p, q, c, s = row
-            if int(p) != p or int(q) != q:
-                raise ValueError(f"mode indices must be integers, got {row!r}")
-            if p == 0 and q == 0:
-                raise ValueError("(0, 0) mode is not allowed (zero-mean convention)")
-            phase = 2 * np.pi * (p * X + q * Y)
-            vals += float(c) * np.cos(phase) + float(s) * np.sin(phase)
-        raw = ScalarField(grid, vals)
+        raw = ScalarField(grid, _mode_list_values(grid.n, spec))
     out = dealias(raw)
     return out - out.mean()
 

@@ -1,5 +1,16 @@
 """Shared pytest plumbing: collected acceptance verdicts are printed
-as one block after the normal test summary."""
+as one block after the normal test summary, and property tests draw
+the same Hypothesis examples on every run."""
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # derandomized, with no example database: tier-1 stays reproducible
+    settings.register_profile("sglab", derandomize=True, database=None,
+                              deadline=None, max_examples=200)
+    settings.load_profile("sglab")
 
 _ACCEPTANCE = []
 

@@ -95,6 +95,27 @@ class TestRunVerb:
         assert main(["run", "--config", bad]) == EXIT_INFRA
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == EXIT_INFRA
 
+    # Python's json reads NaN, Infinity and integers beyond float range;
+    # each used to be accepted or to end in a traceback
+    @pytest.mark.parametrize("text", [
+        '{"eps": NaN}',
+        '{"t_final": Infinity}',
+        '{"sample_interval": Infinity}',
+        '{"eps": 1%s}' % ("0" * 400),
+        '{"initial_data": [[1, 0, NaN, 0]]}',
+        '{"initial_data": [[Infinity, 0, 1, 0]]}',
+        '{"initial_data": [[NaN, 0, 1, 0]]}',
+        '{"initial_data": [[1, 0, 1%s, 0]]}' % ("0" * 400),
+        '{"kind": "stability", "eps_list": [1%s, 0.2, 0.1]}' % ("0" * 400),
+        '{"kind": "inequalities", "eps_list": [NaN]}',
+    ])
+    def test_rejects_non_finite_numbers(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        verb = "experiment" if "kind" in text else "run"
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_INFRA
+        assert "finite" in capsys.readouterr().err
+
 
 class TestExperimentVerb:
     def test_passing_experiment(self, exp_cfg, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 from sglab import wasserstein
@@ -10,6 +12,7 @@ from sglab.elliptic import hessian_linf
 from sglab.spectral import ScalarField, TorusGrid
 from sglab.transport import run_simulation
 from sglab.wasserstein import (
+    REDUCED_COST_TOL,
     DensityOnTorus,
     W2ConvergenceError,
     downsample,
@@ -34,6 +37,30 @@ def random_density(m, seed):
     rng = np.random.default_rng(seed)
     w = rng.random((m, m))
     return DensityOnTorus(m=m, weights=w / w.sum())
+
+
+def floored_bump(m, cx, cy):
+    """A width-0.1 bump over a uniform floor holding a fifth of the mass:
+    every atom weighs far more than HiGHS's feasibility tolerance."""
+    w = 0.8 * bump_density(m, cx, cy, sigma=0.1).weights + 0.2 / m ** 2
+    return DensityOnTorus(m=m, weights=w / w.sum())
+
+
+def reference_exact_lp(a, b):
+    """The transport LP on the full product of both lattices, in one solve."""
+    cost = torus_cost(a.m, b.m)
+    wa, ia = wasserstein._merge_thin_support(a.weights.ravel(), torus_cost(a.m, a.m))
+    wb, ib = wasserstein._merge_thin_support(b.weights.ravel(), torus_cost(b.m, b.m))
+    C = cost[np.ix_(ia, ib)]
+    p, q = len(ia), len(ib)
+    rows = sparse.kron(sparse.eye(p), np.ones((1, q)), format="csr")
+    cols = sparse.kron(np.ones((1, p)), sparse.eye(q), format="csr")
+    A_eq = sparse.vstack([rows, cols[:-1]], format="csr")
+    b_eq = np.concatenate([wa, wb[:-1]])
+    res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs")
+    assert res.success, res.message
+    return float(np.sqrt(max(res.fun, 0.0)))
 
 
 # ------------------------------------------------------------- containers
@@ -124,6 +151,99 @@ def test_exact_translation_recovery():
     b = bump_density(12, 0.25 + 2 / 12, 0.5, sigma=0.03)
     r = w2_exact_small(a, b)
     assert abs(r.distance - 2 / 12) < 1e-7
+
+
+def point_mass(m, i, j):
+    w = np.zeros((m, m))
+    w[i, j] = 1.0
+    return DensityOnTorus(m, w)
+
+
+LP_CASES = {
+    "point-masses": (point_mass(10, 0, 0), point_mass(10, 3, 7)),
+    **{f"bump-{m}-{shift}": (floored_bump(m, 0.3, 0.5),
+                             floored_bump(m, 0.3 + shift, 0.5 + shift / 2))
+       for m in (8, 12, 16) for shift in (1 / 16, 1 / 8, 1 / 4)},
+    "random-12": (random_density(12, 21), random_density(12, 22)),
+    "random-16": (random_density(16, 23), random_density(16, 24)),
+    # bumps of width 0.03: atoms below 1e-7 * max are merged into neighbors
+    "thin-support": (bump_density(12, 0.25, 0.5, sigma=0.03),
+                     bump_density(12, 0.45, 0.5, sigma=0.03)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LP_CASES))
+def test_exact_matches_full_product_lp(case):
+    a, b = LP_CASES[case]
+    r = w2_exact_small(a, b)
+    ref = reference_exact_lp(a, b)
+    # the merged support keeps atoms of 1.8e-7, next to HiGHS's 1e-7
+    # feasibility tolerance, so both solves are optimal only to within it
+    # and may stop at different plans (measured 9.5e-9 apart)
+    rel = 1e-7 if case == "thin-support" else 1e-10
+    assert r.distance == pytest.approx(ref, rel=rel, abs=1e-300)
+    assert r.iterations >= 1
+
+
+def record_lp_solves(monkeypatch):
+    """Wrap wasserstein.linprog; returns the list of its results."""
+    results = []
+    inner = wasserstein.linprog
+
+    def recorded(*args, **kwargs):
+        results.append(inner(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(wasserstein, "linprog", recorded)
+    return results
+
+
+def test_exact_column_generation_is_certified(monkeypatch):
+    # mass 1/4 away on each axis: the optimal plan leaves the initial
+    # one-step support, so the restricted LP is solved more than once
+    a = floored_bump(16, 0.3, 0.5)
+    b = floored_bump(16, 0.55, 0.75)
+    solves = record_lp_solves(monkeypatch)
+    r = w2_exact_small(a, b)
+    assert r.iterations > 1
+    assert len(solves) == r.iterations
+    duals = solves[-1].eqlin.marginals
+    u, v = duals[:256], np.append(duals[256:], 0.0)
+    reduced = torus_cost(16, 16) - u[:, None] - v[None, :]
+    assert reduced.min() >= -REDUCED_COST_TOL
+    assert solves[-1].x.size < 256 * 256
+    assert r.distance == pytest.approx(reference_exact_lp(a, b), rel=1e-10)
+
+
+def test_exact_near_identical_pair_one_solve():
+    # the calibration pairs' shape: 1 + eps*rho, moved by a small fraction
+    # of a cell, so the plan stays within one lattice step. Per-atom
+    # differences of about 5e-7 sit next to HiGHS's tolerance, so the
+    # value itself is compared with nothing here
+    x = np.arange(16) / 16
+    X, Y = np.meshgrid(x, x, indexing="ij")
+
+    def density(dx):
+        w = 1.0 + 0.02 * np.cos(2 * np.pi * (X + dx)) * np.cos(2 * np.pi * Y)
+        return DensityOnTorus(16, w / w.sum())
+
+    r = w2_exact_small(density(0.0), density(1e-3))
+    assert r.iterations == 1
+    assert 0.0 < r.distance < 1e-3
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "HiGHS's primal feasibility tolerance is 1e-7 per constraint: a "
+    "4e-8 per-atom marginal difference is feasible for the identity plan, "
+    "so the LP returns 0.0 instead of 1.25e-5"))
+def test_exact_resolves_mass_below_the_lp_tolerance():
+    u = np.full((16, 16), 1.0 / 256)
+    v = u.copy()
+    v[0, 0] -= 4e-8
+    v[0, 1] += 4e-8
+    r = w2_exact_small(DensityOnTorus(16, u), DensityOnTorus(16, v))
+    # 4e-8 of mass moved by 1/16: W2^2 = 4e-8 / 256
+    assert r.distance == pytest.approx(1.25e-5, rel=1e-3)
 
 
 # ------------------------------------------------------------- sinkhorn
