@@ -17,9 +17,11 @@ one batched irfft2 of three components; that Hessian feeds the next
 sweep's sup-norm guard and its determinant (one masked rfft2), or,
 after convergence, both the residual and the reported Hessian sup
 norm. Update and scale norms are read from the coefficients.
-ScalarField stays the type at the public boundary. The RK4 stages of
-`transport.step_rk4` call the same sweeps and warm-start each stage's
-solve from the previous stage's potential and Hessian.
+ScalarField stays the type at the public boundary; the public Hessian
+functions form the Hessian of its cached half-spectrum the same way.
+The RK4 stages of `transport.step_rk4` call the same sweeps and
+warm-start each stage's solve from the previous stage's potential and
+Hessian.
 
 Matrix norm conventions, used consistently everywhere:
   - pointwise Linf of a Hessian: symmetric 2x2 operator norm
@@ -40,9 +42,7 @@ from .spectral import (
     ScalarField,
     NormKind,
     SpectralKernel,
-    derivative,
-    inv_laplacian,
-    dealias,
+    _require_mean_zero,
     kernel,
     norm,
 )
@@ -101,7 +101,7 @@ class BootstrapStatus:
 
 def hessian(psi: ScalarField) -> tuple[ScalarField, ScalarField, ScalarField]:
     """Return (psi_xx, psi_xy, psi_yy) via spectral differentiation."""
-    return derivative(psi, (2, 0)), derivative(psi, (1, 1)), derivative(psi, (0, 2))
+    return tuple(ScalarField(psi.grid, h) for h in _hessian_values(psi))
 
 
 def hessian_det(psi: ScalarField) -> ScalarField:
@@ -110,17 +110,16 @@ def hessian_det(psi: ScalarField) -> ScalarField:
     The result has numerically zero mean: the determinant is a sum of
     perfect mixed derivatives, so its integral over the torus vanishes.
     """
-    pxx, pxy, pyy = hessian(psi)
-    det = pxx * pyy - pxy * pxy
-    return dealias(det)
+    k = kernel(psi.grid.n)
+    return ScalarField(psi.grid, np.fft.irfft2(_det_half(k, _hessian_half(k, psi.hat))))
 
 
 def cofactor_contract(phi: ScalarField, eta: ScalarField) -> ScalarField:
     """(cof D^2 phi) : D^2 eta = phi_yy eta_xx - 2 phi_xy eta_xy + phi_xx eta_yy."""
-    axx, axy, ayy = hessian(phi)
-    bxx, bxy, byy = hessian(eta)
+    axx, axy, ayy = _hessian_values(phi)
+    bxx, bxy, byy = _hessian_values(eta)
     out = ayy * bxx - 2.0 * (axy * bxy) + axx * byy
-    return dealias(out)
+    return ScalarField(phi.grid, np.fft.irfft2(kernel(phi.grid.n).mask_half * np.fft.rfft2(out)))
 
 
 def det_expansion_residual(phi: ScalarField, eta: ScalarField, eps: float) -> float:
@@ -154,8 +153,9 @@ def _hessian_frobenius_l2(pxx, pxy, pyy) -> float:
     return float(np.sqrt(np.mean(sq)))
 
 
-def _hessian_values(psi: ScalarField):
-    return tuple(d.values for d in hessian(psi))
+def _hessian_values(psi: ScalarField) -> np.ndarray:
+    """Stacked (psi_xx, psi_xy, psi_yy) values from one batched irfft2."""
+    return _hessian_half(kernel(psi.grid.n), psi.hat)
 
 
 def hessian_linf(psi: ScalarField) -> float:
@@ -202,8 +202,8 @@ def _picard(rho_hat: np.ndarray, eps: float, tol: float = 1e-12,
         rhs = rho_hat - eps * _det_half(k, hess)
         k.require_mean_zero(rhs)
         psi_next = k.inv_lap_half * rhs
-        update = k.h1(psi_next - psi_hat)
-        scale = max(k.h1(psi_next), 1e-14)
+        update = k.hs(psi_next - psi_hat, 1.0)
+        scale = max(k.hs(psi_next, 1.0), 1e-14)
         psi_hat = psi_next
         hess = _hessian_half(k, psi_hat)
         if update / scale <= tol:
@@ -248,7 +248,7 @@ def solve_sg_potential(
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    psi_hat, _, report = _picard(np.fft.rfft2(rho.values), eps, tol, max_iter)
+    psi_hat, _, report = _picard(rho.hat, eps, tol, max_iter)
     return ScalarField(rho.grid, np.fft.irfft2(psi_hat)), report
 
 
@@ -256,9 +256,10 @@ def solve_corrector_potential(
     rho1: ScalarField, phibar: ScalarField
 ) -> ScalarField:
     """First-order potential: lap phi1 = rho1 - det D^2 phibar, <phi1> = 0."""
-    det = hessian_det(phibar)
-    rhs = ScalarField.from_spectral(rho1.grid, rho1.spectral - det.spectral)
-    return inv_laplacian(rhs)
+    k = kernel(rho1.grid.n)
+    rhs = rho1.hat - _det_half(k, _hessian_half(k, phibar.hat))
+    _require_mean_zero(np.fft.irfft2(rhs))
+    return ScalarField(rho1.grid, np.fft.irfft2(k.inv_lap_half * rhs))
 
 
 def bootstrap_status(

@@ -43,7 +43,7 @@ from .elliptic import cofactor_contract, hessian_det
 from .fieldio import atomic_open, write_text
 from .inequalities import run_suite
 from .lagrangian import paired_gap_series
-from .spectral import NormKind, ScalarField, derivative, norm
+from .spectral import NormKind, derivative, norm
 from .transport import DiagnosticsRecord, run_simulation
 from .wasserstein import (
     downsample,
@@ -244,10 +244,6 @@ def _finalize(report):
     return report
 
 
-def _laplacian(f: ScalarField) -> ScalarField:
-    return derivative(f, (2, 0)) + derivative(f, (0, 2))
-
-
 # ------------------------------------------------------ rate experiments
 
 def _patch_gaps(traj_sg, gaps):
@@ -398,7 +394,8 @@ def _consistency_residual(corr_state, eps):
     bg = corr_state.background
     psi_t = bg.potential + eps * corr_state.potential
     rho_t = bg.rho + eps * corr_state.rho
-    direct = _laplacian(psi_t) - rho_t + eps * hessian_det(psi_t)
+    lap = derivative(psi_t, (2, 0)) + derivative(psi_t, (0, 2))
+    direct = lap - rho_t + eps * hessian_det(psi_t)
     closed = (eps**2 * cofactor_contract(bg.potential, corr_state.potential)
               + eps**3 * hessian_det(corr_state.potential))
     return float(np.max(np.abs((direct - closed).values)))

@@ -132,7 +132,7 @@ def random_field(grid: TorusGrid, rng, gamma: float = 3.0,
     amp[mask] = kmag[mask] ** (-gamma)
     coef = amp * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     spec = coef + np.conj(coef[(-np.arange(n)) % n][:, (-np.arange(n)) % n])
-    f = ScalarField.from_spectral(grid, spec)
+    f = ScalarField(grid, np.fft.ifft2(spec).real)
     if normalize == "linf":
         scale = float(np.max(np.abs(f.values)))
     elif normalize == "gradlinf":
@@ -317,7 +317,7 @@ class _Bundle:
 def _field_to_modes(f: ScalarField):
     """Exact mode-list representation of a band-limited field."""
     n = f.grid.n
-    coef = f.spectral / n**2
+    coef = np.fft.fft2(f.values) / n**2
     p, q = f.grid.freq_pair()
     rows = []
     half = np.nonzero((np.abs(coef) > 1e-14) &

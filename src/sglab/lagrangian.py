@@ -7,15 +7,17 @@ periodic cut. Positions are wrapped mod 1 only when a velocity lookup
 or a binning needs torus coordinates.
 
 Velocity lookups off the grid use bicubic spline interpolation with
-periodic boundary handling (scipy's grid-wrap mode). The spline
-prefilter is applied once per evaluation time and cached, so a full RK4
-sweep costs one filter per stage time plus O(1) per particle query.
+periodic boundary handling (scipy's grid-wrap mode) on prefiltered
+spline coefficients, cached per evaluation time within one sweep.
 
 A velocity provider is any object with a `grid` attribute (TorusGrid of
-the sampled fields) and a `pair(t)` method returning the two velocity
-component arrays at time t. TrajectoryVelocity adapts a transport
+the sampled fields), a `pair(t)` method returning the two velocity
+component arrays at time t, and a `filtered_pair(t)` method returning
+their cubic spline coefficients. TrajectoryVelocity adapts a transport
 Trajectory using cubic Lagrange interpolation in time between samples;
-FieldVelocity adapts an analytic callable for tests.
+since the B-spline prefilter is linear, it filters each sample once and
+combines the coefficients with the same weights as the velocities.
+FieldVelocity adapts an analytic callable for tests and filters per call.
 """
 
 from dataclasses import dataclass
@@ -94,13 +96,23 @@ class FieldVelocity:
         ux, uy = self._fn(t)
         return ux.values, uy.values
 
+    def filtered_pair(self, t: float):
+        return tuple(_prefilter(u) for u in self.pair(t))
+
+
+def _prefilter(u: np.ndarray) -> np.ndarray:
+    """Periodic cubic spline coefficients of grid samples u."""
+    return ndimage.spline_filter(u, order=3, mode="grid-wrap")
+
 
 class TrajectoryVelocity:
     """Velocity provider backed by a Trajectory's potential samples.
 
     Velocities between samples come from cubic Lagrange interpolation
     of the sampled velocity fields in time (4-point stencil), accurate
-    to O(sample_interval^4). Times outside the sampled window raise.
+    to O(sample_interval^4). Spline coefficients come from the same
+    combination of each sample's coefficients, filtered once here.
+    Times outside the sampled window raise.
     """
 
     def __init__(self, traj: Trajectory):
@@ -111,16 +123,17 @@ class TrajectoryVelocity:
         pairs = [perp_gradient(s.potential) for s in traj.states]
         self._ux = [p[0].values for p in pairs]
         self._uy = [p[1].values for p in pairs]
-
-    @property
-    def t_min(self):
-        return float(self._times[0])
-
-    @property
-    def t_max(self):
-        return float(self._times[-1])
+        self._fx = [_prefilter(u) for u in self._ux]
+        self._fy = [_prefilter(u) for u in self._uy]
 
     def pair(self, t: float):
+        return self._combine(t, self._ux, self._uy)
+
+    def filtered_pair(self, t: float):
+        return self._combine(t, self._fx, self._fy)
+
+    def _combine(self, t, xs, ys):
+        """Lagrange combination at time t of the per-sample arrays xs, ys."""
         times = self._times
         if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
             raise ValueError(
@@ -129,20 +142,21 @@ class TrajectoryVelocity:
         j = int(np.searchsorted(times, t))
         lo = max(0, min(j - 2, len(times) - 4))
         hi = min(len(times), lo + 4)
-        ux = np.zeros_like(self._ux[0])
-        uy = np.zeros_like(self._uy[0])
+        ux = np.zeros_like(xs[0])
+        uy = np.zeros_like(ys[0])
         for i in range(lo, hi):
             w = 1.0
             for k in range(lo, hi):
                 if k != i:
                     w *= (t - times[k]) / (times[i] - times[k])
-            ux += w * self._ux[i]
-            uy += w * self._uy[i]
+            ux += w * xs[i]
+            uy += w * ys[i]
         return ux, uy
 
 
 class _FilteredLookup:
-    """Caches spline prefilters per evaluation time within one sweep."""
+    """Caches a provider's spline coefficients per evaluation time within
+    one sweep."""
 
     def __init__(self, provider):
         self.provider = provider
@@ -153,11 +167,7 @@ class _FilteredLookup:
         key = float(t)
         entry = self._cache.get(key)
         if entry is None:
-            ux, uy = self.provider.pair(t)
-            fx = ndimage.spline_filter(ux, order=3, mode="grid-wrap")
-            fy = ndimage.spline_filter(uy, order=3, mode="grid-wrap")
-            entry = (fx, fy)
-            self._cache[key] = entry
+            entry = self._cache[key] = self.provider.filtered_pair(t)
         fx, fy = entry
         # grid samples sit at j/n, so array coordinates are positions * n
         coords = np.vstack([
@@ -167,10 +177,6 @@ class _FilteredLookup:
         vx = ndimage.map_coordinates(fx, coords, order=3, mode="grid-wrap", prefilter=False)
         vy = ndimage.map_coordinates(fy, coords, order=3, mode="grid-wrap", prefilter=False)
         return vx.reshape(x.shape), vy.reshape(y.shape)
-
-    def max_speed(self, t: float) -> float:
-        ux, uy = self.provider.pair(t)
-        return float(np.max(np.hypot(ux, uy)))
 
 
 def advect_flow(velocity_source, labels: FlowMap, t0: float, t1: float, dt: float) -> FlowMap:
@@ -184,7 +190,7 @@ def advect_flow(velocity_source, labels: FlowMap, t0: float, t1: float, dt: floa
         raise ValueError("dt must be positive")
     lookup = _FilteredLookup(velocity_source)
     h = 1.0 / velocity_source.grid.n
-    limit = h / max(lookup.max_speed(t0), 1e-14)
+    limit = h / max(float(np.max(np.hypot(*velocity_source.pair(t0)))), 1e-14)
     if dt > limit * (1 + 1e-12):
         raise StepSizeError(f"dt = {dt:.3e} exceeds particle CFL limit {limit:.3e}")
 
@@ -295,7 +301,7 @@ def pushforward_density(rho0: ScalarField, velocity_source, t: float,
     X, Y = np.meshgrid(pts, pts, indexing="ij")
     lab = FlowMap(m=n, time=0.0, positions_x=X, positions_y=Y)
     feet = advect_flow(velocity_source, lab, t, 0.0, dt)
-    filt = ndimage.spline_filter(rho0.values, order=3, mode="grid-wrap")
+    filt = _prefilter(rho0.values)
     coords = np.vstack([
         np.mod(feet.positions_x, 1.0).ravel() * n,
         np.mod(feet.positions_y, 1.0).ravel() * n,

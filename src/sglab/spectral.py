@@ -4,8 +4,13 @@ Everything lives on the side-1 torus [0,1)^2 sampled on an n-by-n uniform
 grid (n a power of two). Angular wavenumbers are k = 2*pi*(p, q) with
 integer frequencies p, q in [-n/2, n/2). The FFT convention is numpy's:
 forward transform unscaled, inverse scaled by 1/n^2, so the mathematical
-Fourier coefficient of mode (p, q) is fft2(values)[p, q] / n^2 and
-Parseval reads ||f||_L2^2 = sum_k |fft2(f)[k] / n^2|^2.
+Fourier coefficient of mode (p, q) is fft2(values)[p, q] / n^2.
+
+Operators run on the rfft2 half-spectrum `ScalarField.hat` (columns
+q = 0..n/2), which holds each coefficient of a real field once: the
+mirror (-p, -q) of a column 0 < q < n/2 is its conjugate. So Parseval
+reads ||f||_L2^2 = sum w_q |hat[p, q] / n^2|^2 with w_q = 2 on those
+columns and 1 on the self-mirrored columns q = 0 and q = n/2.
 
 Sobolev norms are homogeneous: ||f||_Hs = (sum_{k != 0} |k|^{2s} |c_k|^2)^{1/2}
 with |k| = 2*pi*sqrt(p^2+q^2). This makes the interpolation inequalities
@@ -14,7 +19,7 @@ exact with constant 1 (Hoelder on the spectral weights).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,27 +49,27 @@ class MeanViolationError(ValueError):
 
 
 class SpectralKernel:
-    """Per-n spectral multipliers, built once per grid size by `kernel(n)`.
+    """Per-n rfft2 half-spectrum multipliers, built once per grid size by
+    `kernel(n)`; there are no full-spectrum multipliers.
 
-    Full-spectrum tables use the fft2 layout of `ScalarField.spectral`:
-    integer frequencies p (rows) and q (columns) from fftfreq, so the
-    Nyquist index carries -n/2. `deriv[(a, b)]` is the multiplier of
-    d_x^a d_y^b (a + b <= 2), `inv_lap` is -1/|k|^2 with 0 at k = 0, and
-    `mask` is the 2/3-rule keep-mask.
+    Rows are p from fftfreq (the Nyquist row carries p = -n/2), columns
+    q = 0..n/2. `grad` stacks the multipliers i k_x, i k_y and `hess`
+    those of d_xx, d_xy, d_yy, so one batched irfft2 of `grad * hat` or
+    `hess * hat` yields all components; `lap` is their trace.
+    `inv_lap_half` is -1/|k|^2 with 0 at k = 0 and `mask_half` the
+    2/3-rule keep-mask. The Hermitian weight `l2_weight` turns sums over
+    the half-spectrum into Parseval sums: sum(l2_weight * |hat|^2) is
+    the mean of the squared values; `hs` adds |k|^{2s}.
 
-    Half-spectrum tables use the rfft2 layout: rows p from fftfreq,
-    columns q = 0..n/2. `grad` stacks the multipliers i k_x, i k_y and
-    `hess` the multipliers of d_xx, d_xy, d_yy, so one batched irfft2
-    of `grad * hat` or `hess * hat` yields all components; `lap` is
-    their trace. `inv_lap_half` and `mask_half` are the half-spectrum
-    -1/|k|^2 and 2/3 mask. The Hermitian weights `l2_weight` and
-    `h1_weight` turn sums over the half-spectrum into full-spectrum
-    Parseval sums: sum(l2_weight * |hat|^2) is the mean of the squared
-    values, sum(h1_weight * |hat|^2) the squared homogeneous H1 norm.
-    Odd-order multipliers vanish on the Nyquist row (p = -n/2) and
-    column (q = n/2), where the full-spectrum path drops them by taking
-    the real part of the inverse transform; irfft2 would keep them, so
-    zeroing them here keeps the two paths equal.
+    A multiplier m(p, q) acts on a real field as its Hermitian part
+    (m(p, q) + conj m(-p, -q)) / 2, the Nyquist index being its own
+    negative. So odd-order multipliers vanish on the Nyquist row
+    (p = -n/2) and column (q = n/2), where irfft2 would otherwise keep a
+    real image of them; the exception is d_xy at the self-mirrored
+    corner (-n/2, -n/2), which keeps -(pi n)^2.
+
+    `p`, `q`, `k_mag` and `mask` are the full fft2-layout arrays behind
+    `TorusGrid`'s helpers; no operator reads them.
     """
 
     def __init__(self, n: int):
@@ -73,18 +78,12 @@ class SpectralKernel:
         p, q = np.meshgrid(freqs, freqs, indexing="ij")
         k_mag = 2.0 * np.pi * np.sqrt(p.astype(float) ** 2 + q.astype(float) ** 2)
         mask = np.abs(np.maximum(np.abs(p), np.abs(q))) <= n / 3.0  # 2/3-rule keep-mask
-        k2 = k_mag ** 2
-        inv_lap = np.zeros_like(k2)
-        nz = k2 > 0
-        inv_lap[nz] = -1.0 / k2[nz]
-        self.freqs, self.p, self.q, self.k_mag, self.mask = freqs, p, q, k_mag, mask
-        self.inv_lap = inv_lap
-        self.deriv = {(a, b): (2j * np.pi * p) ** a * (2j * np.pi * q) ** b
-                      for a, b in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
+        self.p, self.q, self.k_mag, self.mask = p, q, k_mag, mask
 
         m = n // 2 + 1
         half = (slice(None), slice(0, m))
         shape = (n, m)
+        k2 = k_mag[half] ** 2
         kx = 2.0 * np.pi * freqs[:, None].astype(float)
         ky = 2.0 * np.pi * np.arange(m, dtype=float)[None, :]
         odd_x = np.where(freqs[:, None] == -(n // 2), 0.0, 1.0)
@@ -94,31 +93,40 @@ class SpectralKernel:
         self.hess = np.stack([np.broadcast_to(-(kx ** 2), shape),
                               -(kx * ky) * odd_x * odd_y,
                               np.broadcast_to(-(ky ** 2), shape)])
+        self.hess[1, n // 2, n // 2] = -(np.pi * n) ** 2  # d_xy at the corner (-n/2, -n/2)
         self.lap = self.hess[0] + self.hess[2]
-        self.inv_lap_half = np.ascontiguousarray(inv_lap[half])
+        self.inv_lap_half = np.zeros(shape)
+        nz = k2 > 0
+        self.inv_lap_half[nz] = -1.0 / k2[nz]
         self.mask_half = np.ascontiguousarray(mask[half])
         weight = np.full((1, m), 2.0)
         weight[0, 0] = weight[0, -1] = 1.0  # columns q = 0 and q = n/2 have no mirror
         self.l2_weight = weight / float(n) ** 4
-        self.h1_weight = self.l2_weight * k2[half]
-        for a in (freqs, p, q, k_mag, mask, inv_lap, *self.deriv.values(), self.grad,
-                  self.hess, self.lap, self.inv_lap_half, self.mask_half,
-                  self.l2_weight, self.h1_weight):
+        self._k2, self._hs_weights = k2, {}
+        for a in (p, q, k_mag, mask, self.grad, self.hess, self.lap, self.inv_lap_half,
+                  self.mask_half, self.l2_weight):
             a.setflags(write=False)
 
     def l2(self, hat: np.ndarray) -> float:
         """Grid-sample L2 norm (RMS) of the field with half-spectrum hat."""
         return float(np.sqrt(np.sum(self.l2_weight * _abs2(hat))))
 
-    def h1(self, hat: np.ndarray) -> float:
-        """Homogeneous H1 norm of the field with half-spectrum hat."""
-        return float(np.sqrt(np.sum(self.h1_weight * _abs2(hat))))
+    def hs(self, hat: np.ndarray, s: float) -> float:
+        """Homogeneous H^s norm of the field with half-spectrum hat."""
+        w = self._hs_weights.get(s)
+        if w is None:  # |k|^{2s} l2_weight; racing threads build equal arrays
+            w = np.where(self._k2 > 0, self._k2, 1.0) ** s * self.l2_weight
+            w[0, 0] = 0.0
+            w.setflags(write=False)
+            self._hs_weights[s] = w
+        return float(np.sqrt(np.sum(w * _abs2(hat))))
 
     def require_mean_zero(self, hat: np.ndarray, rel_tol: float = 1e-10) -> None:
         """`_require_mean_zero` read from a half-spectrum: the mean is the
         zero mode, the RMS comes from Parseval, and n * RMS, which bounds
         max |values| (Cauchy-Schwarz over the n^2 modes), stands in for
-        it in the absolute floor."""
+        it in the absolute floor. Used inside the solvers' sweeps and
+        stages; the public operators check values in real space."""
         scale = self.l2(hat)
         _mean_check(float(hat[0, 0].real) / self.n ** 2,
                     rel_tol * scale + 1e-15 * (1.0 + self.n * scale))
@@ -150,20 +158,19 @@ class TorusGrid:
         return 1.0 / self.n
 
     @property
-    def freqs(self) -> np.ndarray:
-        return kernel(self.n).freqs
-
-    @property
     def k_mag(self) -> np.ndarray:
-        """|k| = 2*pi*sqrt(p^2+q^2) per frequency pair; zero only at (0,0)."""
+        """|k| = 2*pi*sqrt(p^2+q^2) per frequency pair of the full fft2
+        layout; zero only at (0,0)."""
         return kernel(self.n).k_mag
 
     def freq_pair(self):
-        """Integer frequency arrays (p, q), meshgrid indexing='ij'."""
+        """Integer frequency arrays (p, q) of the full fft2 layout,
+        meshgrid indexing='ij'."""
         k = kernel(self.n)
         return k.p, k.q
 
     def dealias_mask(self) -> np.ndarray:
+        """2/3-rule keep-mask in the full fft2 layout."""
         return kernel(self.n).mask
 
     def points(self):
@@ -173,18 +180,18 @@ class TorusGrid:
 
 
 class ScalarField:
-    """Real periodic grid function with an on-demand cached spectral transform.
+    """Real periodic grid function with an on-demand cached half-spectrum.
 
     values is an (n, n) float64 array, row-major over (x, y) samples: the
     first index is x, the second y. Fields are immutable after construction;
     every operation returns a new field, so instances are safe to share
-    across workers. The spectral cache is filled at most once and the fill
-    is idempotent (numpy FFT of fixed bits is deterministic).
+    across workers. The half-spectrum cache is filled at most once and the
+    fill is idempotent (numpy FFT of fixed bits is deterministic).
     """
 
-    __slots__ = ("grid", "_values", "_spectral")
+    __slots__ = ("grid", "_values", "_hat")
 
-    def __init__(self, grid: TorusGrid, values: np.ndarray, _spectral: np.ndarray | None = None):
+    def __init__(self, grid: TorusGrid, values: np.ndarray):
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (grid.n, grid.n):
             raise ValueError(f"values shape {values.shape} != grid {(grid.n, grid.n)}")
@@ -194,33 +201,21 @@ class ScalarField:
         values.setflags(write=False)
         self.grid = grid
         self._values = values
-        self._spectral = _spectral
+        self._hat = None
 
     @property
     def values(self) -> np.ndarray:
         return self._values
 
     @property
-    def spectral(self) -> np.ndarray:
-        """Unnormalized DFT coefficients fft2(values); cached."""
-        if self._spectral is None:
-            spec = np.fft.fft2(self._values)
-            spec.setflags(write=False)
-            self._spectral = spec
-        return self._spectral
-
-    @classmethod
-    def from_spectral(cls, grid: TorusGrid, spec: np.ndarray) -> "ScalarField":
-        """Build a field from unnormalized DFT coefficients.
-
-        The coefficients must be Hermitian up to roundoff (the imaginary
-        part of the inverse transform is dropped). They are cached on the
-        new field, so spectral pipelines avoid a redundant forward FFT.
-        """
-        vals = np.real(np.fft.ifft2(spec))
-        spec = np.array(spec, dtype=np.complex128, copy=True)
-        spec.setflags(write=False)
-        return cls(grid, vals, _spectral=spec)
+    def hat(self) -> np.ndarray:
+        """Unnormalized half-spectrum rfft2(values), in `SpectralKernel`'s
+        layout; cached and read-only."""
+        if self._hat is None:
+            hat = np.fft.rfft2(self._values)
+            hat.setflags(write=False)
+            self._hat = hat
+        return self._hat
 
     @classmethod
     def from_function(cls, grid: TorusGrid, fn) -> "ScalarField":
@@ -234,21 +229,19 @@ class ScalarField:
     def mean(self) -> float:
         return float(np.mean(self._values))
 
+    def _pointwise(self, op, other) -> "ScalarField":
+        # products are not dealiased here; callers dealias quadratic terms
+        rhs = other._values if isinstance(other, ScalarField) else other
+        return ScalarField(self.grid, op(self._values, rhs))
+
     def __add__(self, other):
-        if isinstance(other, ScalarField):
-            return ScalarField(self.grid, self._values + other._values)
-        return ScalarField(self.grid, self._values + other)
+        return self._pointwise(np.add, other)
 
     def __sub__(self, other):
-        if isinstance(other, ScalarField):
-            return ScalarField(self.grid, self._values - other._values)
-        return ScalarField(self.grid, self._values - other)
+        return self._pointwise(np.subtract, other)
 
     def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            # pointwise product; callers dealias quadratic terms themselves
-            return ScalarField(self.grid, self._values * other._values)
-        return ScalarField(self.grid, self._values * other)
+        return self._pointwise(np.multiply, other)
 
     __rmul__ = __mul__
 
@@ -294,12 +287,16 @@ def _mean_check(m: float, tol: float) -> None:
         )
 
 
-def _require_mean_zero(f: ScalarField, rel_tol: float = 1e-10) -> None:
-    scale = float(np.sqrt(np.mean(f.values**2)))
+def _require_mean_zero(values: np.ndarray, rel_tol: float = 1e-10) -> None:
+    scale = float(np.sqrt(np.mean(values**2)))
     # absolute floor keeps roundoff-scale means of tiny difference fields
     # (e.g. converged solver updates) from tripping the guard
-    tol = rel_tol * scale + 1e-15 * (1.0 + float(np.max(np.abs(f.values))))
-    _mean_check(f.mean(), tol)
+    tol = rel_tol * scale + 1e-15 * (1.0 + float(np.max(np.abs(values))))
+    _mean_check(float(np.mean(values)), tol)
+
+
+def _from_hat(grid: TorusGrid, hat: np.ndarray) -> ScalarField:
+    return ScalarField(grid, np.fft.irfft2(hat))
 
 
 def derivative(f: ScalarField, order: tuple[int, int]) -> ScalarField:
@@ -309,35 +306,31 @@ def derivative(f: ScalarField, order: tuple[int, int]) -> ScalarField:
         raise ValueError(f"unsupported derivative order {order}: need a, b >= 0 and a+b <= 2")
     if a == 0 and b == 0:
         return f
-    mult = kernel(f.grid.n).deriv[a, b]
-    # Odd-order derivatives of the (real-coefficient) Nyquist modes have no
-    # real representative on the grid; taking the real part of the inverse
-    # transform drops them, which is the standard convention.
-    return ScalarField.from_spectral(f.grid, mult * f.spectral)
+    k = kernel(f.grid.n)
+    # (1,0), (0,1) are grad[0], grad[1]; (2,0), (1,1), (0,2) are hess[0..2]
+    return _from_hat(f.grid, (k.grad if a + b == 1 else k.hess)[b] * f.hat)
 
 
 def inv_laplacian(f: ScalarField) -> ScalarField:
     """Solve Laplace(g) = f spectrally on mean-zero f; <g> = 0."""
-    _require_mean_zero(f)
-    return ScalarField.from_spectral(f.grid, kernel(f.grid.n).inv_lap * f.spectral)
+    _require_mean_zero(f.values)
+    return _from_hat(f.grid, kernel(f.grid.n).inv_lap_half * f.hat)
+
+
+def _gradient_values(f: ScalarField) -> np.ndarray:
+    """Stacked (d_x f, d_y f) values from one batched irfft2."""
+    return np.fft.irfft2(kernel(f.grid.n).grad * f.hat)
 
 
 def perp_gradient(psi: ScalarField) -> tuple[ScalarField, ScalarField]:
     """Divergence-free rotation: u = (-d_y psi, d_x psi)."""
-    return -derivative(psi, (0, 1)), derivative(psi, (1, 0))
+    gx, gy = _gradient_values(psi)
+    return ScalarField(psi.grid, -gy), ScalarField(psi.grid, gx)
 
 
 def dealias(f: ScalarField) -> ScalarField:
     """Zero all modes with max(|p|,|q|) > n/3 (2/3-rule); idempotent."""
-    return ScalarField.from_spectral(f.grid, f.spectral * f.grid.dealias_mask())
-
-
-def _coeffs(f: ScalarField) -> np.ndarray:
-    return f.spectral / f.grid.n**2
-
-
-def _grad_values(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-    return derivative(f, (1, 0)).values, derivative(f, (0, 1)).values
+    return _from_hat(f.grid, kernel(f.grid.n).mask_half * f.hat)
 
 
 def _holder_seminorm(f: ScalarField, alpha: float) -> float:
@@ -377,13 +370,10 @@ def norm(f: ScalarField, kind: NormKind) -> float:
     if tag == "Linf":
         return float(np.max(np.abs(f.values)))
     if tag == "Hs":
-        _require_mean_zero(f)
-        c2 = np.abs(_coeffs(f)) ** 2
-        km = f.grid.k_mag
-        nz = km > 0
-        return float(np.sqrt(np.sum(km[nz] ** (2.0 * kind.s) * c2[nz])))
+        _require_mean_zero(f.values)
+        return kernel(f.grid.n).hs(f.hat, kind.s)
     if tag == "GradLinf":
-        gx, gy = _grad_values(f)
+        gx, gy = _gradient_values(f)
         return float(np.max(np.hypot(gx, gy)))
     if tag == "W1inf":
         return norm(f, NormKind.Linf) + norm(f, NormKind.GradLinf)

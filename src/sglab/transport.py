@@ -12,12 +12,13 @@ Three models share one stepper:
               with rho1(0) = 0.
 
 Each RK4 stage re-solves its elliptic problem, so the velocity is
-consistent with the stage density. The SG/Euler stages run on rfft2
-half-spectra (see `elliptic`); the Corrector stages and `advect_scalar`
-run on ScalarField operations. Advection products are 2/3-dealiased;
-with band-limited states the dealiased quadratic terms are alias-free
-and the semi-discrete scheme conserves the L2 norm exactly, leaving
-only the O(dt^4) time-discretization drift.
+consistent with the stage density. Every model's stages, and those of
+`advect_scalar`, run on rfft2 half-spectra (see `elliptic`) through one
+advection kernel; values return to the grid once per step, as the
+step's increment followed by a mean projection. Advection products are
+2/3-dealiased; with band-limited states the dealiased quadratic terms
+are alias-free and the semi-discrete scheme conserves the L2 norm
+exactly, leaving only the O(dt^4) time-discretization drift.
 
 Steps never cross sample times: run_simulation shortens the last step
 of each segment to land on k * sample_interval exactly, which keeps
@@ -35,7 +36,6 @@ from .spectral import (
     TorusGrid,
     NormKind,
     dealias,
-    derivative,
     inv_laplacian,
     kernel,
     norm,
@@ -44,6 +44,8 @@ from .spectral import (
 from .elliptic import (
     EllipticConvergenceError,
     EllipticDivergenceError,
+    _det_half,
+    _hessian_half,
     _picard,
     _potential_norms,
     solve_corrector_potential,
@@ -276,17 +278,9 @@ def initial_data_field(grid: TorusGrid, spec) -> ScalarField:
 
 # --- stage algebra ---------------------------------------------------------
 
-def _advection(potential: ScalarField, rho: ScalarField) -> ScalarField:
-    """Dealiased u . grad rho for u = perp grad potential."""
-    ux, uy = perp_gradient(potential)
-    rx = derivative(rho, (1, 0))
-    ry = derivative(rho, (0, 1))
-    return dealias(ux * rx + uy * ry)
-
-
 def _advection_half(kern, pot_hat: np.ndarray, rho_hat: np.ndarray) -> np.ndarray:
-    """`_advection` on rfft2 half-spectra: 4 inverse transforms (two
-    batched irfft2 calls) and 1 masked rfft2."""
+    """Half-spectrum of the dealiased u . grad rho for u = perp grad potential:
+    4 inverse transforms (two batched irfft2 calls) and 1 masked rfft2."""
     px, py = np.fft.irfft2(kern.grad * pot_hat)
     rx, ry = np.fft.irfft2(kern.grad * rho_hat)
     return kern.mask_half * np.fft.rfft2(px * ry - py * rx)
@@ -312,8 +306,13 @@ def cfl_limit(state: SimState, cfl: float = 0.5) -> float:
     return cfl * state.rho.grid.h / max(state.max_speed, 1e-14)
 
 
-def _project_mean(f: ScalarField) -> ScalarField:
-    return f - f.mean()
+def _advance(f: ScalarField, r0: np.ndarray, r1: np.ndarray) -> ScalarField:
+    """f moved by the half-spectrum step r0 -> r1, then mean-projected.
+
+    The increment, not r1, returns to grid values, so a state the flow
+    leaves unchanged keeps its bits instead of taking a round trip."""
+    out = f + np.fft.irfft2(r1 - r0)
+    return out - out.mean()
 
 
 def _rk4(deriv, t, y, h, k1=None):
@@ -349,27 +348,32 @@ def step_rk4(state: SimState, dt: float, cfl: float = 0.5) -> SimState:
         raise StepSizeError(f"dt = {dt:.3e} exceeds CFL limit {limit:.3e}")
 
     model, eps = state.model, state.eps
+    kern = kernel(state.rho.grid.n)
 
     if model == "Corrector":
         def corrector_deriv(t, y):
             rb, rc = y
-            phibar = inv_laplacian(rb)
-            phi1 = solve_corrector_potential(rc, phibar)
-            kb = -_advection(phibar, rb)
-            return kb, -(_advection(phibar, rc) + _advection(phi1, rb))
+            kern.require_mean_zero(rb)
+            phibar = kern.inv_lap_half * rb
+            rhs = rc - _det_half(kern, _hessian_half(kern, phibar))
+            kern.require_mean_zero(rhs)
+            phi1 = kern.inv_lap_half * rhs
+            kb = -_advection_half(kern, phibar, rb)
+            return kb, -(_advection_half(kern, phibar, rc) + _advection_half(kern, phi1, rb))
 
-        y0 = (state.background.rho, state.rho)
-        rb, rc = (_project_mean(r) for r in _rk4(corrector_deriv, state.time, y0, dt))
+        bg = state.background
+        y0 = (bg.rho.hat, state.rho.hat)
+        y1 = _rk4(corrector_deriv, state.time, y0, dt)
+        rb, rc = map(_advance, (bg.rho, state.rho), y0, y1)
         t1 = state.time + dt
         phibar = inv_laplacian(rb)
         new_bg = SimState(t1, "Euler", 0.0, rb, phibar)
         phi1 = solve_corrector_potential(rc, phibar)
         return SimState(t1, "Corrector", eps, rc, phi1, background=new_bg)
 
-    # SG/Euler: the stages run on rfft2 half-spectra; each SG stage solve
-    # starts from the previous stage's potential and its Hessian
-    kern = kernel(state.rho.grid.n)
-    pot_hat, hess = np.fft.rfft2(state.potential.values), None
+    # SG/Euler: each SG stage solve starts from the previous stage's
+    # potential and its Hessian
+    pot_hat, hess = state.potential.hat, None
     sg = model == "SGeps" and eps != 0.0
 
     def potential(r):
@@ -385,12 +389,10 @@ def step_rk4(state: SimState, dt: float, cfl: float = 0.5) -> SimState:
         (r,) = y
         return (-_advection_half(kern, potential(r), r),)
 
-    r0 = np.fft.rfft2(state.rho.values)
+    r0 = state.rho.hat
     k1 = (-_advection_half(kern, pot_hat, r0),)  # reuse the solved potential
     (r1,) = _rk4(deriv, state.time, (r0,), dt, k1)
-    # the step's increment, not r1, returns to grid values, so a state the
-    # flow leaves unchanged keeps its bits instead of taking a round trip
-    rho1 = _project_mean(state.rho + np.fft.irfft2(r1 - r0))
+    rho1 = _advance(state.rho, r0, r1)
     r1[0, 0] = 0.0  # the same mean projection on the half-spectrum
     pot1 = potential(r1)
     return SimState(state.time + dt, model, eps, rho1,
@@ -537,21 +539,24 @@ def _retime(state: SimState, t: float) -> SimState:
 def advect_scalar(sigma0: ScalarField, potential_at, t0: float, t1: float,
                   dt: float, forcing_at=None) -> ScalarField:
     """Integrate d_t sigma + u . grad sigma = f with u = perp grad of a
-    prescribed potential series; RK4 with the same dealiased advection
-    as the active models. forcing_at may be None for pure transport."""
+    prescribed potential series; RK4 on half-spectra with the same
+    dealiased advection as the active models. forcing_at may be None
+    for pure transport."""
     steps = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
     h = (t1 - t0) / steps
+    kern = kernel(sigma0.grid.n)
 
     def deriv(tau, y):
-        out = -_advection(potential_at(tau), y[0])
+        out = -_advection_half(kern, potential_at(tau).hat, y[0])
         if forcing_at is not None:
-            out = out + forcing_at(tau)
+            out = out + forcing_at(tau).hat
         return (out,)
 
     sigma = sigma0
     t = t0
     for _ in range(steps):
-        (sigma,) = _rk4(deriv, t, (sigma,), h)
-        sigma = _project_mean(sigma)
+        s0 = sigma.hat
+        (s1,) = _rk4(deriv, t, (s0,), h)
+        sigma = _advance(sigma, s0, s1)
         t += h
     return sigma

@@ -90,6 +90,28 @@ class TestRunVerb:
         assert times == sorted(times) and times[-1] <= meta["exit_time"]
         assert meta["final_t"] == times[-1]
 
+    def test_stall_after_t0_leaves_partial_ndjson(self, run_cfg, tmp_path, monkeypatch):
+        # the t = 0 solve runs as usual; every RK4 stage solve after it gets
+        # one Picard sweep, which cannot reach the tolerance, so the first
+        # step stalls
+        from sglab import transport
+        from sglab.transport import DiagnosticsRecord
+
+        picard = transport._picard
+        monkeypatch.setattr(transport, "_picard",
+                            lambda *a, **k: picard(*a, **{**k, "max_iter": 1}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", run_cfg]) == EXIT_INFRA
+        meta = json.loads((out / "run.json").read_text())
+        assert meta["exit_reason"] == "elliptic_stall"
+        assert meta["exit_time"] == 0.0 and meta["steps"] == 0
+        lines = (out / "run.ndjson").read_text().splitlines()
+        assert len(lines) == meta["samples"] == 1  # a full run has 3
+        rec = json.loads(lines[0])
+        assert list(rec) == list(DiagnosticsRecord.FIELD_ORDER)
+        assert rec["t"] == meta["final_t"] == 0.0
+        assert rec["l2_rho"] == meta["final_l2_rho"] > 0
+
     def test_rejects_bad_config(self, tmp_path):
         bad = write_json(tmp_path / "bad.json", {"n": 48, "model": "Euler"})
         assert main(["run", "--config", bad]) == EXIT_INFRA

@@ -50,7 +50,8 @@ def reference_sg_solve(rho, eps, tol=1e-12, max_iter=100):
     for sweep in range(1, max_iter + 1):
         hlinf = hessian_linf(psi)
         det = hessian_det(psi)
-        rhs = ScalarField.from_spectral(rho.grid, rho.spectral - eps * det.spectral)
+        rhs = ScalarField(rho.grid, np.real(np.fft.ifft2(
+            np.fft.fft2(rho.values) - eps * np.fft.fft2(det.values))))
         psi_next = inv_laplacian(rhs)
         update = norm(psi_next - psi, h1)
         scale = max(norm(psi_next, h1), 1e-14)

@@ -102,6 +102,27 @@ def test_velocity_coverage_error(euler128):
     prov = TrajectoryVelocity(euler128)
     with pytest.raises(ValueError, match="coverage"):
         prov.pair(2.0)
+    with pytest.raises(ValueError, match="coverage"):
+        prov.filtered_pair(2.0)
+
+
+def test_filtered_pair_is_the_filtered_velocity(euler128, grid64):
+    # the prefilter is linear, so combining per-sample coefficients with
+    # the Lagrange weights equals filtering the combined velocity
+    from scipy import ndimage
+
+    def spline(u):
+        return ndimage.spline_filter(u, order=3, mode="grid-wrap")
+
+    prov = TrajectoryVelocity(euler128)
+    for t in (0.0, 0.05, 0.1375, 0.61, 1.0):
+        for got, u in zip(prov.filtered_pair(t), prov.pair(t), strict=True):
+            want = spline(u)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    shear = ScalarField.from_function(grid64, lambda x, y: np.sin(2 * np.pi * y))
+    field = FieldVelocity(grid64, lambda t: (shear, (1 + t) * shear))
+    for got, u in zip(field.filtered_pair(0.5), field.pair(0.5), strict=True):
+        assert np.array_equal(got, spline(u))
 
 
 # ---------------------------------------------------------------- gaps

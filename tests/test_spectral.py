@@ -253,3 +253,94 @@ def test_norm_positive_definite(grid):
     z = ScalarField.zeros(grid)
     for kind in (NormKind.L2, NormKind.Linf, NormKind.Hminus1, NormKind.GradLinf):
         assert norm(z, kind) == 0.0
+
+
+# --- the full-spectrum path, kept as the reference ------------------------
+# The operators ran on full fft2 spectra (multipliers built per call from
+# integer frequencies, real part of the inverse transform) before they
+# moved to the rfft2 half-spectrum kernel; the kernel must reproduce them.
+
+def full_tables(n):
+    freqs = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+    p, q = np.meshgrid(freqs, freqs, indexing="ij")
+    k_mag = 2.0 * np.pi * np.sqrt(p.astype(float) ** 2 + q.astype(float) ** 2)
+    mask = np.maximum(np.abs(p), np.abs(q)) <= n / 3.0
+    inv_lap = np.zeros_like(k_mag)
+    nz = k_mag > 0
+    inv_lap[nz] = -1.0 / k_mag[nz] ** 2
+    return p, q, k_mag, mask, inv_lap
+
+
+def reference_derivative(values, order):
+    p, q = full_tables(values.shape[0])[:2]
+    a, b = order
+    mult = (2j * np.pi * p) ** a * (2j * np.pi * q) ** b
+    return np.real(np.fft.ifft2(mult * np.fft.fft2(values)))
+
+
+def reference_inv_laplacian(values):
+    return np.real(np.fft.ifft2(full_tables(values.shape[0])[4] * np.fft.fft2(values)))
+
+
+def reference_dealias(values):
+    return np.real(np.fft.ifft2(full_tables(values.shape[0])[3] * np.fft.fft2(values)))
+
+
+def reference_hs_norm(values, s):
+    n = values.shape[0]
+    km = full_tables(n)[2]
+    c2 = np.abs(np.fft.fft2(values) / n ** 2) ** 2
+    nz = km > 0
+    return float(np.sqrt(np.sum(km[nz] ** (2.0 * s) * c2[nz])))
+
+
+def reference_grad_linf(values):
+    return float(np.max(np.hypot(reference_derivative(values, (1, 0)),
+                                 reference_derivative(values, (0, 1)))))
+
+
+def nyquist_field(n, seed):
+    """Mean-zero white noise plus explicit Nyquist-row and -column modes."""
+    rng = np.random.default_rng([n, seed])
+    x = np.arange(n) / n
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    vals = (rng.standard_normal((n, n)) + np.cos(np.pi * n * X) * np.sin(2 * np.pi * 3 * Y)
+            + np.cos(np.pi * n * Y) * np.cos(2 * np.pi * X))
+    vals -= vals.mean()
+    spec = np.abs(np.fft.fft2(vals))
+    assert spec[n // 2].max() > 1e-3 * spec.max() and spec[:, n // 2].max() > 1e-3 * spec.max()
+    return ScalarField(TorusGrid(n), vals)
+
+
+def assert_close(got, want, rel=1e-13):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_operators_match_full_spectrum_reference(n, seed):
+    f = nyquist_field(n, seed)
+    for order in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+        assert_close(derivative(f, order).values, reference_derivative(f.values, order))
+    assert_close(inv_laplacian(f).values, reference_inv_laplacian(f.values))
+    assert_close(dealias(f).values, reference_dealias(f.values))
+    ux, uy = perp_gradient(f)
+    assert_close(ux.values, -reference_derivative(f.values, (0, 1)))
+    assert_close(uy.values, reference_derivative(f.values, (1, 0)))
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_norms_match_full_spectrum_reference(n, seed):
+    f = nyquist_field(n, seed)
+    for s in (-1.0, 1.0, 2.0, 3.0):
+        assert norm(f, NormKind.Hs(s)) == pytest.approx(reference_hs_norm(f.values, s), rel=1e-13)
+    assert norm(f, NormKind.GradLinf) == pytest.approx(reference_grad_linf(f.values), rel=1e-13)
+
+
+def test_half_spectrum_is_cached_and_read_only(grid):
+    f = field_from(grid, lambda x, y: np.cos(2 * np.pi * x))
+    assert f.hat is f.hat
+    assert np.array_equal(f.hat, np.fft.rfft2(f.values))
+    with pytest.raises(ValueError):
+        f.hat[0, 0] = 1.0

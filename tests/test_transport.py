@@ -21,6 +21,7 @@ from sglab.elliptic import (
     hessian_det,
     hessian_l2,
     hessian_linf,
+    solve_corrector_potential,
 )
 from sglab.lagrangian import TrajectoryVelocity
 from sglab.transport import (
@@ -163,6 +164,28 @@ def test_rk4_order():
     assert 11.0 < ratio < 22.0
 
 
+def reference_advection(potential, rho):
+    """Dealiased u . grad rho for u = perp grad potential on ScalarField
+    operations, as every RK4 stage formed it before the stages moved to
+    half-spectrum states."""
+    ux, uy = perp_gradient(potential)
+    return dealias(ux * derivative(rho, (1, 0)) + uy * derivative(rho, (0, 1)))
+
+
+def reference_rk4(rate, t, y, h):
+    """Classical RK4 on a tuple of ScalarFields, each mean-projected."""
+    def shifted(a, k):
+        return tuple(yi + a * ki for yi, ki in zip(y, k))
+
+    k1 = rate(t, y)
+    k2 = rate(t + h / 2, shifted(h / 2, k1))
+    k3 = rate(t + h / 2, shifted(h / 2, k2))
+    k4 = rate(t + h, shifted(h, k3))
+    out = (yi + (h / 6) * (a + 2.0 * b + 2.0 * c + d)
+           for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+    return tuple(f - f.mean() for f in out)
+
+
 def reference_step(state, dt):
     """One SG/Euler RK4 step on ScalarField operations with a cold
     reference solve in every stage, as step_rk4 ran before its
@@ -173,8 +196,7 @@ def reference_step(state, dt):
         return inv_laplacian(r)
 
     def rate(pot, r):
-        ux, uy = perp_gradient(pot)
-        return -dealias(ux * derivative(r, (1, 0)) + uy * derivative(r, (0, 1)))
+        return -reference_advection(pot, r)
 
     r0 = state.rho
     k1 = rate(state.potential, r0)
@@ -204,6 +226,67 @@ def test_step_matches_scalarfield_reference(model, eps, preset):
     assert norm(s1.rho - ref_rho, NormKind.L2) <= 1e-13 * norm(ref_rho, NormKind.L2)
     h1 = NormKind.Hs(1.0)
     assert norm(s1.potential - ref_pot, h1) <= 1e-13 * norm(ref_pot, h1)
+
+
+def reference_corrector_step(state, dt):
+    """One Corrector RK4 step on ScalarField operations, as step_rk4 ran
+    before its Corrector stages moved to half-spectrum states. Returns
+    (rhobar, rho1)."""
+    def rate(t, y):
+        rb, rc = y
+        phibar = inv_laplacian(rb)
+        phi1 = solve_corrector_potential(rc, phibar)
+        return (-reference_advection(phibar, rb),
+                -(reference_advection(phibar, rc) + reference_advection(phi1, rb)))
+
+    return reference_rk4(rate, state.time, (state.background.rho, state.rho), dt)
+
+
+def test_corrector_step_matches_scalarfield_reference():
+    s0 = _initial_state(RunConfig(n=64, model="Corrector", eps=0.02))
+    dt = 0.9 * cfl_limit(s0, 0.5)
+    s1 = step_rk4(s0, dt)  # rho1 starts at 0; the second step moves both parts
+    for s in (s0, s1):
+        nxt = step_rk4(s, dt)
+        ref_bg, ref_rho = reference_corrector_step(s, dt)
+        for got, want in ((nxt.background.rho, ref_bg), (nxt.rho, ref_rho)):
+            assert norm(got - want, NormKind.L2) <= 1e-13 * norm(want, NormKind.L2)
+        h1 = NormKind.Hs(1.0)
+        phibar = inv_laplacian(ref_bg)
+        phi1 = solve_corrector_potential(ref_rho, phibar)
+        assert norm(nxt.background.potential - phibar, h1) <= 1e-13 * norm(phibar, h1)
+        assert norm(nxt.potential - phi1, h1) <= 1e-13 * norm(phi1, h1)
+
+
+def test_advect_scalar_matches_scalarfield_reference():
+    g = TorusGrid(64)
+    rng = np.random.default_rng(4)
+
+    def smooth(scale):
+        f = dealias(ScalarField(g, scale * rng.standard_normal((64, 64))))
+        return f - f.mean()
+
+    psi_a, psi_b, sigma0, force = smooth(0.01), smooth(0.01), smooth(1.0), smooth(0.5)
+
+    def potential_at(t):
+        return np.cos(3 * t) * psi_a + t * psi_b
+
+    def forcing_at(t):
+        return (1 + t) * force
+
+    for forcing in (None, forcing_at):
+        out = advect_scalar(sigma0, potential_at, 0.1, 0.4, dt=0.05, forcing_at=forcing)
+
+        def rate(t, y):
+            r = -reference_advection(potential_at(t), y[0])
+            return (r,) if forcing is None else (r + forcing(t),)
+
+        ref, t = sigma0, 0.1
+        for _ in range(6):
+            (ref,) = reference_rk4(rate, t, (ref,), 0.05)
+            t += 0.05
+        assert norm(out - ref, NormKind.L2) <= 1e-13 * norm(ref, NormKind.L2)
+        assert norm(out - sigma0, NormKind.L2) > 1e-2 * norm(sigma0, NormKind.L2)
 
 
 def test_max_speed_is_computed_once_per_state(monkeypatch):
@@ -320,12 +403,10 @@ def test_corrector_elliptic_identity():
 def test_corrector_transport_defect_scales_quadratically():
     # the corrected pair transports rho_t with defect exactly
     # eps^2 * u1 . grad rho1; verify the eps^2 scaling of its L2 norm
-    from sglab.transport import _advection
-
     cfg = RunConfig(n=64, model="Corrector", t_final=0.2, sample_interval=0.1)
     t = run_simulation(cfg)
     final = t.final_state
-    defect = _advection(final.potential, final.rho)  # u1 . grad rho1
+    defect = reference_advection(final.potential, final.rho)  # u1 . grad rho1
     base = norm(defect, NormKind.L2)
     for eps in (0.1, 0.01):
         assert eps ** 2 * base == pytest.approx(
