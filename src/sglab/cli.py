@@ -219,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--config", required=True, help="experiment config JSON path")
     exp.add_argument("--out", help="output directory (default: base output_dir)")
     exp.add_argument("--seed", type=int, help="override base config seed")
-    exp.add_argument("--threads", type=int, default=1, help="worker threads")
+    exp.add_argument("--threads", type=int, default=1,
+                     help="worker processes (fork)")
     exp.set_defaults(func=_cmd_experiment)
 
     chk = sub.add_parser("check", help="run the inequality suite for one seed")

@@ -32,8 +32,10 @@ fixed spec and seed.
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -165,18 +167,35 @@ def _fresh_row(eps):
     }
 
 
-def _map_runs(eps_list, fn, threads):
-    """Run fn(eps) for each eps, merging results in eps_list order."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {eps: pool.submit(fn, eps) for eps in eps_list}
-            return [futures[eps].result() for eps in eps_list]
-    return [fn(eps) for eps in eps_list]
+def _map_runs(items, fn, threads):
+    """Run fn(item) for each item, returning the results in input order.
+
+    With threads > 1 the runs go to min(threads, len(items)) worker
+    processes. They are forked, so they inherit the imported modules and
+    the warm `spectral.kernel` caches; a fork-context pool starts every
+    worker before its manager thread, so no thread is alive at fork
+    time. fn, its arguments, its results and anything it raises must
+    pickle: module-level functions or partials of them.
+    """
+    workers = min(threads, len(items))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _run_model(base, model, eps, **overrides):
     cfg = replace(base, model=model, eps=eps, **overrides)
     return run_simulation(cfg)
+
+
+def _run_sg_and_corrector(base, eps):
+    return _run_model(base, "SGeps", eps), _run_model(base, "Corrector", eps)
+
+
+def _run_suite_seed(seed):
+    return run_suite(seed, count=SUITE_COUNT)
 
 
 def _stayed_inside(traj):
@@ -260,10 +279,7 @@ def _stability_core(spec, threads, report):
     if euler.exit_reason is not None:
         raise RuntimeError(f"Euler reference run ended early: {euler.exit_reason}")
 
-    def one(eps):
-        traj = _run_model(spec.base, "SGeps", eps)
-        return traj
-
+    one = partial(_run_model, spec.base, "SGeps")
     outcomes = []
     for eps, traj in zip(spec.eps_list, _map_runs(spec.eps_list, one, threads)):
         row = _fresh_row(eps)
@@ -403,12 +419,7 @@ def _consistency_residual(corr_state, eps):
 
 def _run_corrector(spec, threads):
     report = ExperimentReport(kind="corrector", eps_list=list(spec.eps_list))
-
-    def one(eps):
-        sg = _run_model(spec.base, "SGeps", eps)
-        corr = _run_model(spec.base, "Corrector", eps)
-        return sg, corr
-
+    one = partial(_run_sg_and_corrector, spec.base)
     outcomes = []
     worst_resid = 0.0
     for eps, (sg, corr) in zip(spec.eps_list,
@@ -450,10 +461,7 @@ def _run_corrector(spec, threads):
 def _run_lifespan(spec, threads):
     report = ExperimentReport(kind="lifespan", eps_list=list(spec.eps_list))
     report.notes.append(LIFESPAN_NOTE)
-
-    def one(eps):
-        return _run_model(spec.base, "SGeps", eps, stop_on_exit=True)
-
+    one = partial(_run_model, spec.base, "SGeps", stop_on_exit=True)
     exit_times = {}
     riccati = {}
     calpha_series = {}
@@ -509,11 +517,7 @@ def _run_lifespan(spec, threads):
 def _run_inequalities(spec, threads):
     report = ExperimentReport(kind="inequalities", eps_list=list(spec.eps_list))
     seeds = [spec.base.seed + k for k in range(SUITE_SEEDS)]
-
-    def one(seed):
-        return run_suite(seed, count=SUITE_COUNT)
-
-    suites = _map_runs(seeds, one, threads)
+    suites = _map_runs(seeds, _run_suite_seed, threads)
     records = []
     max_ratios = {}
     bounds = {}

@@ -291,11 +291,12 @@ class _Bundle:
         self.corrector = run_simulation(
             RunConfig(model="Corrector", eps=BUNDLE_EPS, **base))
         self.rho0 = self.euler.states[0].rho
-        self.gaps = paired_gap_series(self.sg, self.euler, m=FLOW_LABELS,
-                                      dt=FLOW_DT)
-        self.times = np.asarray(self.euler.times)
         self._vel_sg = TrajectoryVelocity(self.sg)
         self._vel_euler = TrajectoryVelocity(self.euler)
+        self.gaps = paired_gap_series(self.sg, self.euler, m=FLOW_LABELS,
+                                      dt=FLOW_DT,
+                                      providers=(self._vel_sg, self._vel_euler))
+        self.times = np.asarray(self.euler.times)
         self._backward = {}
 
     def backward_pair(self, t: float):

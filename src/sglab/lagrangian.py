@@ -156,7 +156,9 @@ class TrajectoryVelocity:
 
 class _FilteredLookup:
     """Caches a provider's spline coefficients per evaluation time within
-    one sweep."""
+    one sweep. Times are keyed rounded to 1e-12, since an RK4 step's last
+    stage t + h and the next step's start t0 + (k+1) h may differ in the
+    last bit."""
 
     def __init__(self, provider):
         self.provider = provider
@@ -164,7 +166,7 @@ class _FilteredLookup:
         self._cache = {}
 
     def __call__(self, t: float, x: np.ndarray, y: np.ndarray):
-        key = float(t)
+        key = round(float(t), 12)
         entry = self._cache.get(key)
         if entry is None:
             entry = self._cache[key] = self.provider.filtered_pair(t)
@@ -314,11 +316,14 @@ def pushforward_density(rho0: ScalarField, velocity_source, t: float,
 
 
 def paired_gap_series(traj_a: Trajectory, traj_b: Trajectory,
-                      m: int | None = None, dt: float | None = None) -> GapSeries:
+                      m: int | None = None, dt: float | None = None,
+                      providers=None) -> GapSeries:
     """Gap metrics between two runs sharing sample times and initial data.
 
     flow_gap advects both flows sample-to-sample; velocity_gap is
     ||grad(pot_a - pot_b)||_L2; hminus1_gap is ||rho_a - rho_b||_{H^-1}.
+    providers, when given, is the (TrajectoryVelocity(traj_a),
+    TrajectoryVelocity(traj_b)) pair a caller already holds.
     """
     times_a = np.asarray(traj_a.times)
     times_b = np.asarray(traj_b.times)
@@ -332,8 +337,9 @@ def paired_gap_series(traj_a: Trajectory, traj_b: Trajectory,
     if dt is None:
         dt = float(times[1] - times[0]) / 2
 
-    prov_a = TrajectoryVelocity(traj_a)
-    prov_b = TrajectoryVelocity(traj_b)
+    if providers is None:
+        providers = TrajectoryVelocity(traj_a), TrajectoryVelocity(traj_b)
+    prov_a, prov_b = providers
     fa = label_flow(m)
     fb = label_flow(m)
     fgap = [flow_gap(fa, fb)]

@@ -47,6 +47,9 @@ class MeanViolationError(ValueError):
         super().__init__(message, measured_mean)
         self.measured_mean = measured_mean
 
+    def __str__(self):
+        return self.args[0]
+
 
 class SpectralKernel:
     """Per-n rfft2 half-spectrum multipliers, built once per grid size by
@@ -216,6 +219,16 @@ class ScalarField:
             hat.setflags(write=False)
             self._hat = hat
         return self._hat
+
+    def __getstate__(self):
+        return self.grid, self._values, self._hat
+
+    def __setstate__(self, state):
+        # unpickled arrays come back writeable; fields stay immutable
+        self.grid, self._values, self._hat = state
+        for arr in (self._values, self._hat):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @classmethod
     def from_function(cls, grid: TorusGrid, fn) -> "ScalarField":

@@ -74,8 +74,11 @@ class W2ConvergenceError(RuntimeError):
     """Sinkhorn hit its iteration cap before the marginal tolerance."""
 
     def __init__(self, message, marginal_error):
-        super().__init__(message)
+        super().__init__(message, marginal_error)
         self.marginal_error = marginal_error
+
+    def __str__(self):
+        return self.args[0]
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,20 @@ class TestExperimentVerb:
         })
         assert main(["experiment", "--config", cfg]) == EXIT_INFRA
 
+    def test_divergence_at_t0_in_worker_is_infra_error(self, tmp_path, capfd):
+        # the solve diverges inside a worker process; its error must
+        # reach main() with its own type, not as a broken pool
+        cfg = write_json(tmp_path / "life0.json", {
+            "kind": "lifespan", "eps_list": [0.6, 0.5, 0.4],
+            "base": {"n": 32, "model": "SGeps", "t_final": 0.1,
+                     "sample_interval": 0.05, "initial_data": "default",
+                     "output_dir": str(tmp_path / "life0_out")},
+        })
+        assert main(["experiment", "--config", cfg, "--threads", "2"]) == EXIT_INFRA
+        err = capfd.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestCheckVerb:
     def test_single_seed_suite(self, tmp_path, capsys):

@@ -2,21 +2,28 @@
 emission schema, and byte determinism."""
 
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sglab.config import ExperimentSpec, RunConfig
+from sglab import experiments
+from sglab.config import ConfigError, ExperimentSpec, RunConfig
+from sglab.elliptic import EllipticConvergenceError, EllipticDivergenceError
 from sglab.experiments import (
     ExperimentReport,
     LIFESPAN_NOTE,
+    _map_runs,
     _w2_sample_indices,
     emit_report,
     ols_loglog,
     riccati_fit,
     run_experiment,
 )
+from sglab.spectral import MeanViolationError
+from sglab.transport import StepSizeError
+from sglab.wasserstein import W2ConvergenceError
 
 SUMMARY_HEADER = "eps,sup_velocity_gap,sup_w2,exit_time,slope,slope_stderr,status"
 
@@ -24,6 +31,21 @@ SUMMARY_HEADER = "eps,sup_velocity_gap,sup_w2,exit_time,slope,slope_stderr,statu
 def small_base(datum, **kw):
     return RunConfig(n=32, t_final=0.1, sample_interval=0.05,
                      initial_data=datum, **kw)
+
+
+def emitted_bytes(report, out_dir):
+    return {Path(p).name: Path(p).read_bytes() for p in emit_report(report, out_dir)}
+
+
+def assert_thread_counts_agree(spec, tmp_path, reports):
+    """Every file emit_report writes is byte-identical at threads 1, 2, 3."""
+    for threads in (1, 2, 3):
+        if threads not in reports:
+            reports[threads] = run_experiment(spec, threads=threads)
+    files = {t: emitted_bytes(rep, tmp_path / f"threads{t}")
+             for t, rep in reports.items()}
+    assert files[1]
+    assert files[1] == files[2] == files[3]
 
 
 @pytest.fixture(scope="module")
@@ -99,11 +121,10 @@ class TestStabilityDriver:
         assert rep.fit["stderr"] == 0.0
         assert any("excluded" in note for note in rep.notes)
 
-    def test_threads_do_not_change_results(self, mild_stability):
+    def test_threads_do_not_change_results(self, mild_stability, tmp_path):
+        # SG runs from worker processes meet the parent's Euler run
         spec, rep2 = mild_stability
-        rep1 = run_experiment(spec, threads=1)
-        assert rep1.fit == rep2.fit
-        assert rep1.summary_rows == rep2.summary_rows
+        assert_thread_counts_agree(spec, tmp_path, {2: rep2})
 
 
 class TestLifespanDriver:
@@ -120,6 +141,71 @@ class TestLifespanDriver:
         assert LIFESPAN_NOTE in rep.notes
         assert set(rep.runs) == {"lifespan_eps0.2", "lifespan_eps0.1",
                                  "lifespan_eps0.05"}
+
+
+def _raise_on_odd(k):
+    # module level, so pool workers can unpickle it by name
+    if k % 2:
+        raise W2ConvergenceError(f"item {k}", 0.5)
+    return k
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("spec", [
+        ExperimentSpec(kind="corrector", eps_list=[0.04, 0.02, 0.01],
+                       base=small_base("mild")),
+        ExperimentSpec(kind="lifespan", eps_list=[0.2, 0.1, 0.05],
+                       base=RunConfig(n=32, t_final=2.0, sample_interval=0.5,
+                                      model="SGeps", initial_data="steep",
+                                      stop_on_exit=True)),
+    ], ids=["corrector", "lifespan"])
+    def test_threads_do_not_change_emitted_files(self, spec, tmp_path):
+        assert_thread_counts_agree(spec, tmp_path, {})
+
+    def test_worker_error_reaches_caller_with_its_type(self):
+        with pytest.raises(W2ConvergenceError) as exc:
+            _map_runs([0, 1, 2], _raise_on_odd, threads=2)
+        assert exc.value.marginal_error == 0.5
+
+    def test_pool_starts_at_most_one_worker_per_item(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, mp_context):
+                started.append((max_workers, mp_context.get_start_method()))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        assert _map_runs([0, 2, 4], _raise_on_odd, threads=8) == [0, 2, 4]
+        assert started == [(3, "fork")]
+        # one worker's worth of work runs in this process
+        assert _map_runs([0, 2], _raise_on_odd, threads=1) == [0, 2]
+        assert _map_runs([2], _raise_on_odd, threads=8) == [2]
+        assert started == [(3, "fork")]
+
+    @pytest.mark.parametrize("err", [
+        ConfigError("key 'n': bad"),
+        EllipticDivergenceError("eps*||D^2 psi|| > 1/2"),
+        EllipticConvergenceError("no convergence"),
+        MeanViolationError("field mean 1e-3", 1e-3),
+        StepSizeError("dt exceeds CFL limit"),
+        W2ConvergenceError("marginal error 1e-3", 1e-3),
+    ], ids=lambda err: type(err).__name__)
+    def test_errors_survive_pickle(self, err):
+        # a worker's error reaches the caller pickled
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is type(err)
+        assert back.args == err.args
+        assert vars(back) == vars(err)
+        assert str(back) == err.args[0]  # the CLI prints str(err)
 
 
 class TestEmission:

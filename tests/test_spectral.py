@@ -6,6 +6,8 @@ here as a literal, so a regression in the FFT plumbing cannot hide
 behind a matching bug in the code under test.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,19 @@ def test_values_immutable(grid):
     f = field_from(grid, lambda x, y: np.cos(2 * np.pi * x))
     with pytest.raises(ValueError):
         f.values[0, 0] = 3.0
+
+
+def test_pickle_keeps_half_spectrum_and_immutability(grid):
+    # worker processes send fields back to the experiment drivers pickled
+    f = field_from(grid, lambda x, y: np.cos(2 * np.pi * x))
+    f.hat
+    back = pickle.loads(pickle.dumps(f))
+    assert back.grid == f.grid
+    assert np.array_equal(back.values, f.values)
+    assert np.array_equal(back.hat, f.hat)
+    for arr in (back.values, back.hat):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 3.0
 
 
 # --- derivatives -----------------------------------------------------------
