@@ -16,7 +16,10 @@ Two solvers:
   OT(a,b) - (OT(a,a) + OT(b,b))/2 is one exact sum of per-atom
   differences of the three solves' potentials, since the three values
   nearly cancel; bitwise-equal inputs run one solve and give exactly
-  zero.
+  zero. The cross term alternates the two half-steps; the two
+  self-transport terms iterate the averaged symmetric update
+  f <- (f + T(f))/2 (Feydy et al. 2019), one half-step per iteration,
+  and converge in about a tenth of the iterations.
 
 * w2_exact_small: the transport linear program, for cross-checking the
   entropic solver on problems up to 16 x 16. It is solved by column
@@ -71,11 +74,16 @@ REDUCED_COST_TOL = 1e-12
 
 
 class W2ConvergenceError(RuntimeError):
-    """Sinkhorn hit its iteration cap before the marginal tolerance."""
+    """Sinkhorn hit its iteration cap before the marginal tolerance.
 
-    def __init__(self, message, marginal_error):
-        super().__init__(message, marginal_error)
+    The message names the failing solve: OT(a,b), or one of the
+    debiasing terms OT(a,a) and OT(b,b).
+    """
+
+    def __init__(self, message, marginal_error, iterations=None):
+        super().__init__(message, marginal_error, iterations)
         self.marginal_error = marginal_error
+        self.iterations = iterations
 
     def __str__(self):
         return self.args[0]
@@ -201,59 +209,89 @@ def _half_update(pot_other, logw_other, cost, kernel, reg):
     return -reg * T.T
 
 
-def _ot_reg(wa, wb, reg, tol, cap):
+def _ot_reg(wa, wb, reg, tol, cap, term):
     """Entropic OT between lattice weight arrays, log domain.
 
-    Anneals the regularization from 0.25 down to reg with warm-started
-    potentials, then polishes at reg until the L1 marginal violation of
-    the implied plan drops to tol. Returns (f, g, dev, iterations,
-    marginal_error): the potentials on both lattices and dev, the
-    per-atom deviation of the plan's first marginal from wa. The
-    entropic value is sum(wa*f) + sum(wb*g) - reg*sum(dev): the bare sum
-    of potentials is only first-order accurate in the marginal
-    violation, while subtracting reg * (total plan mass - 1) makes the
-    value stationary at the fixed point and hence second-order accurate.
+    Anneals the regularization from 0.25 down to reg, two iterations per
+    halving with warm-started potentials, then polishes at reg until the
+    L1 marginal violation of the implied plan drops to tol. Returns
+    (f, g, dev, iterations, marginal_error): the potentials on both
+    lattices and dev, the per-atom deviation of the plan's first
+    marginal from wa. The entropic value is
+    sum(wa*f) + sum(wb*g) - reg*sum(dev): the bare sum of potentials is
+    only first-order accurate in the marginal violation, while
+    subtracting reg * (total plan mass - 1) makes the value stationary
+    at the fixed point and hence second-order accurate.
+
+    Different weights alternate the two half-steps, f <- T_b(g) and
+    g <- T_a(f). Equal weights (a density transported onto itself) have
+    a symmetric optimum g = f, and iterate the averaged symmetric update
+    f <- (f + T(f))/2 of Feydy et al. (2019), T being the half-step with
+    the other potential set to f. T's Jacobian is minus the plan's
+    Markov operator, so an error mode of its eigenvalue l in [0, 1]
+    contracts by (1 - l)/2 per averaged update, against l^2 per
+    alternating iteration: the smooth modes (l near 1) that hold the
+    alternating iteration back vanish fastest. A self-transport solve
+    takes about 20 iterations of one half-step each, against 200-odd of
+    two (16^2 calibration densities, reg 2e-3). Its marginal error is
+    sum(wa * |exp((f - T(f))/reg) - 1|), tested on f before averaging;
+    the plan with g = f has equal row and column marginals, so this one
+    number bounds both, and that f is returned with g = f.
+
+    `iterations` counts annealing and polishing iterations against cap;
+    term names the solve in the W2ConvergenceError raised at the cap.
+    That error reports the L1 row error at reg of the last f with the
+    other potential fitted to it at reg: the fitted marginal is exact,
+    so the plan's mass is 1 and the reported error is at most 2 even if
+    the cap fell inside the annealing.
     """
     ma, mb = wa.shape[0], wb.shape[0]
     with np.errstate(divide="ignore"):
         la = np.log(wa)
         lb = np.log(wb)
     ca = _axis_cost(ma, mb)  # both axes use identical 1D lattices
+    symmetric = np.array_equal(wa, wb)
 
     f = np.zeros((ma, ma))
     g = np.zeros((mb, mb))
 
-    stages = []
+    schedule = []
     r = 0.25
     while r > reg * 1.0000001:
-        stages.append(r)
+        schedule += [r, r]
         r *= 0.5
-    iterations = 0
-    for r in stages:
-        k = np.exp(-ca / r)
-        for _ in range(2):
-            f = _half_update(g, lb, ca, k, r)
-            g = _half_update(f, la, ca.T, k.T, r)
-            iterations += 1
-
-    k = np.exp(-ca / reg)
-    err = np.inf
-    while iterations < cap:
-        f_new = _half_update(g, lb, ca, k, reg)
-        g = _half_update(f_new, la, ca.T, k.T, reg)
-        iterations += 1
-        # row marginals of the implied plan are wa * exp((f - f_new)/reg)
-        err = float(np.sum(wa * np.abs(np.exp((f - f_new) / reg) - 1.0)))
-        f = f_new
-        if err <= tol:
-            break
-    else:
-        raise W2ConvergenceError(
-            f"marginal error {err:.3e} after {iterations} iterations", err
-        )
+    kernels = {r: np.exp(-ca / r) for r in schedule + [reg]}
+    for iterations in range(1, cap + 1):
+        polish = iterations > len(schedule)
+        r = reg if polish else schedule[iterations - 1]
+        k = kernels[r]
+        if symmetric:
+            t = _half_update(f, la, ca, k, r)
+            if polish:
+                # row (= column) marginals of the plan (f, f)
+                dev = wa * (np.exp((f - t) / r) - 1.0)
+                err = float(np.sum(np.abs(dev)))
+                if err <= tol:
+                    return f, f, dev, iterations, err
+            f = 0.5 * (f + t)
+        else:
+            f_new = _half_update(g, lb, ca, k, r)
+            g = _half_update(f_new, la, ca.T, k.T, r)
+            if polish:
+                # row marginals of the plan (f, g) are wa * exp((f - f_new)/reg)
+                err = float(np.sum(wa * np.abs(np.exp((f - f_new) / r) - 1.0)))
+                if err <= tol:
+                    f_half = _half_update(g, lb, ca, k, reg)
+                    dev = wa * (np.exp((f_new - f_half) / reg) - 1.0)
+                    return f_new, g, dev, iterations, err
+            f = f_new
+    k = kernels[reg]
+    g = _half_update(f, la, ca.T, k.T, reg)
     f_half = _half_update(g, lb, ca, k, reg)
-    dev = wa * (np.exp((f - f_half) / reg) - 1.0)
-    return f, g, dev, iterations, err
+    err = float(np.sum(wa * np.abs(np.exp((f - f_half) / reg) - 1.0)))
+    raise W2ConvergenceError(
+        f"{term}: marginal error {err:.3e} after {cap} iterations", err, cap
+    )
 
 
 def w2_sinkhorn(a: DensityOnTorus, b: DensityOnTorus, reg: float = 5e-4,
@@ -262,21 +300,30 @@ def w2_sinkhorn(a: DensityOnTorus, b: DensityOnTorus, reg: float = 5e-4,
 
     Computes sqrt of OT_reg(a,b) - (OT_reg(a,a) + OT_reg(b,b))/2. The
     three values nearly cancel, so the difference is taken atom by
-    atom on the potentials and summed exactly (math.fsum). Bitwise-equal
-    weights run one solve and give exactly 0.
+    atom on the potentials and summed exactly (math.fsum). The two
+    debiasing terms run the averaged symmetric update (see _ot_reg), and
+    bitwise-equal weights run that one solve and give exactly 0.
+    OTResult.iterations sums the solves' iterations: one half-step per
+    symmetric iteration, two per alternating one. cap bounds each solve,
+    annealing included; a solve that reaches it raises
+    W2ConvergenceError naming the term.
     """
     if a.m > SINKHORN_SIDE_LIMIT or b.m > SINKHORN_SIDE_LIMIT:
         raise ValueError(f"lattice side exceeds {SINKHORN_SIDE_LIMIT}")
     if reg <= 0:
         raise ValueError("reg must be positive")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
     wa, wb = a.weights, b.weights
     if np.array_equal(wa, wb):
-        *_, it, err = _ot_reg(wa, wa, reg, tol, cap)
+        *_, it, err = _ot_reg(wa, wa, reg, tol, cap, "OT(a,a)")
         return OTResult(distance=0.0, method="sinkhorn", reg=reg,
                         iterations=it, marginal_error=err)
-    f_ab, g_ab, dev_ab, it_ab, err_ab = _ot_reg(wa, wb, reg, tol, cap)
-    f_aa, g_aa, dev_aa, it_aa, err_aa = _ot_reg(wa, wa, reg, tol, cap)
-    f_bb, g_bb, dev_bb, it_bb, err_bb = _ot_reg(wb, wb, reg, tol, cap)
+    f_ab, g_ab, dev_ab, it_ab, err_ab = _ot_reg(wa, wb, reg, tol, cap, "OT(a,b)")
+    f_aa, g_aa, dev_aa, it_aa, err_aa = _ot_reg(wa, wa, reg, tol, cap, "OT(a,a)")
+    f_bb, g_bb, dev_bb, it_bb, err_bb = _ot_reg(wb, wb, reg, tol, cap, "OT(b,b)")
     on_a = wa * (f_ab - 0.5 * (f_aa + g_aa)) - reg * (dev_ab - 0.5 * dev_aa)
     on_b = wb * (g_ab - 0.5 * (f_bb + g_bb)) + (0.5 * reg) * dev_bb
     s = math.fsum(np.concatenate([on_a.ravel(), on_b.ravel()]))

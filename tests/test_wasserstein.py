@@ -1,5 +1,8 @@
 """Transport distances: entropic solver vs LP oracle, bounds."""
 
+import math
+import pickle
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -300,16 +303,23 @@ def test_sinkhorn_identical_inputs_exact_zero(monkeypatch):
     assert r.marginal_error <= 1e-8
 
 
-def test_sinkhorn_debiasing_is_shift_invariant():
-    # SG and Euler densities about 2e-8 apart in W2: the three entropic
-    # values (about 1.6e-2 each) cancel to about 5e-16, and the
-    # circulant cost makes the exact value invariant under lattice shifts
+@pytest.fixture(scope="module")
+def calibration_pair():
+    """SG and Euler densities at t = 0.1, eps 0.01, downsampled to 16^2
+    as in the wasserstein experiment's calibration pass (reg 2e-3)."""
     base = dict(n=64, t_final=0.1, sample_interval=0.1)
     eps = 0.01
     euler = run_simulation(RunConfig(model="Euler", eps=0.0, **base))
     sg = run_simulation(RunConfig(model="SGeps", eps=eps, **base))
-    a = downsample(physical_density(sg.states[-1].rho, eps), 16)
-    b = downsample(physical_density(euler.states[-1].rho, eps), 16)
+    return (downsample(physical_density(sg.states[-1].rho, eps), 16),
+            downsample(physical_density(euler.states[-1].rho, eps), 16))
+
+
+def test_sinkhorn_debiasing_is_shift_invariant(calibration_pair):
+    # SG and Euler densities about 2e-8 apart in W2: the three entropic
+    # values (about 1.6e-2 each) cancel to about 5e-16, and the
+    # circulant cost makes the exact value invariant under lattice shifts
+    a, b = calibration_pair
     shifts = [(i, j) for i in range(0, 16, 4) for j in range(0, 16, 3)]
     d = np.array([
         w2_sinkhorn(DensityOnTorus(16, np.roll(a.weights, s, axis=(0, 1))),
@@ -349,6 +359,126 @@ def test_sinkhorn_cap_raises():
     with pytest.raises(W2ConvergenceError) as exc:
         w2_sinkhorn(a, b, reg=1e-4, cap=40)
     assert exc.value.marginal_error > 0
+
+
+def reference_ot_reg(wa, wb, reg, tol, cap):
+    """The alternating log-domain Sinkhorn loop for any pair of weights,
+    self-transport included: two iterations per annealing stage from 0.25
+    down to reg (not counted against cap), then polishing at reg. Returns
+    (f, g, dev, iterations, marginal_error) as wasserstein._ot_reg does."""
+    with np.errstate(divide="ignore"):
+        la, lb = np.log(wa), np.log(wb)
+    ca = wasserstein._axis_cost(wa.shape[0], wb.shape[0])
+    f, g = np.zeros(wa.shape), np.zeros(wb.shape)
+    stages = []
+    r = 0.25
+    while r > reg * 1.0000001:
+        stages.append(r)
+        r *= 0.5
+    iterations = 0
+    for r in stages:
+        k = np.exp(-ca / r)
+        for _ in range(2):
+            f = wasserstein._half_update(g, lb, ca, k, r)
+            g = wasserstein._half_update(f, la, ca.T, k.T, r)
+            iterations += 1
+    k = np.exp(-ca / reg)
+    err = np.inf
+    while iterations < cap and err > tol:
+        f_new = wasserstein._half_update(g, lb, ca, k, reg)
+        g = wasserstein._half_update(f_new, la, ca.T, k.T, reg)
+        iterations += 1
+        err = float(np.sum(wa * np.abs(np.exp((f - f_new) / reg) - 1.0)))
+        f = f_new
+    f_half = wasserstein._half_update(g, lb, ca, k, reg)
+    dev = wa * (np.exp((f - f_half) / reg) - 1.0)
+    return f, g, dev, iterations, err
+
+
+def reference_debiased_w2(wa, wb, reg, tol=1e-9, cap=100_000):
+    """OT(a,b) - (OT(a,a) + OT(b,b))/2 with every term alternating."""
+    f_ab, g_ab, dev_ab, *_ = reference_ot_reg(wa, wb, reg, tol, cap)
+    f_aa, g_aa, dev_aa, *_ = reference_ot_reg(wa, wa, reg, tol, cap)
+    f_bb, g_bb, dev_bb, *_ = reference_ot_reg(wb, wb, reg, tol, cap)
+    on_a = wa * (f_ab - 0.5 * (f_aa + g_aa)) - reg * (dev_ab - 0.5 * dev_aa)
+    on_b = wb * (g_ab - 0.5 * (f_bb + g_bb)) + (0.5 * reg) * dev_bb
+    return np.sqrt(max(math.fsum(np.concatenate([on_a.ravel(), on_b.ravel()])), 0.0))
+
+
+@pytest.mark.parametrize("which", ["calibration", "bump32"])
+def test_symmetric_solve_matches_alternating_reference(calibration_pair, which):
+    if which == "calibration":
+        w, reg = calibration_pair[0].weights, 2e-3
+    else:
+        w, reg = bump_density(32, 0.3, 0.5).weights, 5e-4
+    tol = 1e-9
+    f, g, dev, it, err = wasserstein._ot_reg(w, w, reg, tol, 100_000, "OT(a,a)")
+    f_ref, g_ref, dev_ref, it_ref, err_ref = reference_ot_reg(w, w, reg, tol, 100_000)
+    assert g is f
+    assert err <= tol and err_ref <= tol
+    # the alternating potentials split a constant between f and g; their
+    # mean is the symmetric optimum, and the plans' marginal errors bound
+    # the potentials' gap in the wa-weighted L1 norm, in units of reg
+    assert np.sum(w * np.abs(f - 0.5 * (f_ref + g_ref))) / reg <= tol
+    assert np.sum(np.abs(dev - dev_ref)) <= 2 * tol
+    assert 2 * np.sum(w * f) - reg * np.sum(dev) == pytest.approx(
+        np.sum(w * (f_ref + g_ref)) - reg * np.sum(dev_ref), rel=1e-12)
+    assert 5 * it <= it_ref
+
+
+def test_sinkhorn_debiasing_matches_alternating_reference(calibration_pair):
+    a, b = calibration_pair
+    ref = reference_debiased_w2(a.weights, b.weights, reg=2e-3)
+    r = w2_sinkhorn(a, b, reg=2e-3)
+    assert r.distance == pytest.approx(ref, rel=1e-3)
+    # one cross solve of ~200 iterations and two self-transport solves of ~20
+    assert r.iterations <= 300
+
+
+def test_sinkhorn_is_symmetric_in_its_arguments(calibration_pair):
+    a, b = calibration_pair
+    ab = w2_sinkhorn(a, b, reg=2e-3).distance
+    ba = w2_sinkhorn(b, a, reg=2e-3).distance
+    assert ab == pytest.approx(ba, rel=1e-3)
+
+
+@pytest.mark.parametrize("cap", [1, 5, 24, 25])
+@pytest.mark.parametrize("identical", [True, False], ids=["OT(a,a)", "OT(a,b)"])
+def test_sinkhorn_cap_counts_annealing(cap, identical):
+    # reg 1e-4 anneals for 24 iterations: a cap inside the annealing
+    # stops it there, and the reported error is measured at reg
+    a = random_density(8, 5)
+    b = a if identical else random_density(8, 6)
+    with pytest.raises(W2ConvergenceError) as exc:
+        w2_sinkhorn(a, b, reg=1e-4, cap=cap)
+    err = exc.value
+    assert err.iterations == cap
+    assert 0 <= err.marginal_error <= 2
+    assert str(err).startswith("OT(a,a): " if identical else "OT(a,b): ")
+    assert f"after {cap} iterations" in str(err)
+    back = pickle.loads(pickle.dumps(err))
+    assert vars(back) == vars(err) and str(back) == str(err)
+
+
+def test_sinkhorn_cap_names_the_debiasing_term(monkeypatch):
+    # the cross term converges; a debiasing term that stalls is named
+    a, b = bump_density(16, 0.3, 0.5), bump_density(16, 0.4, 0.5)
+    inner = wasserstein._ot_reg
+
+    def stall_bb(wa, wb, reg, tol, cap, term):
+        return inner(wa, wb, reg, tol, 3 if term == "OT(b,b)" else cap, term)
+
+    monkeypatch.setattr(wasserstein, "_ot_reg", stall_bb)
+    with pytest.raises(W2ConvergenceError, match=r"^OT\(b,b\): "):
+        w2_sinkhorn(a, b, reg=2e-3)
+
+
+@pytest.mark.parametrize("kwargs", [dict(cap=0), dict(cap=-1), dict(tol=0.0),
+                                    dict(tol=-1e-9), dict(reg=0.0)])
+def test_sinkhorn_rejects_bad_controls(kwargs):
+    a = random_density(8, 5)
+    with pytest.raises(ValueError):
+        w2_sinkhorn(a, a, **kwargs)
 
 
 def test_sinkhorn_size_guard():
