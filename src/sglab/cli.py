@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .config import ConfigError, ExperimentSpec, RunConfig, parse_config
 from .elliptic import EllipticConvergenceError, EllipticDivergenceError
-from .experiments import _record_line, emit_report, run_experiment
+from .experiments import SUITE_COUNT, _record_line, emit_report, run_experiment
 from .fieldio import load_field, read_checkpoint, write_checkpoint, write_text
 from .inequalities import run_suite
 from .spectral import NormKind, TorusGrid, norm
@@ -137,7 +137,7 @@ def _cmd_experiment(args):
 
 def _cmd_check(args):
     seed = 0 if args.seed is None else args.seed
-    rep = run_suite(seed, count=20)
+    rep = run_suite(seed, count=SUITE_COUNT)
     bounds = {r.name: r.bound for r in rep.results}
     for name, ratio in sorted(rep.max_ratios().items()):
         bound = bounds[name]

@@ -43,7 +43,7 @@ import numpy as np
 from .config import ExperimentSpec
 from .elliptic import cofactor_contract, hessian_det
 from .fieldio import atomic_open, write_text
-from .inequalities import run_suite
+from .inequalities import SuiteReport, run_suite
 from .lagrangian import paired_gap_series
 from .spectral import NormKind, derivative, norm
 from .transport import DiagnosticsRecord, run_simulation
@@ -518,38 +518,29 @@ def _run_inequalities(spec, threads):
     report = ExperimentReport(kind="inequalities", eps_list=list(spec.eps_list))
     seeds = [spec.base.seed + k for k in range(SUITE_SEEDS)]
     suites = _map_runs(seeds, _run_suite_seed, threads)
-    records = []
-    max_ratios = {}
-    bounds = {}
-    errors = []
     for rep in suites:
         row = _fresh_row(None)
         row["status"] = "ok" if not rep.errors and all(
             r.passed for r in rep.results) else "failed: checker violations"
         report.summary_rows.append(row)
-        errors.extend(rep.errors)
-        for r in rep.results:
-            records.append({
-                "name": r.name,
-                "ratio": r.ratio,
-                "pass": r.passed,
-                "seed": r.seed,
-                "digest": r.inputs_digest,
-            })
-            bounds[r.name] = r.bound
-            if np.isfinite(r.ratio):
-                max_ratios[r.name] = max(max_ratios.get(r.name, 0.0), r.ratio)
+    merged = SuiteReport(seed=seeds[0], count=SUITE_COUNT,
+                         results=[r for rep in suites for r in rep.results],
+                         errors=[e for rep in suites for e in rep.errors])
+    records = [{"name": r.name, "ratio": r.ratio, "pass": r.passed, "seed": r.seed,
+                "digest": r.inputs_digest} for r in merged.results]
+    bounds = {r.name: r.bound for r in merged.results}
+    max_ratios = merged.max_ratios()
     report.extras["suite_records"] = records
     report.extras["max_ratios"] = [
-        {"name": n, "max_ratio": max_ratios[n], "bound": bounds.get(n)}
+        {"name": n, "max_ratio": max_ratios[n], "bound": bounds[n]}
         for n in sorted(max_ratios)
     ]
-    report.extras["checker_errors"] = [list(e) for e in errors]
+    report.extras["checker_errors"] = [list(e) for e in merged.errors]
     report.assertions.append({
         "name": "suite_all_pass",
-        "ok": not errors and all(r["pass"] for r in records),
-        "detail": f"{sum(r['pass'] for r in records)}/{len(records)} checks "
-                  f"passed, {len(errors)} errors, seeds {seeds[0]}..{seeds[-1]}",
+        "ok": not merged.errors and all(r["pass"] for r in records),
+        "detail": f"{sum(r['pass'] for r in records)}/{len(records)} checks passed, "
+                  f"{len(merged.errors)} errors, seeds {seeds[0]}..{seeds[-1]}",
     })
     return _finalize(report)
 

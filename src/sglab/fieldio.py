@@ -4,8 +4,10 @@ Field dump layout: one UTF-8 JSON header line terminated by '\n' with keys
 {"n", "kind", "time", "epsilon"}, then n^2 little-endian float64 values,
 row-major with the x index outer and the y index inner. Round-trips are
 bit-exact. Loading rejects a header that is not a JSON object with an
-integer "n" and a string "kind", and a checkpoint sidecar that
-lacks a string "model", numeric "time" and "eps", or an integer "step".
+integer "n" and a string "kind", a checkpoint sidecar that lacks a
+string "model", numeric "time" and "eps", or an integer "step", and a
+checkpoint whose two fields differ in "n" or whose field headers
+disagree with the sidecar on "time" or "epsilon".
 
 Every output file of the package is written through atomic_open: a
 temp file in the target directory, renamed over the target once it is
@@ -114,8 +116,8 @@ def write_checkpoint(dir_path, rho: ScalarField, potential: ScalarField, *, time
 
 
 def read_checkpoint(dir_path) -> dict:
-    rho, _ = load_field(os.path.join(dir_path, "rho.field"))
-    pot, _ = load_field(os.path.join(dir_path, "potential.field"))
+    rho, rho_header = load_field(os.path.join(dir_path, "rho.field"))
+    pot, pot_header = load_field(os.path.join(dir_path, "potential.field"))
     with open(os.path.join(dir_path, "checkpoint.json"), encoding="utf-8") as fh:
         sidecar = json.load(fh)
     ok = (isinstance(sidecar, dict) and isinstance(sidecar.get("model"), str)
@@ -124,4 +126,11 @@ def read_checkpoint(dir_path) -> dict:
     if not ok:
         raise ValueError(f"{dir_path}: checkpoint.json needs string 'model', numeric "
                          "'time' and 'eps', and integer 'step'")
+    if rho.grid.n != pot.grid.n:
+        raise ValueError(f"{dir_path}: rho.field has n={rho.grid.n} but "
+                         f"potential.field has n={pot.grid.n}")
+    for name, header in (("rho.field", rho_header), ("potential.field", pot_header)):
+        if (header.get("time"), header.get("epsilon")) != (sidecar["time"], sidecar["eps"]):
+            raise ValueError(f"{dir_path}: {name} header (time {header.get('time')}, eps "
+                             f"{header.get('epsilon')}) disagrees with checkpoint.json")
     return {"rho": rho, "potential": pot, "meta": sidecar}

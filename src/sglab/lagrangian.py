@@ -26,7 +26,7 @@ import numpy as np
 from scipy import ndimage
 
 from .spectral import ScalarField, TorusGrid, NormKind, norm, perp_gradient
-from .transport import StepSizeError, Trajectory, _rk4
+from .transport import StepSizeError, Trajectory, _rk4, _shared_times
 
 __all__ = [
     "FlowMap",
@@ -318,19 +318,15 @@ def pushforward_density(rho0: ScalarField, velocity_source, t: float,
 def paired_gap_series(traj_a: Trajectory, traj_b: Trajectory,
                       m: int | None = None, dt: float | None = None,
                       providers=None) -> GapSeries:
-    """Gap metrics between two runs sharing sample times and initial data.
+    """Gap metrics between two runs sharing a grid, sample times and initial data.
 
     flow_gap advects both flows sample-to-sample; velocity_gap is
     ||grad(pot_a - pot_b)||_L2; hminus1_gap is ||rho_a - rho_b||_{H^-1}.
     providers, when given, is the (TrajectoryVelocity(traj_a),
     TrajectoryVelocity(traj_b)) pair a caller already holds.
     """
-    times_a = np.asarray(traj_a.times)
-    times_b = np.asarray(traj_b.times)
-    k = min(len(times_a), len(times_b))
-    if k < 2 or not np.allclose(times_a[:k], times_b[:k], atol=1e-12):
-        raise ValueError("trajectories do not share sample times")
-    times = times_a[:k]
+    times = _shared_times(traj_a, traj_b)
+    k = len(times)
     n = traj_a.grid.n
     if m is None:
         m = n // 2

@@ -117,7 +117,7 @@ class SpectralKernel:
     def hs(self, hat: np.ndarray, s: float) -> float:
         """Homogeneous H^s norm of the field with half-spectrum hat."""
         w = self._hs_weights.get(s)
-        if w is None:  # |k|^{2s} l2_weight; racing threads build equal arrays
+        if w is None:  # |k|^{2s} l2_weight
             w = np.where(self._k2 > 0, self._k2, 1.0) ** s * self.l2_weight
             w[0, 0] = 0.0
             w.setflags(write=False)

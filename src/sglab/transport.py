@@ -25,7 +25,7 @@ of each segment to land on k * sample_interval exactly, which keeps
 sample clocks of paired runs aligned bit for bit.
 """
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 from functools import cached_property
 
 import numpy as np
@@ -135,26 +135,8 @@ class DiagnosticsRecord:
     A_t: float | None = None
     gronwall_bound: float | None = None
 
-    FIELD_ORDER = (
-        "t",
-        "l2_rho",
-        "linf_rho",
-        "grad_linf_rho",
-        "h2_rho",
-        "h3_rho",
-        "hess_linf_psi",
-        "hess_l2_psi",
-        "grad_margin",
-        "hessian_margin",
-        "log_estimate_ratio",
-        "inside",
-        "velocity_gap",
-        "flow_gap",
-        "hminus1_gap",
-        "w2",
-        "A_t",
-        "gronwall_bound",
-    )
+
+DiagnosticsRecord.FIELD_ORDER = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 @dataclass
@@ -183,26 +165,25 @@ class Trajectory:
         return self.states[-1]
 
 
+def _shared_times(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:
+    """The sample times two runs on one grid share; at least two."""
+    if traj_a.grid.n != traj_b.grid.n:
+        raise ValueError("trajectories live on different grids")
+    ta = np.asarray(traj_a.times, dtype=float)
+    tb = np.asarray(traj_b.times, dtype=float)
+    k = min(len(ta), len(tb))
+    if k < 2 or not np.allclose(ta[:k], tb[:k], atol=1e-12):
+        raise ValueError("trajectories do not share sample times")
+    return ta[:k]
+
+
 # --- initial data ----------------------------------------------------------
 
-PRESET_BUILDERS = {}
-
-
-def _preset(name):
-    def deco(fn):
-        PRESET_BUILDERS[name] = fn
-        return fn
-
-    return deco
-
-
-@_preset("default")
 def _default_datum(x, y):
     # two-mode datum with ||rho||_Linf = 1.5, used by the gap experiments
     return np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y) + 0.5 * np.cos(4 * np.pi * y)
 
 
-@_preset("mild")
 def _mild_datum(x, y):
     # scaled-down copy of the default datum; its gradient is small enough
     # that eps up to 0.08 starts well inside the bootstrap margin, which
@@ -212,7 +193,6 @@ def _mild_datum(x, y):
     )
 
 
-@_preset("steep")
 def _steep_datum(x, y):
     # oblique-mode datum for gradient-growth (lifespan) runs; amplitude is
     # small so eps up to 0.2 starts inside the gradient margin
@@ -222,11 +202,14 @@ def _steep_datum(x, y):
     )
 
 
-@_preset("shear")
 def _shear_datum(x, y):
     # stationary state: rho depends on y alone, so u = (c(y), 0) and
     # u . grad rho = 0 identically
     return -4 * np.pi ** 2 * np.cos(2 * np.pi * y) + 0.0 * x
+
+
+PRESET_BUILDERS = {"default": _default_datum, "mild": _mild_datum,
+                   "steep": _steep_datum, "shear": _shear_datum}
 
 
 def _mode_list_values(n: int, spec) -> np.ndarray:

@@ -45,7 +45,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .spectral import ScalarField, perp_gradient
-from .transport import Trajectory
+from .transport import Trajectory, _shared_times
 
 __all__ = [
     "DensityOnTorus",
@@ -477,14 +477,8 @@ def gronwall_w2_bound(traj_sg: Trajectory, traj_euler: Trajectory) -> W2Gronwall
     A_t, and G(s) = int |u_sg - u_euler|^2 (1 + eps*rho_sg) dx; both
     integrals use the trapezoid rule on the shared sample grid.
     """
-    ta = np.asarray(traj_sg.times, dtype=float)
-    tb = np.asarray(traj_euler.times, dtype=float)
-    if traj_sg.grid.n != traj_euler.grid.n:
-        raise ValueError("trajectories live on different grids")
-    k = min(len(ta), len(tb))
-    if k < 2 or not np.allclose(ta[:k], tb[:k], atol=1e-12):
-        raise ValueError("trajectories do not share sample times")
-    times = ta[:k]
+    times = _shared_times(traj_sg, traj_euler)
+    k = len(times)
     eps = traj_sg.eps
 
     gap2 = np.empty(k)

@@ -234,6 +234,21 @@ class TestDumpLoad:
         path.write_bytes(header + b"\n" + bytes(8 * 32 * 32))
         assert main(["load", str(path)]) == EXIT_INFRA
 
+    @pytest.mark.parametrize("n", [64, 32], ids=["other_grid", "other_time_eps"])
+    def test_torn_checkpoint_is_infra_error(self, run_cfg, tmp_path, capsys, n):
+        ckpt, donor = tmp_path / "ckpt", tmp_path / "donor"
+        assert main(["dump", "--config", run_cfg, "--out", str(ckpt)]) == EXIT_OK
+        donor_cfg = write_json(tmp_path / "donor.json", {
+            "n": n, "model": "SGeps", "eps": 0.02, "t_final": 0.05,
+            "sample_interval": 0.05, "initial_data": "mild"})
+        assert main(["dump", "--config", donor_cfg, "--out", str(donor)]) == EXIT_OK
+        (ckpt / "potential.field").write_bytes((donor / "potential.field").read_bytes())
+        capsys.readouterr()
+        assert main(["load", str(ckpt)]) == EXIT_INFRA
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_sidecar_without_model_is_infra_error(self, run_cfg, tmp_path):
         ckpt = tmp_path / "ckpt"
         main(["dump", "--config", run_cfg, "--out", str(ckpt)])

@@ -32,11 +32,21 @@ def wave(grid, fn):
 
 def test_checkresult_validation():
     with pytest.raises(ValueError, match="nonnegative"):
-        CheckResult("x", -0.5, 1.0, True, 0, "00")
-    with pytest.raises(ValueError, match="inconsistent"):
-        CheckResult("x", 2.0, 1.0, True, 0, "00")
-    r = CheckResult("x", 0.5, 1.0, True, 0, "00")
-    assert r.passed
+        CheckResult("x", -0.5, 1.0, 0, "00")
+    assert CheckResult("x", 0.5, 1.0, 0, "00").passed
+    assert CheckResult("x", 1.0, 1.0, 0, "00").passed
+
+
+@pytest.mark.parametrize("ratio, bound, passed", [
+    (np.nan, 1.0, False),
+    (np.inf, 1.0, False),
+    (np.inf, np.inf, False),
+    (1.5, 1.0, False),
+    (np.nan, None, True),
+    (7.0, None, True),
+])
+def test_checkresult_pass_flag_is_derived(ratio, bound, passed):
+    assert CheckResult("x", ratio, bound, 0, "00").passed is passed
 
 
 def test_random_field_band_limited_and_normalized(grid):
@@ -162,6 +172,12 @@ def test_suite_runs_full_roster(suite_pair):
     assert all(r.passed for r in rep.results)
 
 
+def test_suite_runs_each_checker_count_times_in_order(suite_pair):
+    rep, _ = suite_pair
+    assert [r.name for r in rep.results] == [
+        name for name in CHECKER_NAMES for _ in range(rep.count)]
+
+
 def test_suite_deterministic(suite_pair):
     rep1, rep2 = suite_pair
     key = lambda rep: [(r.name, r.ratio, r.inputs_digest, r.passed) for r in rep.results]
@@ -181,18 +197,10 @@ def test_suite_more_samples_never_lower_max():
 
 
 def test_suite_collects_checker_errors(monkeypatch):
-    orig = ineq._field_checkers
+    def boom(f, seed):
+        raise ValueError("synthetic failure")
 
-    def patched():
-        d = orig()
-
-        def boom(ctx, k):
-            raise ValueError("synthetic failure")
-
-        d["boom"] = boom
-        return d
-
-    monkeypatch.setattr(ineq, "_field_checkers", patched)
+    monkeypatch.setitem(ineq.FIELD_CHECKS, "boom", (boom, (0,)))
     rep = run_suite(1, count=1)
     assert ("boom", "synthetic failure") in rep.errors
     assert any(r.name == "wente" for r in rep.results)

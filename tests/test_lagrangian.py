@@ -237,6 +237,14 @@ def test_paired_gap_series_self_is_zero(euler128):
     assert len(gs.times) == len(gs.flow_gap)
 
 
+def test_paired_gap_series_grid_mismatch():
+    base = dict(model="Euler", eps=0.0, t_final=0.1, sample_interval=0.05)
+    coarse = run_simulation(RunConfig(n=32, **base))
+    fine = run_simulation(RunConfig(n=64, **base))
+    with pytest.raises(ValueError, match="different grids"):
+        paired_gap_series(coarse, fine)
+
+
 def test_paired_gap_series_time_mismatch(euler128):
     cfg = RunConfig(n=32, model="Euler", eps=0.0, t_final=0.2,
                     sample_interval=0.1)
