@@ -1,19 +1,16 @@
-"""Run and experiment configuration: strict JSON in, canonical JSON out.
+"""Run and experiment configuration: strict JSON in, validated dataclasses out.
 
 parse_config accepts either a single-run object or an experiment object
 (recognized by its "kind" key). Unknown keys and wrong types are hard
 errors naming the offending key; silent coercion would let typos change
-physics. serialize_config(parse_config(x)) is canonical: sorted keys,
-two-space indent, trailing newline, and reparsing it reproduces the
-same object.
+physics.
 """
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
-__all__ = ["MODELS", "RunConfig", "ExperimentSpec", "parse_config", "serialize_config",
-           "ConfigError"]
+__all__ = ["MODELS", "RunConfig", "ExperimentSpec", "parse_config", "ConfigError"]
 
 EXPERIMENT_KINDS = ("stability", "wasserstein", "corrector", "lifespan", "inequalities")
 
@@ -190,19 +187,3 @@ def parse_config(text: str):
             obj["base"] = _build_run(base)
         return ExperimentSpec(**obj)
     return _build_run(obj)
-
-
-def serialize_config(cfg) -> str:
-    """Canonical JSON for a RunConfig or ExperimentSpec."""
-    if isinstance(cfg, RunConfig):
-        obj = asdict(cfg)
-    elif isinstance(cfg, ExperimentSpec):
-        obj = {
-            "kind": cfg.kind,
-            "eps_list": cfg.eps_list,
-            "base": asdict(cfg.base),
-            "slope_window": cfg.slope_window,
-        }
-    else:
-        raise TypeError(f"cannot serialize {type(cfg).__name__}")
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

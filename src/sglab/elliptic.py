@@ -52,7 +52,6 @@ __all__ = [
     "EllipticConvergenceError",
     "MASolveReport",
     "BootstrapStatus",
-    "hessian",
     "hessian_det",
     "cofactor_contract",
     "det_expansion_residual",
@@ -97,11 +96,6 @@ class BootstrapStatus:
     hessian_margin: float
     log_estimate_ratio: float
     inside: bool
-
-
-def hessian(psi: ScalarField) -> tuple[ScalarField, ScalarField, ScalarField]:
-    """Return (psi_xx, psi_xy, psi_yy) via spectral differentiation."""
-    return tuple(ScalarField(psi.grid, h) for h in _hessian_values(psi))
 
 
 def hessian_det(psi: ScalarField) -> ScalarField:

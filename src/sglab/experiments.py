@@ -75,6 +75,11 @@ LP_AGREEMENT_TOL = 2e-3
 CONSISTENCY_TOL = 1e-10
 RICCATI_R2_MIN = 0.9
 
+# the per-eps columns summary.csv and report.json write; a row also
+# carries the fit inputs in_window and metric, which stay internal
+SUMMARY_COLUMNS = ("eps", "sup_velocity_gap", "sup_w2", "exit_time", "slope",
+                   "slope_stderr", "status")
+
 LIFESPAN_NOTE = (
     "The eps^-1 * log log(1/eps) lifespan asymptotic is not reproducible at "
     "desk scale: log log(1/eps) varies by less than 15% over any affordable "
@@ -164,6 +169,8 @@ def _fresh_row(eps):
         "slope": None,
         "slope_stderr": None,
         "status": "ok",
+        "in_window": False,
+        "metric": None,
     }
 
 
@@ -217,8 +224,9 @@ def _fit_candidates(spec, rows):
             and r["metric"] is not None and r["metric"] > 0]
 
 
-def _apply_fit(report, spec, rows, gate_name):
+def _apply_fit(report, spec, gate_name):
     """Shared slope-fit + gate logic for the three rate experiments."""
+    rows = report.summary_rows
     usable = _fit_candidates(spec, rows)
     target, tol = SLOPE_GATES[report.kind]
     if len(usable) < 2:
@@ -280,30 +288,27 @@ def _stability_core(spec, threads, report):
         raise RuntimeError(f"Euler reference run ended early: {euler.exit_reason}")
 
     one = partial(_run_model, spec.base, "SGeps")
-    outcomes = []
-    for eps, traj in zip(spec.eps_list, _map_runs(spec.eps_list, one, threads)):
+    trajs = _map_runs(spec.eps_list, one, threads)
+    for eps, traj in zip(spec.eps_list, trajs):
         row = _fresh_row(eps)
-        entry = {"eps": eps, "traj": traj, "in_window": False, "metric": None}
         if traj.exit_reason is not None:
             row["status"] = f"failed: {traj.exit_reason}"
         else:
             gaps = paired_gap_series(traj, euler)
             _patch_gaps(traj, gaps)
-            entry["in_window"] = _stayed_inside(traj)
-            entry["metric"] = float(np.max(gaps.velocity_gap))
-            row["sup_velocity_gap"] = entry["metric"]
-            if not entry["in_window"]:
+            row["in_window"] = _stayed_inside(traj)
+            row["metric"] = row["sup_velocity_gap"] = float(np.max(gaps.velocity_gap))
+            if not row["in_window"]:
                 row["status"] = "outside_window"
         report.runs[f"sg_eps{_eps_tag(eps)}"] = traj
         report.summary_rows.append(row)
-        outcomes.append(entry)
-    return euler, outcomes
+    return euler, trajs
 
 
 def _run_stability(spec, threads):
     report = ExperimentReport(kind="stability", eps_list=list(spec.eps_list))
-    _, outcomes = _stability_core(spec, threads, report)
-    _apply_fit(report, spec, outcomes, "velocity_slope")
+    _stability_core(spec, threads, report)
+    _apply_fit(report, spec, "velocity_slope")
     return _finalize(report)
 
 
@@ -322,32 +327,32 @@ def _w2_sample_indices(times):
 
 def _run_wasserstein(spec, threads):
     report = ExperimentReport(kind="wasserstein", eps_list=list(spec.eps_list))
-    euler, outcomes = _stability_core(spec, threads, report)
+    euler, trajs = _stability_core(spec, threads, report)
     calibration = []
     w2_check = []
-    for entry, row in zip(outcomes, report.summary_rows):
-        traj = entry["traj"]
+    for row, traj in zip(report.summary_rows, trajs):
         if traj.exit_reason is not None:
             continue
-        eps = entry["eps"]
-        in_window = entry["in_window"]
+        eps = row["eps"]
+        in_window = row["in_window"]
         bound = gronwall_w2_bound(traj, euler)
         idxs = _w2_sample_indices(traj.times)
-        rows = []
+        stream = []
         for i, rec in enumerate(traj.diagnostics):
             rec.gronwall_bound = float(bound.bound[i])
         for i in idxs:
-            t = float(traj.times[i])
+            t, b_t = float(traj.times[i]), float(bound.bound[i])
             a = _coarse_density(traj.states[i], eps, W2_GRID)
             b = _coarse_density(euler.states[i], eps, W2_GRID)
             res = w2_sinkhorn(a, b, reg=SINKHORN_REG)
             traj.diagnostics[i].w2 = res.distance
-            rows.append({
+            stream.append({
                 "t": t,
                 "w2": res.distance,
                 "method": res.method,
                 "reg": res.reg,
                 "marginal_error": res.marginal_error,
+                "bound": b_t,
             })
             # the exact-LP oracle is affordable on 16^2 downsamples. Runs
             # that stay inside the bootstrap window get calibrated at
@@ -370,7 +375,6 @@ def _run_wasserstein(spec, threads):
                 })
                 if in_window:
                     budget = abs(sink16**2 - lp16**2)
-                    b_t = float(bound.bound[i])
                     w2_check.append({
                         "eps": eps,
                         "t": t,
@@ -379,14 +383,13 @@ def _run_wasserstein(spec, threads):
                         "bound": b_t,
                         "ok": res.distance**2 + budget <= b_t,
                     })
-        report.w2_streams[eps] = rows
-        sup_w2 = max((r["w2"] for r in rows), default=None)
-        row["sup_w2"] = sup_w2
-        final = [r for r in rows if abs(r["t"] - spec.base.t_final) <= 1e-9]
-        entry["metric"] = final[-1]["w2"] if final and final[-1]["w2"] > 0 else None
+        report.w2_streams[eps] = stream
+        row["sup_w2"] = max((r["w2"] for r in stream), default=None)
+        final = [r for r in stream if abs(r["t"] - spec.base.t_final) <= 1e-9]
+        row["metric"] = final[-1]["w2"] if final and final[-1]["w2"] > 0 else None
     report.extras["lp_calibration"] = calibration
     report.extras["w2_bound_check"] = w2_check
-    _apply_fit(report, spec, outcomes, "w2_slope")
+    _apply_fit(report, spec, "w2_slope")
     max_diff = max((c["abs_diff"] for c in calibration), default=float("inf"))
     report.assertions.append({
         "name": "lp_agreement",
@@ -420,12 +423,10 @@ def _consistency_residual(corr_state, eps):
 def _run_corrector(spec, threads):
     report = ExperimentReport(kind="corrector", eps_list=list(spec.eps_list))
     one = partial(_run_sg_and_corrector, spec.base)
-    outcomes = []
     worst_resid = 0.0
     for eps, (sg, corr) in zip(spec.eps_list,
                                _map_runs(spec.eps_list, one, threads)):
         row = _fresh_row(eps)
-        entry = {"eps": eps, "in_window": False, "metric": None}
         report.runs[f"sg_eps{_eps_tag(eps)}"] = sg
         report.runs[f"corrector_eps{_eps_tag(eps)}"] = corr
         if sg.exit_reason is not None or corr.exit_reason is not None:
@@ -436,18 +437,16 @@ def _run_corrector(spec, threads):
             for s_sg, s_c in zip(sg.states, corr.states):
                 corrected = s_c.background.potential + eps * s_c.potential
                 gaps.append(norm(s_sg.potential - corrected, NormKind.Hs(1.0)))
-            entry["metric"] = float(np.max(gaps))
-            entry["in_window"] = _stayed_inside(sg)
-            row["sup_velocity_gap"] = entry["metric"]
-            if not entry["in_window"]:
+            row["metric"] = row["sup_velocity_gap"] = float(np.max(gaps))
+            row["in_window"] = _stayed_inside(sg)
+            if not row["in_window"]:
                 row["status"] = "outside_window"
             worst_resid = max(worst_resid,
                               max(_consistency_residual(s, eps)
                                   for s in corr.states))
         report.summary_rows.append(row)
-        outcomes.append(entry)
     report.extras["consistency_residual"] = worst_resid
-    _apply_fit(report, spec, outcomes, "corrector_slope")
+    _apply_fit(report, spec, "corrector_slope")
     report.assertions.append({
         "name": "elliptic_consistency",
         "ok": worst_resid <= CONSISTENCY_TOL,
@@ -462,14 +461,12 @@ def _run_lifespan(spec, threads):
     report = ExperimentReport(kind="lifespan", eps_list=list(spec.eps_list))
     report.notes.append(LIFESPAN_NOTE)
     one = partial(_run_model, spec.base, "SGeps", stop_on_exit=True)
-    exit_times = {}
     riccati = {}
     calpha_series = {}
     for eps, traj in zip(spec.eps_list, _map_runs(spec.eps_list, one, threads)):
         row = _fresh_row(eps)
         report.runs[f"lifespan_eps{_eps_tag(eps)}"] = traj
         if traj.exit_reason == "bootstrap_exit":
-            exit_times[eps] = traj.exit_time
             row["exit_time"] = traj.exit_time
         elif traj.exit_reason is None:
             row["status"] = "no_exit"
@@ -486,12 +483,13 @@ def _run_lifespan(spec, threads):
             row["slope"] = c
             row["slope_stderr"] = stderr
         report.summary_rows.append(row)
-    report.extras["exit_times"] = {_eps_tag(e): t for e, t in exit_times.items()}
+    ordered = [r["exit_time"] for r in report.summary_rows]
+    report.extras["exit_times"] = {_eps_tag(e): t for e, t in zip(spec.eps_list, ordered)
+                                   if t is not None}
     report.extras["riccati"] = {_eps_tag(e): v for e, v in riccati.items()}
     report.extras["calpha_series"] = {
         _eps_tag(e): {"t": t, "calpha": y} for e, (t, y) in calpha_series.items()
     }
-    ordered = [exit_times.get(e) for e in spec.eps_list]
     monotone = (all(t is not None for t in ordered)
                 and all(a < b for a, b in zip(ordered, ordered[1:])))
     report.assertions.append({
@@ -624,15 +622,13 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
                             separators=(",", ":")) for r in rows]
         emit(f"w2_eps{_eps_tag(eps)}.ndjson", "\n".join(lines) + "\n" if lines else "")
 
-    header = ["eps", "sup_velocity_gap", "sup_w2", "exit_time", "slope",
-              "slope_stderr", "status"]
-    rows = [[r[k] for k in header] for r in report.summary_rows]
+    rows = [[r[k] for k in SUMMARY_COLUMNS] for r in report.summary_rows]
     if report.fit is not None:
         rows.append(["fit", None, None, None, report.fit["slope"],
                      report.fit["stderr"], report.status])
     elif not report.summary_rows:
         rows.append([None, None, None, None, None, None, "failed"])
-    _write_csv(out / "summary.csv", header, rows)
+    _write_csv(out / "summary.csv", SUMMARY_COLUMNS, rows)
     written.append(out / "summary.csv")
 
     _emit_figures(report, out, written)
@@ -644,7 +640,7 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
         "fit": report.fit,
         "assertions": report.assertions,
         "notes": report.notes,
-        "summary": report.summary_rows,
+        "summary": [{k: r[k] for k in SUMMARY_COLUMNS} for r in report.summary_rows],
         "extras": {k: v for k, v in report.extras.items()
                    if k not in ("suite_records",)},
     }
@@ -665,35 +661,17 @@ def _emit_figures(report, out: Path, written):
                    gap_rows)
         written.append(out / "velocity_gap_vs_t.csv")
 
-    w2_rows = []
-    for eps in report.eps_list:
-        for row in report.w2_streams.get(eps, []):
-            traj = report.runs.get(f"sg_eps{_eps_tag(eps)}")
-            bound = None
-            if traj is not None:
-                i = int(np.argmin(np.abs(np.asarray(traj.times) - row["t"])))
-                bound = traj.diagnostics[i].gronwall_bound
-            w2_rows.append([eps, row["t"], row["w2"], bound])
+    w2_rows = [[eps, r["t"], r["w2"], r["bound"]]
+               for eps, rows in report.w2_streams.items() for r in rows]
     if w2_rows:
         _write_csv(out / "w2_vs_t.csv", ["eps", "t", "w2", "gronwall_bound"],
                    w2_rows)
         written.append(out / "w2_vs_t.csv")
 
     if report.fit is not None:
-        rate_rows = []
-        by_eps = {r["eps"]: r for r in report.summary_rows}
-        for eps in report.eps_list:
-            row = by_eps.get(eps)
-            metric = None
-            if report.kind == "wasserstein":
-                stream = report.w2_streams.get(eps, [])
-                metric = stream[-1]["w2"] if stream else None
-            elif row is not None:
-                metric = row["sup_velocity_gap"]
-            used = eps in report.fit["eps_used"]
-            if metric:
-                rate_rows.append([eps, math.log(eps), metric,
-                                  math.log(metric), used])
+        rate_rows = [[r["eps"], math.log(r["eps"]), r["metric"], math.log(r["metric"]),
+                      r["eps"] in report.fit["eps_used"]]
+                     for r in report.summary_rows if r["metric"]]
         _write_csv(out / "rate_loglog.csv",
                    ["eps", "log_eps", "metric", "log_metric", "in_fit"],
                    rate_rows)

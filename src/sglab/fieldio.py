@@ -5,9 +5,10 @@ Field dump layout: one UTF-8 JSON header line terminated by '\n' with keys
 row-major with the x index outer and the y index inner. Round-trips are
 bit-exact. Loading rejects a header that is not a JSON object with an
 integer "n" and a string "kind", a checkpoint sidecar that lacks a
-string "model", numeric "time" and "eps", or an integer "step", and a
-checkpoint whose two fields differ in "n" or whose field headers
-disagree with the sidecar on "time" or "epsilon".
+known "model", numeric "time" and "eps", or an integer "step", and a
+checkpoint whose two fields differ in "n", whose field headers disagree
+with the sidecar on "time" or "epsilon", or whose field kinds are not
+"rho" and the model's potential kind (POTENTIAL_KINDS).
 
 Every output file of the package is written through atomic_open: a
 temp file in the target directory, renamed over the target once it is
@@ -32,7 +33,11 @@ __all__ = [
     "load_field",
     "write_checkpoint",
     "read_checkpoint",
+    "POTENTIAL_KINDS",
 ]
+
+# the kind of each model's SimState.potential, as its checkpoint labels it
+POTENTIAL_KINDS = {"SGeps": "psi_sg", "Euler": "phibar", "Corrector": "phi1"}
 
 
 def _is_int(v) -> bool:
@@ -99,14 +104,13 @@ def load_field(path) -> tuple[ScalarField, dict]:
 
 
 def write_checkpoint(dir_path, rho: ScalarField, potential: ScalarField, *, time: float,
-                     model: str, eps: float, step: int, rho_kind: str = "rho",
-                     potential_kind: str = "psi_sg") -> dict:
+                     model: str, eps: float, step: int) -> dict:
     """Write rho + potential dumps and a JSON sidecar; returns the file map."""
     os.makedirs(dir_path, exist_ok=True)
     rho_path = os.path.join(dir_path, "rho.field")
     pot_path = os.path.join(dir_path, "potential.field")
-    dump_field(rho_path, rho, rho_kind, time, eps)
-    dump_field(pot_path, potential, potential_kind, time, eps)
+    dump_field(rho_path, rho, "rho", time, eps)
+    dump_field(pot_path, potential, POTENTIAL_KINDS[model], time, eps)
     sidecar = {"time": float(time), "model": model, "eps": float(eps), "step": int(step)}
     sidecar_path = os.path.join(dir_path, "checkpoint.json")
     with atomic_open(sidecar_path, "w", encoding="utf-8") as fh:
@@ -121,15 +125,22 @@ def read_checkpoint(dir_path) -> dict:
     with open(os.path.join(dir_path, "checkpoint.json"), encoding="utf-8") as fh:
         sidecar = json.load(fh)
     ok = (isinstance(sidecar, dict) and isinstance(sidecar.get("model"), str)
+          and sidecar["model"] in POTENTIAL_KINDS
           and all(_is_number(sidecar.get(k)) for k in ("time", "eps"))
           and _is_int(sidecar.get("step")))
     if not ok:
-        raise ValueError(f"{dir_path}: checkpoint.json needs string 'model', numeric "
-                         "'time' and 'eps', and integer 'step'")
+        raise ValueError(f"{dir_path}: checkpoint.json needs 'model' one of "
+                         f"{tuple(POTENTIAL_KINDS)}, numeric 'time' and 'eps', and "
+                         "integer 'step'")
     if rho.grid.n != pot.grid.n:
         raise ValueError(f"{dir_path}: rho.field has n={rho.grid.n} but "
                          f"potential.field has n={pot.grid.n}")
-    for name, header in (("rho.field", rho_header), ("potential.field", pot_header)):
+    model = sidecar["model"]
+    for name, header, kind in (("rho.field", rho_header, "rho"),
+                               ("potential.field", pot_header, POTENTIAL_KINDS[model])):
+        if header["kind"] != kind:
+            raise ValueError(f"{dir_path}: {name} holds kind {header['kind']!r}, but a "
+                             f"{model} checkpoint needs {kind!r}")
         if (header.get("time"), header.get("epsilon")) != (sidecar["time"], sidecar["eps"]):
             raise ValueError(f"{dir_path}: {name} header (time {header.get('time')}, eps "
                              f"{header.get('epsilon')}) disagrees with checkpoint.json")

@@ -160,10 +160,6 @@ class Trajectory:
     exit_reason: str | None = None
     exit_time: float | None = None
 
-    @property
-    def final_state(self) -> SimState:
-        return self.states[-1]
-
 
 def _shared_times(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:
     """The sample times two runs on one grid share; at least two."""

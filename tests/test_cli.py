@@ -256,3 +256,38 @@ class TestDumpLoad:
         del meta["model"]
         (ckpt / "checkpoint.json").write_text(json.dumps(meta))
         assert main(["load", str(ckpt)]) == EXIT_INFRA
+
+    def test_sidecar_with_unknown_model_is_infra_error(self, run_cfg, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        main(["dump", "--config", run_cfg, "--out", str(ckpt)])
+        meta = json.loads((ckpt / "checkpoint.json").read_text())
+        meta["model"] = "QG"
+        (ckpt / "checkpoint.json").write_text(json.dumps(meta))
+        assert main(["load", str(ckpt)]) == EXIT_INFRA
+
+    @pytest.mark.parametrize("model, eps, kind", [("SGeps", 0.05, "psi_sg"),
+                                                  ("Euler", 0.0, "phibar"),
+                                                  ("Corrector", 0.05, "phi1")])
+    def test_potential_kind_follows_model(self, tmp_path, capsys, model, eps, kind):
+        ckpt = tmp_path / "ckpt"
+        cfg = write_json(tmp_path / "m.json", {
+            "n": 32, "model": model, "eps": eps, "t_final": 0.05,
+            "sample_interval": 0.05, "initial_data": "mild"})
+        assert main(["dump", "--config", cfg, "--out", str(ckpt)]) == EXIT_OK
+        header = json.loads((ckpt / "potential.field").read_bytes().split(b"\n")[0])
+        assert header["kind"] == kind
+        assert main(["load", str(ckpt)]) == EXIT_OK
+        assert f"model={model}" in capsys.readouterr().out
+
+    def test_swapped_fields_are_infra_error(self, run_cfg, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        assert main(["dump", "--config", run_cfg, "--out", str(ckpt)]) == EXIT_OK
+        rho, pot = (ckpt / "rho.field").read_bytes(), (ckpt / "potential.field").read_bytes()
+        (ckpt / "rho.field").write_bytes(pot)
+        (ckpt / "potential.field").write_bytes(rho)
+        capsys.readouterr()
+        assert main(["load", str(ckpt)]) == EXIT_INFRA
+        captured = capsys.readouterr()
+        assert "rho: n=" not in captured.out
+        assert captured.err.count("error:") == 1 and captured.err.startswith("error:")
+        assert "kind 'psi_sg'" in captured.err

@@ -1,6 +1,7 @@
 """Experiment driver tests at small scale: fits, window exclusion,
 emission schema, and byte determinism."""
 
+import csv
 import json
 import pickle
 from pathlib import Path
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 
 from sglab import experiments
-from sglab.config import ConfigError, ExperimentSpec, RunConfig
+from sglab.config import EXPERIMENT_KINDS, ConfigError, ExperimentSpec, RunConfig
 from sglab.elliptic import EllipticConvergenceError, EllipticDivergenceError
 from sglab.experiments import (
     ExperimentReport,
     LIFESPAN_NOTE,
+    SUMMARY_COLUMNS,
     _map_runs,
     _w2_sample_indices,
     emit_report,
@@ -33,6 +35,10 @@ def small_base(datum, **kw):
                      initial_data=datum, **kw)
 
 
+SMALL_LIFESPAN_BASE = RunConfig(n=32, t_final=2.0, sample_interval=0.5, model="SGeps",
+                                initial_data="steep", stop_on_exit=True)
+
+
 def emitted_bytes(report, out_dir):
     return {Path(p).name: Path(p).read_bytes() for p in emit_report(report, out_dir)}
 
@@ -48,11 +54,36 @@ def assert_thread_counts_agree(spec, tmp_path, reports):
     assert files[1] == files[2] == files[3]
 
 
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
 @pytest.fixture(scope="module")
 def mild_stability():
     spec = ExperimentSpec(kind="stability", eps_list=[0.04, 0.02, 0.01],
                           base=small_base("mild"))
     return spec, run_experiment(spec, threads=2)
+
+
+@pytest.fixture(scope="module")
+def kind_reports(mild_stability):
+    """One small report of each experiment kind; the inequality suite runs
+    one seed with one round per checker."""
+    reports = {"stability": mild_stability[1]}
+    for kind in ("wasserstein", "corrector"):
+        spec = ExperimentSpec(kind=kind, eps_list=[0.04, 0.02, 0.01],
+                              base=small_base("mild"))
+        reports[kind] = run_experiment(spec, threads=2)
+    reports["lifespan"] = run_experiment(
+        ExperimentSpec(kind="lifespan", eps_list=[0.2, 0.1, 0.05],
+                       base=SMALL_LIFESPAN_BASE), threads=2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "SUITE_SEEDS", 1)
+        mp.setattr(experiments, "SUITE_COUNT", 1)
+        reports["inequalities"] = run_experiment(
+            ExperimentSpec(kind="inequalities", eps_list=[0.02], base=small_base("mild")))
+    return reports
 
 
 class TestOlsLoglog:
@@ -128,12 +159,8 @@ class TestStabilityDriver:
 
 
 class TestLifespanDriver:
-    def test_no_exit_fails_monotonicity(self):
-        base = RunConfig(n=32, t_final=2.0, sample_interval=0.5, model="SGeps",
-                         initial_data="steep", stop_on_exit=True)
-        spec = ExperimentSpec(kind="lifespan", eps_list=[0.2, 0.1, 0.05],
-                              base=base)
-        rep = run_experiment(spec, threads=2)
+    def test_no_exit_fails_monotonicity(self, kind_reports):
+        rep = kind_reports["lifespan"]
         assert rep.status == "failed"
         assert any(r["status"] == "no_exit" for r in rep.summary_rows)
         mono = {a["name"]: a for a in rep.assertions}["exit_monotone"]
@@ -155,9 +182,7 @@ class TestWorkerPool:
         ExperimentSpec(kind="corrector", eps_list=[0.04, 0.02, 0.01],
                        base=small_base("mild")),
         ExperimentSpec(kind="lifespan", eps_list=[0.2, 0.1, 0.05],
-                       base=RunConfig(n=32, t_final=2.0, sample_interval=0.5,
-                                      model="SGeps", initial_data="steep",
-                                      stop_on_exit=True)),
+                       base=SMALL_LIFESPAN_BASE),
     ], ids=["corrector", "lifespan"])
     def test_threads_do_not_change_emitted_files(self, spec, tmp_path):
         assert_thread_counts_agree(spec, tmp_path, {})
@@ -234,6 +259,36 @@ class TestEmission:
         assert [Path(p).name for p in w1] == [Path(p).name for p in w2]
         for p1, p2 in zip(w1, w2):
             assert Path(p1).read_bytes() == Path(p2).read_bytes()
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_report_summary_has_only_the_summary_columns(self, kind_reports, kind,
+                                                         tmp_path):
+        emit_report(kind_reports[kind], tmp_path)
+        summary = json.loads((tmp_path / "report.json").read_text())["summary"]
+        assert summary
+        assert all(list(row) == list(SUMMARY_COLUMNS) for row in summary)
+        header = (tmp_path / "summary.csv").read_text().splitlines()[0]
+        assert header == SUMMARY_HEADER
+
+    @pytest.mark.parametrize("kind", ["stability", "wasserstein", "corrector"])
+    def test_rate_loglog_plots_the_fitted_metric(self, kind_reports, kind, tmp_path):
+        rep = kind_reports[kind]
+        emit_report(rep, tmp_path)
+        metric = {r["eps"]: r["metric"] for r in rep.summary_rows}
+        in_fit = [r for r in read_csv(tmp_path / "rate_loglog.csv")
+                  if r["in_fit"] == "True"]
+        assert [float(r["eps"]) for r in in_fit] == rep.fit["eps_used"]
+        for r in in_fit:
+            assert float(r["metric"]) == metric[float(r["eps"])]
+
+    def test_w2_vs_t_bound_is_the_gronwall_record(self, kind_reports, tmp_path):
+        emit_report(kind_reports["wasserstein"], tmp_path)
+        rows = read_csv(tmp_path / "w2_vs_t.csv")
+        assert rows
+        for r in rows:
+            lines = (tmp_path / f"sg_eps{r['eps']}.ndjson").read_text().splitlines()
+            bound = {rec["t"]: rec["gronwall_bound"] for rec in map(json.loads, lines)}
+            assert float(r["gronwall_bound"]) == bound[float(r["t"])]
 
     def test_empty_report_gets_failed_row(self, tmp_path):
         rep = ExperimentReport(kind="stability", eps_list=[0.04, 0.02, 0.01],

@@ -367,7 +367,7 @@ def test_corrector_state_shape():
     cfg = RunConfig(n=32, model="Corrector", t_final=0.2, sample_interval=0.1)
     t = run_simulation(cfg)
     assert t.exit_reason is None
-    final = t.final_state
+    final = t.states[-1]
     assert final.model == "Corrector"
     assert final.background is not None
     assert final.background.time == final.time
@@ -385,7 +385,7 @@ def test_corrector_elliptic_identity():
 
     cfg = RunConfig(n=64, model="Corrector", t_final=0.2, sample_interval=0.1)
     t = run_simulation(cfg)
-    final = t.final_state
+    final = t.states[-1]
     phibar, phi1 = final.background.potential, final.potential
     rhobar, rho1 = final.background.rho, final.rho
     for eps in (0.1, 0.02):
@@ -405,7 +405,7 @@ def test_corrector_transport_defect_scales_quadratically():
     # eps^2 * u1 . grad rho1; verify the eps^2 scaling of its L2 norm
     cfg = RunConfig(n=64, model="Corrector", t_final=0.2, sample_interval=0.1)
     t = run_simulation(cfg)
-    final = t.final_state
+    final = t.states[-1]
     defect = reference_advection(final.potential, final.rho)  # u1 . grad rho1
     base = norm(defect, NormKind.L2)
     for eps in (0.1, 0.01):
