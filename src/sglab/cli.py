@@ -8,7 +8,8 @@ Verbs:
     load        read a checkpoint directory or field file, print a summary
 
 Exit codes: 0 all passes, 2 an acceptance assertion failed, 3
-infrastructure error (bad config, I/O failure, solver abort).
+infrastructure error (bad command line or config, I/O failure, solver
+abort, interrupt).
 """
 
 import argparse
@@ -97,8 +98,6 @@ def _exit_code(traj):
 
 def _cmd_run(args):
     cfg = _want_run_config(_read_config(args.config), "run")
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     traj = _simulate(cfg)
     nd = _write_run(Path(args.out or cfg.output_dir), cfg, traj)
     if traj.times:
@@ -136,8 +135,7 @@ def _cmd_experiment(args):
 
 
 def _cmd_check(args):
-    seed = 0 if args.seed is None else args.seed
-    rep = run_suite(seed, count=SUITE_COUNT)
+    rep = run_suite(args.seed, count=SUITE_COUNT)
     bounds = {r.name: r.bound for r in rep.results}
     for name, ratio in sorted(rep.max_ratios().items()):
         bound = bounds[name]
@@ -145,7 +143,7 @@ def _cmd_check(args):
         print(f"{name}: max ratio {ratio:.6g} ({gate})")
     failures = [r for r in rep.results if not r.passed]
     print(f"{len(rep.results)} checks, {len(failures)} violations, "
-          f"{len(rep.errors)} errors (seed {seed})")
+          f"{len(rep.errors)} errors (seed {args.seed})")
     for name, msg in rep.errors:
         print(f"error in {name}: {msg}", file=sys.stderr)
     if args.out:
@@ -167,8 +165,6 @@ def _cmd_check(args):
 
 def _cmd_dump(args):
     cfg = _want_run_config(_read_config(args.config), "dump")
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     traj = _simulate(cfg)
     out = Path(args.out or cfg.output_dir)
     if not traj.states:
@@ -202,8 +198,15 @@ def _cmd_load(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse would print the usage and exit 2, the code of a failed
+    # acceptance assertion; a usage error is bad input like a bad config
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="sglab",
         description="Spectral simulation lab for the eps-regularized "
                     "semigeostrophic system and 2D Euler on the torus.")
@@ -212,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="integrate a single run config")
     run.add_argument("--config", required=True, help="run config JSON path")
     run.add_argument("--out", help="output directory (default: config output_dir)")
-    run.add_argument("--seed", type=int, help="override config seed")
     run.set_defaults(func=_cmd_run)
 
     exp = sub.add_parser("experiment", help="drive a multi-epsilon experiment")
@@ -224,14 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     exp.set_defaults(func=_cmd_experiment)
 
     chk = sub.add_parser("check", help="run the inequality suite for one seed")
-    chk.add_argument("--seed", type=int, help="suite seed (default 0)")
+    chk.add_argument("--seed", type=int, default=0, help="suite seed (default 0)")
     chk.add_argument("--out", help="optional directory for suite.ndjson")
     chk.set_defaults(func=_cmd_check)
 
     dmp = sub.add_parser("dump", help="integrate and checkpoint the final state")
     dmp.add_argument("--config", required=True, help="run config JSON path")
     dmp.add_argument("--out", help="checkpoint directory (default: config output_dir)")
-    dmp.add_argument("--seed", type=int, help="override config seed")
     dmp.set_defaults(func=_cmd_dump)
 
     lod = sub.add_parser("load", help="inspect a checkpoint directory or field file")
@@ -241,14 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INFRA
     except (OSError, RuntimeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_INFRA
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return EXIT_INFRA
 
 

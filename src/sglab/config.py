@@ -109,14 +109,11 @@ class ExperimentSpec:
 
     eps_list must be strictly decreasing with at least three entries for
     the slope-fitting kinds (everything except 'inequalities').
-    slope_window selects a [first, last] index range of eps_list for the
-    fit; None uses all in-regime runs.
     """
 
     kind: str
     eps_list: list = field(default_factory=list)
     base: RunConfig = field(default_factory=RunConfig)
-    slope_window: list | None = None
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -142,18 +139,6 @@ class ExperimentSpec:
         self.eps_list = eps
         if not isinstance(self.base, RunConfig):
             raise ConfigError("key 'base': expected a run-config object")
-        if self.slope_window is not None:
-            w = self.slope_window
-            ok = (
-                isinstance(w, list)
-                and len(w) == 2
-                and all(isinstance(i, int) and not isinstance(i, bool) for i in w)
-                and 0 <= w[0] <= w[1] < max(len(eps), 1)
-            )
-            if not ok:
-                raise ConfigError(
-                    "key 'slope_window': expected [first, last] indices into eps_list"
-                )
 
 
 _RUN_KEYS = set(RunConfig.__dataclass_fields__)

@@ -62,6 +62,9 @@ __all__ = [
     "bootstrap_status",
 ]
 
+# Hoelder exponent of the C^alpha norm in the log-endpoint bound
+HOLDER_ALPHA = 0.5
+
 
 class EllipticDivergenceError(RuntimeError):
     """Picard iteration left its contraction region (eps * ||D^2 psi|| > 1/2)."""
@@ -260,7 +263,6 @@ def bootstrap_status(
     rho: ScalarField,
     psi: ScalarField,
     eps: float,
-    alpha: float = 0.5,
     m0: float | None = None,
 ) -> BootstrapStatus:
     """Evaluate the regime margins for a (rho, psi) pair.
@@ -269,7 +271,7 @@ def bootstrap_status(
     trajectory should pass the initial value, which transport conserves.
     """
     return _bootstrap_margins(rho, hessian_linf(psi), norm(rho, NormKind.GradLinf),
-                              eps, alpha, m0)
+                              eps, m0)
 
 
 def _potential_norms(rho, psi, eps, m0):
@@ -280,17 +282,17 @@ def _potential_norms(rho, psi, eps, m0):
     hlinf = _hessian_operator_linf(*hess)
     grad_linf = norm(rho, NormKind.GradLinf)
     return (hlinf, _hessian_frobenius_l2(*hess), grad_linf,
-            _bootstrap_margins(rho, hlinf, grad_linf, eps, m0=m0))
+            _bootstrap_margins(rho, hlinf, grad_linf, eps, m0))
 
 
-def _bootstrap_margins(rho, hlinf, grad_linf, eps, alpha=0.5, m0=None) -> BootstrapStatus:
+def _bootstrap_margins(rho, hlinf, grad_linf, eps, m0) -> BootstrapStatus:
     """`bootstrap_status` for a potential whose ||D^2 psi||_Linf is hlinf
     and a density whose ||grad rho||_Linf is grad_linf."""
     if m0 is None:
         m0 = norm(rho, NormKind.Linf)
     grad_margin = 0.25 - eps * grad_linf
     hessian_margin = 0.25 - eps * hlinf
-    calpha = norm(rho, NormKind.Calpha(alpha))
+    calpha = norm(rho, NormKind.Calpha(HOLDER_ALPHA))
     if m0 <= 0:
         ratio = np.inf if hlinf > 0 else 0.0
     else:

@@ -213,21 +213,13 @@ def _eps_tag(eps: float) -> str:
     return f"{eps:g}"
 
 
-def _fit_candidates(spec, rows):
-    """(eps, metric) pairs eligible for the slope fit, per the window rule."""
-    if spec.slope_window is not None:
-        lo, hi = spec.slope_window
-        allowed = set(spec.eps_list[lo : hi + 1])
-    else:
-        allowed = set(spec.eps_list)
-    return [r for r in rows if r["eps"] in allowed and r["in_window"]
-            and r["metric"] is not None and r["metric"] > 0]
-
-
-def _apply_fit(report, spec, gate_name):
-    """Shared slope-fit + gate logic for the three rate experiments."""
+def _apply_fit(report, gate_name):
+    """Shared slope-fit + gate logic for the three rate experiments: the
+    fit takes the rows that stayed inside the bootstrap window with a
+    positive metric."""
     rows = report.summary_rows
-    usable = _fit_candidates(spec, rows)
+    usable = [r for r in rows if r["in_window"] and r["metric"] is not None
+              and r["metric"] > 0]
     target, tol = SLOPE_GATES[report.kind]
     if len(usable) < 2:
         report.notes.append(
@@ -308,7 +300,7 @@ def _stability_core(spec, threads, report):
 def _run_stability(spec, threads):
     report = ExperimentReport(kind="stability", eps_list=list(spec.eps_list))
     _stability_core(spec, threads, report)
-    _apply_fit(report, spec, "velocity_slope")
+    _apply_fit(report, "velocity_slope")
     return _finalize(report)
 
 
@@ -389,7 +381,7 @@ def _run_wasserstein(spec, threads):
         row["metric"] = final[-1]["w2"] if final and final[-1]["w2"] > 0 else None
     report.extras["lp_calibration"] = calibration
     report.extras["w2_bound_check"] = w2_check
-    _apply_fit(report, spec, "w2_slope")
+    _apply_fit(report, "w2_slope")
     max_diff = max((c["abs_diff"] for c in calibration), default=float("inf"))
     report.assertions.append({
         "name": "lp_agreement",
@@ -446,7 +438,7 @@ def _run_corrector(spec, threads):
                                   for s in corr.states))
         report.summary_rows.append(row)
     report.extras["consistency_residual"] = worst_resid
-    _apply_fit(report, spec, "corrector_slope")
+    _apply_fit(report, "corrector_slope")
     report.assertions.append({
         "name": "elliptic_consistency",
         "ok": worst_resid <= CONSISTENCY_TOL,

@@ -51,7 +51,7 @@ from .spectral import (
     norm,
     perp_gradient,
 )
-from .transport import advect_scalar, cumulative_trapezoid, run_simulation
+from .transport import advect_scalar, cumulative_trapezoid, gronwall_integral, run_simulation
 
 __all__ = [
     "CheckResult",
@@ -76,6 +76,12 @@ BUNDLE_N = 64
 BUNDLE_INTERVAL = 0.05
 FLOW_LABELS = 32
 FLOW_DT = 0.0125
+CZ_ALPHA = 0.5  # Hoelder exponent of the endpoint Calderon-Zygmund check
+CZ_BOUND = 2.0
+SOBOLEV_LOW = 1.0  # the interpolation pair H^1, H^3 around H^2
+SOBOLEV_HIGH = 3.0
+EXPANSION_EPS = 0.02
+FORCED_T = 0.4  # horizon of the zero-velocity forced transport check
 
 
 @dataclass(frozen=True)
@@ -169,8 +175,7 @@ def check_wente(psi: ScalarField, seed: int = 0) -> CheckResult:
     return CheckResult("wente", ratio, 1.0, seed, _digest(psi, "wente"))
 
 
-def check_endpoint_cz(f: ScalarField, alpha: float = 0.5,
-                      c_alpha: float = 2.0, seed: int = 0) -> CheckResult:
+def check_endpoint_cz(f: ScalarField, seed: int = 0) -> CheckResult:
     """Endpoint Calderon-Zygmund: Hessian of the potential in L-inf.
 
     ratio = ||D^2 (-lap)^-1 f||_inf / (||f||_inf (1 + log+ of
@@ -182,11 +187,11 @@ def check_endpoint_cz(f: ScalarField, alpha: float = 0.5,
         raise ValueError("degenerate input: zero field")
     u = inv_laplacian(f)
     num = hessian_linf(u)
-    calpha = norm(f, NormKind.Calpha(alpha))
+    calpha = norm(f, NormKind.Calpha(CZ_ALPHA))
     denom = linf * (1.0 + max(0.0, np.log(calpha / linf)))
     ratio = float(num / denom)
-    return CheckResult("endpoint_cz", ratio, c_alpha, seed,
-                       _digest(f, alpha, "endpoint_cz"))
+    return CheckResult("endpoint_cz", ratio, CZ_BOUND, seed,
+                       _digest(f, CZ_ALPHA, "endpoint_cz"))
 
 
 def _interp_ratio(g: ScalarField, s_low: float, s_high: float) -> float:
@@ -205,11 +210,11 @@ def check_h1_interp(g: ScalarField, seed: int = 0) -> CheckResult:
                        _digest(g, "h1_interp"))
 
 
-def check_sobolev_interp(g: ScalarField, s_low: float = 1.0,
-                         s_high: float = 3.0, seed: int = 0) -> CheckResult:
+def check_sobolev_interp(g: ScalarField, seed: int = 0) -> CheckResult:
     """Interpolation at the midpoint exponent between two Sobolev norms."""
-    return CheckResult("sobolev_interp", _interp_ratio(g, s_low, s_high), 1.0 + 1e-12,
-                       seed, _digest(g, s_low, s_high, "sobolev_interp"))
+    return CheckResult("sobolev_interp", _interp_ratio(g, SOBOLEV_LOW, SOBOLEV_HIGH),
+                       1.0 + 1e-12, seed,
+                       _digest(g, SOBOLEV_LOW, SOBOLEV_HIGH, "sobolev_interp"))
 
 
 def check_det_lipschitz(psi1: ScalarField, psi2: ScalarField,
@@ -232,17 +237,15 @@ def check_det_lipschitz(psi1: ScalarField, psi2: ScalarField,
     return CheckResult("det_lip", ratio, 1.0, seed, _digest(psi1, psi2, "det_lip"))
 
 
-def check_det_expansion(phi: ScalarField, eta: ScalarField, eps: float = 0.02,
-                        seed: int = 0) -> CheckResult:
+def check_det_expansion(phi: ScalarField, eta: ScalarField, seed: int = 0) -> CheckResult:
     """Quadratic determinant expansion closes to roundoff."""
     scale = max(1.0, hessian_l2(phi) ** 2, hessian_l2(eta) ** 2)
-    ratio = float(det_expansion_residual(phi, eta, eps) / scale)
+    ratio = float(det_expansion_residual(phi, eta, EXPANSION_EPS) / scale)
     return CheckResult("det_expansion", ratio, 1e-10, seed,
-                       _digest(phi, eta, eps, "det_expansion"))
+                       _digest(phi, eta, EXPANSION_EPS, "det_expansion"))
 
 
-def check_forced_transport_constant(f: ScalarField, t_final: float = 0.4,
-                                    seed: int = 0) -> CheckResult:
+def check_forced_transport_constant(f: ScalarField, seed: int = 0) -> CheckResult:
     """Forced transport with zero velocity: defect equals the forcing.
 
     With u = 0 and constant-in-time forcing f the solution is
@@ -252,14 +255,14 @@ def check_forced_transport_constant(f: ScalarField, t_final: float = 0.4,
     grid = f.grid
     zero_pot = ScalarField.zeros(grid)
     sigma0 = ScalarField.zeros(grid)
-    out = advect_scalar(sigma0, lambda t: zero_pot, 0.0, t_final, dt=0.05,
+    out = advect_scalar(sigma0, lambda t: zero_pot, 0.0, FORCED_T, dt=0.05,
                         forcing_at=lambda t: f)
     num = norm(out - sigma0, NormKind.Hminus1)
-    denom = t_final * norm(f, NormKind.Hminus1)
+    denom = FORCED_T * norm(f, NormKind.Hminus1)
     if denom == 0.0:
         raise ValueError("degenerate input: zero forcing")
     return CheckResult("forced_transport", float(num / denom), 1.0 + 1e-10, seed,
-                       _digest(f, t_final, "forced_transport"))
+                       _digest(f, FORCED_T, "forced_transport"))
 
 
 # ------------------------------------------------------------------
@@ -280,7 +283,7 @@ class _Bundle:
         rho0 = random_field(grid, rng, gamma=4.0, normalize="gradlinf")
         modes = _field_to_modes(rho0)
         base = dict(n=BUNDLE_N, t_final=BUNDLE_T, sample_interval=BUNDLE_INTERVAL,
-                    initial_data=modes, seed=seed)
+                    initial_data=modes)
         self.euler = run_simulation(RunConfig(model="Euler", eps=0.0, **base))
         self.sg = run_simulation(RunConfig(model="SGeps", eps=BUNDLE_EPS, **base))
         self.corrector = run_simulation(
@@ -342,7 +345,7 @@ def _check_grad_ode(bundle: _Bundle, idx: int) -> CheckResult:
     traj = bundle.sg
     diags = traj.diagnostics
     hess = [d.hess_linf_psi for d in diags[: idx + 1]]
-    grow = np.exp(np.trapezoid(hess, bundle.times[: idx + 1]))
+    grow = np.exp(cumulative_trapezoid(hess, bundle.times[: idx + 1])[-1])
     ratio = float(diags[idx].grad_linf_rho / (diags[0].grad_linf_rho * grow))
     return CheckResult("grad_ode", ratio, 1.0 + 1e-3, bundle.seed,
                        _digest(traj.states[idx].rho, idx, "grad_ode"))
@@ -353,7 +356,7 @@ def _check_hm_transport(bundle: _Bundle, idx: int, m: int) -> CheckResult:
     if len(traj.states) < 10:
         raise ValueError("need at least 10 samples")
     diags = traj.diagnostics[: idx + 1]
-    grow = np.exp(np.trapezoid(_transport_rate(diags), bundle.times[: idx + 1]))
+    grow = np.exp(cumulative_trapezoid(_transport_rate(diags), bundle.times[: idx + 1])[-1])
     ratio = float(_hm_norm(diags[idx], m) / (_hm_norm(diags[0], m) * grow))
     name = f"hm_transport_{m}"
     return CheckResult(name, ratio, 1.0 + 1e-2, bundle.seed,
@@ -457,7 +460,7 @@ def _check_flow_gronwall(bundle: _Bundle, idx: int) -> CheckResult:
     cum = cumulative_trapezoid(rate, times)
     source = np.array([BUNDLE_EPS * c_w * d.hess_l2_psi ** 2
                        for d in bundle.sg.diagnostics[: idx + 1]])
-    rhs = float(np.trapezoid(np.exp(cum[-1] - cum) * source, times))
+    rhs = float(gronwall_integral(cum, source, times)[-1])
     ratio = float(bundle.gaps.flow_gap[idx] / rhs)
     return CheckResult("flow_gronwall", ratio, 1.0, bundle.seed,
                        _digest(bundle.gaps.flow_gap[idx], idx, "flow_gronwall"))
@@ -474,8 +477,7 @@ def _check_l2_stab_hm(bundle: _Bundle, idx: int, m: int = 3) -> CheckResult:
     gammas = []
     for traj in (bundle.sg, bundle.euler):
         rate = _transport_rate(traj.diagnostics)
-        integ = np.array([np.trapezoid(rate[: j + 1], bundle.times[: j + 1])
-                          for j in range(len(rate))])
+        integ = cumulative_trapezoid(rate, bundle.times)
         with np.errstate(divide="ignore", invalid="ignore"):
             growth = np.array([np.log(_hm_norm(d, m) / h0) for d in traj.diagnostics])
         usable = integ > 0.01
@@ -511,7 +513,8 @@ def _check_forced_transport_flow(bundle: _Bundle, idx: int) -> CheckResult:
         force.append(norm(f, NormKind.Hminus1))
     times = bundle.times[: idx + 1]
     hess = [hessian_linf(s.background.potential) for s in traj.states[: idx + 1]]
-    denom = np.trapezoid(force, times) * np.exp(np.trapezoid(hess, times))
+    denom = (cumulative_trapezoid(force, times)[-1]
+             * np.exp(cumulative_trapezoid(hess, times)[-1]))
     ratio = float(lhs / denom)
     return CheckResult("forced_transport_flow", ratio, 1.0 + 1e-2, bundle.seed,
                        _digest(state.rho, idx, "forced_flow"))

@@ -13,11 +13,11 @@ spline coefficients, cached per evaluation time within one sweep.
 A velocity provider is any object with a `grid` attribute (TorusGrid of
 the sampled fields), a `pair(t)` method returning the two velocity
 component arrays at time t, and a `filtered_pair(t)` method returning
-their cubic spline coefficients. TrajectoryVelocity adapts a transport
-Trajectory using cubic Lagrange interpolation in time between samples;
-since the B-spline prefilter is linear, it filters each sample once and
-combines the coefficients with the same weights as the velocities.
-FieldVelocity adapts an analytic callable for tests and filters per call.
+their cubic spline coefficients. TrajectoryVelocity, the one provider
+here, adapts a transport Trajectory using cubic Lagrange interpolation
+in time between samples; since the B-spline prefilter is linear, it
+filters each sample once and combines the coefficients with the same
+weights as the velocities.
 """
 
 from dataclasses import dataclass
@@ -25,13 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .spectral import ScalarField, TorusGrid, NormKind, norm, perp_gradient
+from .spectral import ScalarField, NormKind, norm, perp_gradient
 from .transport import StepSizeError, Trajectory, _rk4, _shared_times
 
 __all__ = [
     "FlowMap",
     "GapSeries",
-    "FieldVelocity",
     "TrajectoryVelocity",
     "label_flow",
     "advect_flow",
@@ -42,6 +41,8 @@ __all__ = [
     "pushforward_density",
     "paired_gap_series",
 ]
+
+DEPOSIT_WIDTH = 3  # half-width in cells of measure_preservation_defect's hat kernel
 
 
 @dataclass(frozen=True)
@@ -80,24 +81,6 @@ def label_flow(m: int) -> FlowMap:
     centers = (np.arange(m) + 0.5) / m
     X, Y = np.meshgrid(centers, centers, indexing="ij")
     return FlowMap(m=m, time=0.0, positions_x=X, positions_y=Y)
-
-
-class FieldVelocity:
-    """Analytic or static velocity sampled on a grid, for tests.
-
-    fn(t) must return a pair of ScalarFields (ux, uy).
-    """
-
-    def __init__(self, grid: TorusGrid, fn):
-        self.grid = grid
-        self._fn = fn
-
-    def pair(self, t: float):
-        ux, uy = self._fn(t)
-        return ux.values, uy.values
-
-    def filtered_pair(self, t: float):
-        return tuple(_prefilter(u) for u in self.pair(t))
 
 
 def _prefilter(u: np.ndarray) -> np.ndarray:
@@ -218,11 +201,11 @@ def flow_gap(a: FlowMap, b: FlowMap) -> float:
     return float(np.sqrt(np.mean(dx ** 2 + dy ** 2)))
 
 
-def measure_preservation_defect(flow: FlowMap, width: int = 3) -> float:
+def measure_preservation_defect(flow: FlowMap) -> float:
     """Max relative deviation of binned cell mass from uniform.
 
     Mass is deposited onto the m x m cell centers with a tensor hat
-    kernel of integer half-width w cells (default 3). An integer-width
+    kernel of integer half-width DEPOSIT_WIDTH cells. An integer-width
     hat keeps the exact partition-of-unity property (identity and
     uniform translations score exactly 0) while suppressing the lattice
     aliasing that makes nearest-cell counting useless for rotated or
@@ -232,9 +215,7 @@ def measure_preservation_defect(flow: FlowMap, width: int = 3) -> float:
     m = flow.m
     if m < 16:
         raise ValueError("need m >= 16")
-    if width < 1:
-        raise ValueError("need width >= 1")
-    w = int(width)
+    w = DEPOSIT_WIDTH
     counts = np.zeros((m, m))
     # node i holds cell center (i+1/2)/m; fractional node coordinate
     u = np.mod(flow.positions_x, 1.0).ravel() * m - 0.5

@@ -264,7 +264,7 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class NormKind:
-    """Norm selector: tag in {L2, Linf, Hs, Hminus1, W1inf, Calpha, GradLinf}.
+    """Norm selector: tag in {L2, Linf, Hs, Calpha, GradLinf}; Hminus1 is Hs at s = -1.
 
     Hs carries the order s; Calpha carries the Hoelder exponent alpha
     (default 1/2). Hs/Hminus1 require mean-zero fields.
@@ -289,7 +289,6 @@ class NormKind:
 NormKind.L2 = NormKind("L2")
 NormKind.Linf = NormKind("Linf")
 NormKind.Hminus1 = NormKind("Hs", s=-1.0)
-NormKind.W1inf = NormKind("W1inf")
 NormKind.GradLinf = NormKind("GradLinf")
 
 
@@ -376,7 +375,7 @@ def _holder_seminorm(f: ScalarField, alpha: float) -> float:
 
 def norm(f: ScalarField, kind: NormKind) -> float:
     """Norms per the kit: grid-sample L2/Linf, homogeneous spectral Hs,
-    W1inf = Linf + GradLinf, Calpha = Linf + discrete Hoelder seminorm."""
+    GradLinf = sup |grad f|, Calpha = Linf + discrete Hoelder seminorm."""
     tag = kind.tag
     if tag == "L2":
         return float(np.sqrt(np.mean(f.values**2)))
@@ -388,8 +387,6 @@ def norm(f: ScalarField, kind: NormKind) -> float:
     if tag == "GradLinf":
         gx, gy = _gradient_values(f)
         return float(np.max(np.hypot(gx, gy)))
-    if tag == "W1inf":
-        return norm(f, NormKind.Linf) + norm(f, NormKind.GradLinf)
     if tag == "Calpha":
         return norm(f, NormKind.Linf) + _holder_seminorm(f, kind.alpha)
     raise ValueError(f"unknown norm kind {tag!r}")

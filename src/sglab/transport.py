@@ -62,6 +62,7 @@ __all__ = [
     "step_rk4",
     "run_simulation",
     "cumulative_trapezoid",
+    "gronwall_integral",
     "advect_scalar",
 ]
 
@@ -420,6 +421,13 @@ def cumulative_trapezoid(values, times) -> np.ndarray:
     """Trapezoid integrals of a sampled series from times[0] to each sample."""
     values = np.asarray(values, dtype=float)
     return np.concatenate([[0.0], np.cumsum(np.diff(times) * (values[1:] + values[:-1]) / 2.0)])
+
+
+def gronwall_integral(a, source, times) -> np.ndarray:
+    """B_i = int_0^{t_i} exp(a(t_i) - a(s)) source(s) ds per sample i, by
+    the trapezoid rule on the samples up to t_i; a and source are arrays."""
+    return np.array([np.trapezoid(np.exp(a[i] - a[: i + 1]) * source[: i + 1], times[: i + 1])
+                     for i in range(len(a))])
 
 
 def run_simulation(config) -> Trajectory:

@@ -45,7 +45,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .spectral import ScalarField, perp_gradient
-from .transport import Trajectory, _shared_times
+from .transport import Trajectory, _shared_times, gronwall_integral
 
 __all__ = [
     "DensityOnTorus",
@@ -493,6 +493,4 @@ def gronwall_w2_bound(traj_sg: Trajectory, traj_euler: Trajectory) -> W2Gronwall
         gap2[i] = float(np.mean((dx * dx + dy * dy) * dense))
 
     a_t = np.array([d.A_t for d in traj_euler.diagnostics[:k]])
-    bound = np.array([np.trapezoid(np.exp(a_t[i] - a_t[: i + 1]) * gap2[: i + 1],
-                                   times[: i + 1]) for i in range(k)])
-    return W2GronwallSeries(times=times, a_t=a_t, bound=bound)
+    return W2GronwallSeries(times=times, a_t=a_t, bound=gronwall_integral(a_t, gap2, times))

@@ -42,11 +42,14 @@ class TestRunVerb:
         assert meta["model"] == "SGeps"
         assert meta["exit_reason"] is None
 
-    def test_out_and_seed_flags(self, run_cfg, tmp_path):
+    def test_out_and_seed_flags(self, run_cfg, tmp_path, capsys):
         out = tmp_path / "elsewhere"
-        assert main(["run", "--config", run_cfg, "--out", str(out),
-                     "--seed", "7"]) == EXIT_OK
+        assert main(["run", "--config", run_cfg, "--out", str(out)]) == EXIT_OK
         assert (out / "run.ndjson").exists()
+        # the run verbs have no seed to set: run_simulation draws nothing
+        for verb in ("run", "dump"):
+            assert main([verb, "--config", run_cfg, "--seed", "7"]) == EXIT_INFRA
+            assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
     def test_rejects_experiment_config(self, exp_cfg):
         assert main(["run", "--config", exp_cfg]) == EXIT_INFRA
@@ -139,6 +142,37 @@ class TestRunVerb:
         assert "finite" in capsys.readouterr().err
 
 
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["run"],
+        ["frobnicate"],
+        ["check", "--bogus"],
+        ["experiment", "--config", "x.json", "--threads", "two"],
+    ])
+    def test_usage_error_exits_3_with_one_error_line(self, capsys, argv):
+        assert main(argv) == EXIT_INFRA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: sglab")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        assert "usage: sglab" in capsys.readouterr().out
+
+    def test_interrupt_exits_3(self, run_cfg, capsys, monkeypatch):
+        def interrupted(cfg):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("sglab.cli.run_simulation", interrupted)
+        assert main(["run", "--config", run_cfg]) == EXIT_INFRA
+        assert capsys.readouterr().err == "error: interrupted\n"
+
+
 class TestExperimentVerb:
     def test_passing_experiment(self, exp_cfg, tmp_path, capsys):
         assert main(["experiment", "--config", exp_cfg, "--threads", "2"]) == EXIT_OK
@@ -170,6 +204,13 @@ class TestExperimentVerb:
 
     def test_rejects_run_config(self, run_cfg):
         assert main(["experiment", "--config", run_cfg]) == EXIT_INFRA
+
+    def test_rejects_slope_window(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "win.json", {
+            "kind": "stability", "eps_list": [0.04, 0.02, 0.01],
+            "slope_window": [0, 1]})
+        assert main(["experiment", "--config", cfg]) == EXIT_INFRA
+        assert "unknown key(s) ['slope_window']" in capsys.readouterr().err
 
     def test_divergence_at_t0_is_infra_error(self, tmp_path):
         cfg = write_json(tmp_path / "life0.json", {

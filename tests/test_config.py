@@ -48,9 +48,6 @@ def experiment_objects(draw):
     obj = {"kind": kind, "eps_list": sorted(eps, reverse=True)}
     if draw(st.booleans()):
         obj["base"] = draw(run_objects)
-    if eps and draw(st.booleans()):
-        first = draw(st.integers(0, len(eps) - 1))
-        obj["slope_window"] = [first, draw(st.integers(first, len(eps) - 1))]
     return obj
 
 

@@ -226,7 +226,7 @@ def test_bootstrap_log_ratio_single_mode(grid):
     # 1 / (1 + log ||rho||_Calpha) < 1.
     rho = trig_field(grid, 1, 0)
     psi, _ = solve_sg_potential(rho, eps=0.0)
-    status = bootstrap_status(rho, psi, eps=0.0, alpha=0.5)
+    status = bootstrap_status(rho, psi, eps=0.0)
     calpha = norm(rho, NormKind.Calpha(0.5))
     expect = 1.0 / (1.0 + np.log(calpha))
     assert status.log_estimate_ratio == pytest.approx(expect, rel=1e-10)

@@ -5,9 +5,9 @@ import pytest
 
 from sglab.config import RunConfig
 from sglab.lagrangian import (
-    FieldVelocity,
     FlowMap,
     TrajectoryVelocity,
+    _prefilter,
     advect_flow,
     backward_flow,
     flow_gap,
@@ -31,6 +31,22 @@ def euler128():
     cfg = RunConfig(n=128, model="Euler", eps=0.0, t_final=1.0,
                     sample_interval=0.05)
     return run_simulation(cfg)
+
+
+class FieldVelocity:
+    """Velocity provider for an analytic or static velocity sampled on a
+    grid; fn(t) returns a pair of ScalarFields (ux, uy)."""
+
+    def __init__(self, grid, fn):
+        self.grid = grid
+        self._fn = fn
+
+    def pair(self, t):
+        ux, uy = self._fn(t)
+        return ux.values, uy.values
+
+    def filtered_pair(self, t):
+        return tuple(_prefilter(u) for u in self.pair(t))
 
 
 def constant_velocity(grid, cx, cy):

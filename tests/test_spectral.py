@@ -220,12 +220,6 @@ def test_grad_linf_single_mode(grid):
     assert norm(f, NormKind.GradLinf) == pytest.approx(2 * np.pi, rel=1e-12)
 
 
-def test_w1inf_combines(grid):
-    f = field_from(grid, lambda x, y: np.cos(2 * np.pi * x))
-    got = norm(f, NormKind.W1inf)
-    assert got == pytest.approx(1.0 + 2 * np.pi, rel=1e-12)
-
-
 def test_hs_norm_requires_mean_zero(grid):
     f = ScalarField(grid, np.full((64, 64), 2.0))
     with pytest.raises(MeanViolationError):

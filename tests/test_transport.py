@@ -30,6 +30,7 @@ from sglab.transport import (
     Trajectory,
     advect_scalar,
     cfl_limit,
+    gronwall_integral,
     initial_data_field,
     run_simulation,
     step_rk4,
@@ -341,6 +342,20 @@ def test_final_time_not_on_lattice():
     cfg = RunConfig(n=32, model="Euler", t_final=0.25, sample_interval=0.1)
     t = run_simulation(cfg)
     assert t.times == pytest.approx([0.0, 0.1, 0.2, 0.25], abs=0)
+
+
+def test_gronwall_integral_matches_per_sample_trapezoid():
+    # 20 segments: numpy's pairwise summation applies from 8 on
+    rng = np.random.default_rng(5)
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.1, 20))])
+    a = np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 0.5, 20))])
+    source = rng.uniform(0.0, 2.0, 21)
+    expect = [np.trapezoid(np.exp(a[i] - a[: i + 1]) * source[: i + 1], times[: i + 1])
+              for i in range(21)]
+    got = gronwall_integral(a, source, times)
+    assert got.tolist() == [float(b) for b in expect]
+    # no growth and a unit source integrate to the elapsed time
+    assert gronwall_integral(np.zeros(21), np.ones(21), times) == pytest.approx(times, rel=1e-14)
 
 
 def test_l2_conserved_default_run():
