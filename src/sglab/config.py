@@ -108,7 +108,7 @@ class ExperimentSpec:
     """Parameters of a multi-run experiment.
 
     eps_list must be strictly decreasing with at least three entries for
-    the slope-fitting kinds (everything except 'inequalities').
+    the slope-fitting kinds, and empty for 'inequalities'.
     """
 
     kind: str
@@ -136,6 +136,8 @@ class ExperimentSpec:
                 raise ConfigError("key 'eps_list': need at least 3 entries")
             if any(a <= b for a, b in zip(eps, eps[1:])):
                 raise ConfigError("key 'eps_list': must be strictly decreasing")
+        elif eps:
+            raise ConfigError("key 'eps_list': an inequalities experiment reads none")
         self.eps_list = eps
         if not isinstance(self.base, RunConfig):
             raise ConfigError("key 'base': expected a run-config object")
@@ -143,6 +145,7 @@ class ExperimentSpec:
 
 _RUN_KEYS = set(RunConfig.__dataclass_fields__)
 _EXP_KEYS = set(ExperimentSpec.__dataclass_fields__)
+SUITE_BASE_KEYS = {"seed", "output_dir"}  # all an inequalities experiment reads
 
 
 def _build_run(obj: dict) -> RunConfig:
@@ -170,5 +173,10 @@ def parse_config(text: str):
             if not isinstance(base, dict):
                 raise ConfigError("key 'base': expected object")
             obj["base"] = _build_run(base)
-        return ExperimentSpec(**obj)
+        spec = ExperimentSpec(**obj)
+        ignored = sorted(set(base or ()) - SUITE_BASE_KEYS)
+        if spec.kind == "inequalities" and ignored:
+            raise ConfigError(f"base key(s) {ignored}: an inequalities experiment "
+                              "reads only seed and output_dir")
+        return spec
     return _build_run(obj)

@@ -62,10 +62,6 @@ __all__ = [
     "bootstrap_status",
 ]
 
-# Hoelder exponent of the C^alpha norm in the log-endpoint bound
-HOLDER_ALPHA = 0.5
-
-
 class EllipticDivergenceError(RuntimeError):
     """Picard iteration left its contraction region (eps * ||D^2 psi|| > 1/2)."""
 
@@ -292,7 +288,7 @@ def _bootstrap_margins(rho, hlinf, grad_linf, eps, m0) -> BootstrapStatus:
         m0 = norm(rho, NormKind.Linf)
     grad_margin = 0.25 - eps * grad_linf
     hessian_margin = 0.25 - eps * hlinf
-    calpha = norm(rho, NormKind.Calpha(HOLDER_ALPHA))
+    calpha = norm(rho, NormKind.Calpha)
     if m0 <= 0:
         ratio = np.inf if hlinf > 0 else 0.0
     else:

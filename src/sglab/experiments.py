@@ -467,7 +467,7 @@ def _run_lifespan(spec, threads):
                 f"t = {spec.base.t_final}; raise t_final")
         else:
             row["status"] = f"failed: {traj.exit_reason}"
-        y = [norm(s.rho, NormKind.Calpha(0.5)) for s in traj.states]
+        y = [norm(s.rho, NormKind.Calpha) for s in traj.states]
         calpha_series[eps] = (list(traj.times), y)
         if len(y) >= 4:
             c, stderr, r2 = riccati_fit(traj.times, y)

@@ -43,6 +43,7 @@ from .lagrangian import (
     paired_gap_series,
 )
 from .spectral import (
+    HOLDER_ALPHA,
     NormKind,
     ScalarField,
     TorusGrid,
@@ -76,7 +77,6 @@ BUNDLE_N = 64
 BUNDLE_INTERVAL = 0.05
 FLOW_LABELS = 32
 FLOW_DT = 0.0125
-CZ_ALPHA = 0.5  # Hoelder exponent of the endpoint Calderon-Zygmund check
 CZ_BOUND = 2.0
 SOBOLEV_LOW = 1.0  # the interpolation pair H^1, H^3 around H^2
 SOBOLEV_HIGH = 3.0
@@ -187,11 +187,11 @@ def check_endpoint_cz(f: ScalarField, seed: int = 0) -> CheckResult:
         raise ValueError("degenerate input: zero field")
     u = inv_laplacian(f)
     num = hessian_linf(u)
-    calpha = norm(f, NormKind.Calpha(CZ_ALPHA))
+    calpha = norm(f, NormKind.Calpha)
     denom = linf * (1.0 + max(0.0, np.log(calpha / linf)))
     ratio = float(num / denom)
     return CheckResult("endpoint_cz", ratio, CZ_BOUND, seed,
-                       _digest(f, CZ_ALPHA, "endpoint_cz"))
+                       _digest(f, HOLDER_ALPHA, "endpoint_cz"))
 
 
 def _interp_ratio(g: ScalarField, s_low: float, s_high: float) -> float:

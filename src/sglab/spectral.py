@@ -262,32 +262,29 @@ class ScalarField:
         return ScalarField(self.grid, -self._values)
 
 
+HOLDER_ALPHA = 0.5  # the Hoelder exponent of NormKind.Calpha
+
+
 @dataclass(frozen=True)
 class NormKind:
     """Norm selector: tag in {L2, Linf, Hs, Calpha, GradLinf}; Hminus1 is Hs at s = -1.
 
-    Hs carries the order s; Calpha carries the Hoelder exponent alpha
-    (default 1/2). Hs/Hminus1 require mean-zero fields.
+    Hs carries the order s; Calpha is the C^alpha norm at alpha =
+    HOLDER_ALPHA. Hs/Hminus1 require mean-zero fields.
     """
 
     tag: str
     s: float = 0.0
-    alpha: float = 0.5
 
     @staticmethod
     def Hs(s: float) -> "NormKind":
         return NormKind("Hs", s=s)
 
-    @staticmethod
-    def Calpha(alpha: float = 0.5) -> "NormKind":
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-        return NormKind("Calpha", alpha=alpha)
-
 
 # Singletons for the parameter-free kinds.
 NormKind.L2 = NormKind("L2")
 NormKind.Linf = NormKind("Linf")
+NormKind.Calpha = NormKind("Calpha")
 NormKind.Hminus1 = NormKind("Hs", s=-1.0)
 NormKind.GradLinf = NormKind("GradLinf")
 
@@ -345,8 +342,8 @@ def dealias(f: ScalarField) -> ScalarField:
     return _from_hat(f.grid, kernel(f.grid.n).mask_half * f.hat)
 
 
-def _holder_seminorm(f: ScalarField, alpha: float) -> float:
-    """Discrete C^alpha seminorm over dyadic offsets along axes and diagonals.
+def _holder_seminorm(f: ScalarField) -> float:
+    """Discrete C^HOLDER_ALPHA seminorm over dyadic offsets along axes and diagonals.
 
     Offsets are h*2^j, j = 0..log2(n/2); distances are torus geodesic.
     """
@@ -368,7 +365,7 @@ def _holder_seminorm(f: ScalarField, alpha: float) -> float:
             float(np.max(np.abs(v - np.roll(v, (step, -step), axis=(0, 1))))),
         )
         if d > 0:
-            best = max(best, ax / d**alpha, diag / (np.sqrt(2.0) * d) ** alpha)
+            best = max(best, ax / d**HOLDER_ALPHA, diag / (np.sqrt(2.0) * d) ** HOLDER_ALPHA)
         j += 1
     return best
 
@@ -388,5 +385,5 @@ def norm(f: ScalarField, kind: NormKind) -> float:
         gx, gy = _gradient_values(f)
         return float(np.max(np.hypot(gx, gy)))
     if tag == "Calpha":
-        return norm(f, NormKind.Linf) + _holder_seminorm(f, kind.alpha)
+        return norm(f, NormKind.Linf) + _holder_seminorm(f)
     raise ValueError(f"unknown norm kind {tag!r}")

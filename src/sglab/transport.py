@@ -11,32 +11,30 @@ Three models share one stepper:
                 lap phi1 = rho1 - det D^2 phibar
               with rho1(0) = 0.
 
-Each RK4 stage re-solves its elliptic problem, so the velocity is
-consistent with the stage density. Every model's stages, and those of
-`advect_scalar`, run on rfft2 half-spectra (see `elliptic`) through one
-advection kernel; values return to the grid once per step, as the
-step's increment followed by a mean projection. Advection products are
-2/3-dealiased; with band-limited states the dealiased quadratic terms
-are alias-free and the semi-discrete scheme conserves the L2 norm
-exactly, leaving only the O(dt^4) time-discretization drift.
+Each model is defined once, as a potentials/rates pair on rfft2
+half-spectrum states (`_equations`), and one RK4 path steps all three,
+re-solving the elliptic problems in every stage so that the velocity is
+consistent with the stage density. Values return to the grid once per
+step, as the step's increment followed by a mean projection. Advection
+products are 2/3-dealiased; with band-limited states the dealiased
+quadratic terms are alias-free and the semi-discrete scheme conserves
+the L2 norm exactly, leaving only the O(dt^4) time-discretization drift.
 
 Steps never cross sample times: run_simulation shortens the last step
 of each segment to land on k * sample_interval exactly, which keeps
 sample clocks of paired runs aligned bit for bit.
 """
 
-from dataclasses import dataclass, field as dataclass_field, fields
+from dataclasses import dataclass, field as dataclass_field, fields, replace
 from functools import cached_property
 
 import numpy as np
 
-from .config import MODELS
 from .spectral import (
     ScalarField,
     TorusGrid,
     NormKind,
     dealias,
-    inv_laplacian,
     kernel,
     norm,
     perp_gradient,
@@ -48,12 +46,9 @@ from .elliptic import (
     _hessian_half,
     _picard,
     _potential_norms,
-    solve_corrector_potential,
-    solve_sg_potential,
 )
 
 __all__ = [
-    "MODELS",
     "StepSizeError",
     "SimState",
     "DiagnosticsRecord",
@@ -97,7 +92,7 @@ class SimState:
     background: "SimState | None" = None
 
     def __post_init__(self):
-        if self.model not in MODELS:
+        if self.model not in PARTS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "Corrector":
             if self.background is None:
@@ -266,19 +261,62 @@ def _advection_half(kern, pot_hat: np.ndarray, rho_hat: np.ndarray) -> np.ndarra
     return kern.mask_half * np.fft.rfft2(px * ry - py * rx)
 
 
-def _solve_potential(rho: ScalarField, model: str, eps: float) -> ScalarField:
-    if model == "SGeps" and eps != 0.0:
-        psi, _ = solve_sg_potential(rho, eps)
-        return psi
-    return inv_laplacian(rho)
+# each model's parts, background first; a half-spectrum state y holds one
+# density per part: (rho,), or (rhobar, rho1) for the Corrector
+PARTS = {"Euler": ("Euler",), "SGeps": ("SGeps",), "Corrector": ("Euler", "Corrector")}
+
+
+def _equations(model: str, eps: float, n: int, pots0=None):
+    """One model's (potentials, rates) pair on half-spectrum states y.
+
+    potentials(y) solves one potential per part; each SG solve warm-starts
+    from the previous one, the first from pots0[0] (cold when pots0 is None).
+    rates(y, pots) is dy/dt: perp grad pots[0] advects every part, and the
+    Corrector adds -u1 . grad rhobar, u1 = perp grad pots[1], to rho1's.
+    """
+    kern = kernel(n)
+
+    def poisson(r):
+        kern.require_mean_zero(r)
+        return kern.inv_lap_half * r
+
+    if model == "Corrector":
+        def potentials(y):
+            phibar = poisson(y[0])
+            return phibar, poisson(y[1] - _det_half(kern, _hessian_half(kern, phibar)))
+    elif model == "SGeps" and eps != 0.0:
+        start = None if pots0 is None else (pots0[0], None)
+
+        def potentials(y):
+            nonlocal start
+            psi_hat, hess, _ = _picard(y[0], eps, start=start)
+            start = (psi_hat, hess)
+            return (psi_hat,)
+    else:
+        def potentials(y):
+            return (poisson(y[0]),)
+
+    def rates(y, pots):
+        out = [-_advection_half(kern, pots[0], r) for r in y]
+        if model == "Corrector":
+            out[1] = out[1] - _advection_half(kern, pots[1], y[0])
+        return tuple(out)
+
+    return potentials, rates
+
+
+def _state(t: float, model: str, eps: float, rhos, pot_hats) -> SimState:
+    """A model's SimState from its parts' densities and potential half-spectra."""
+    state = None
+    for part, rho, pot in zip(PARTS[model], rhos, pot_hats):
+        state = SimState(t, part, eps if part == model else 0.0, rho,
+                         ScalarField(rho.grid, np.fft.irfft2(pot)), background=state)
+    return state
 
 
 def advecting_velocity(state: SimState) -> tuple[ScalarField, ScalarField]:
-    """Velocity that transports the state's density (background's for
-    the corrector, own otherwise)."""
-    if state.model == "Corrector":
-        return perp_gradient(state.background.potential)
-    return perp_gradient(state.potential)
+    """Velocity that transports the state's density: its background's, if any."""
+    return perp_gradient((state.background or state).potential)
 
 
 def cfl_limit(state: SimState, cfl: float = 0.5) -> float:
@@ -327,56 +365,16 @@ def step_rk4(state: SimState, dt: float, cfl: float = 0.5) -> SimState:
     if dt > limit * (1 + 1e-12):
         raise StepSizeError(f"dt = {dt:.3e} exceeds CFL limit {limit:.3e}")
 
-    model, eps = state.model, state.eps
-    kern = kernel(state.rho.grid.n)
-
-    if model == "Corrector":
-        def corrector_deriv(t, y):
-            rb, rc = y
-            kern.require_mean_zero(rb)
-            phibar = kern.inv_lap_half * rb
-            rhs = rc - _det_half(kern, _hessian_half(kern, phibar))
-            kern.require_mean_zero(rhs)
-            phi1 = kern.inv_lap_half * rhs
-            kb = -_advection_half(kern, phibar, rb)
-            return kb, -(_advection_half(kern, phibar, rc) + _advection_half(kern, phi1, rb))
-
-        bg = state.background
-        y0 = (bg.rho.hat, state.rho.hat)
-        y1 = _rk4(corrector_deriv, state.time, y0, dt)
-        rb, rc = map(_advance, (bg.rho, state.rho), y0, y1)
-        t1 = state.time + dt
-        phibar = inv_laplacian(rb)
-        new_bg = SimState(t1, "Euler", 0.0, rb, phibar)
-        phi1 = solve_corrector_potential(rc, phibar)
-        return SimState(t1, "Corrector", eps, rc, phi1, background=new_bg)
-
-    # SG/Euler: each SG stage solve starts from the previous stage's
-    # potential and its Hessian
-    pot_hat, hess = state.potential.hat, None
-    sg = model == "SGeps" and eps != 0.0
-
-    def potential(r):
-        nonlocal pot_hat, hess
-        if sg:
-            pot_hat, hess, _ = _picard(r, eps, start=(pot_hat, hess))
-        else:
-            kern.require_mean_zero(r)
-            pot_hat = kern.inv_lap_half * r
-        return pot_hat
-
-    def deriv(t, y):
-        (r,) = y
-        return (-_advection_half(kern, potential(r), r),)
-
-    r0 = state.rho.hat
-    k1 = (-_advection_half(kern, pot_hat, r0),)  # reuse the solved potential
-    (r1,) = _rk4(deriv, state.time, (r0,), dt, k1)
-    rho1 = _advance(state.rho, r0, r1)
-    r1[0, 0] = 0.0  # the same mean projection on the half-spectrum
-    pot1 = potential(r1)
-    return SimState(state.time + dt, model, eps, rho1,
-                    ScalarField(state.rho.grid, np.fft.irfft2(pot1)))
+    parts = (state.background, state) if state.background else (state,)  # PARTS order
+    y0 = tuple(p.rho.hat for p in parts)
+    pots0 = tuple(p.potential.hat for p in parts)
+    potentials, rates = _equations(state.model, state.eps, state.rho.grid.n, pots0)
+    y1 = _rk4(lambda t, y: rates(y, potentials(y)), state.time, y0, dt,
+              k1=rates(y0, pots0))  # k1 reuses the state's solved potentials
+    rhos = tuple(map(_advance, (p.rho for p in parts), y0, y1))
+    for r in y1:
+        r[0, 0] = 0.0  # the same mean projection on the half-spectrum
+    return _state(state.time + dt, state.model, state.eps, rhos, potentials(y1))
 
 
 # --- trajectory driver -----------------------------------------------------
@@ -403,14 +401,10 @@ def _diagnostics(state: SimState, m0: float) -> DiagnosticsRecord:
 def _initial_state(config) -> SimState:
     grid = TorusGrid(config.n)
     rho0 = initial_data_field(grid, config.initial_data)
-    if config.model == "Corrector":
-        phibar = inv_laplacian(rho0)
-        bg = SimState(0.0, "Euler", 0.0, rho0, phibar)
-        rho1 = ScalarField.zeros(grid)
-        phi1 = solve_corrector_potential(rho1, phibar)
-        return SimState(0.0, "Corrector", config.eps, rho1, phi1, background=bg)
-    pot = _solve_potential(rho0, config.model, config.eps)
-    return SimState(0.0, config.model, config.eps, rho0, pot)
+    # the first part starts from the datum, the Corrector's rho1 from 0
+    rhos = (rho0,) + (ScalarField.zeros(grid),) * (len(PARTS[config.model]) - 1)
+    potentials, _ = _equations(config.model, config.eps, grid.n)
+    return _state(0.0, config.model, config.eps, rhos, potentials(tuple(r.hat for r in rhos)))
 
 
 def _grad_margin(state: SimState) -> float:
@@ -443,14 +437,11 @@ def run_simulation(config) -> Trajectory:
     """
     if config.n < 32:
         raise ValueError("simulation runs need n >= 32")
-    if config.model not in MODELS:
+    if config.model not in PARTS:
         raise ValueError(f"unknown model {config.model!r}")
 
     state = _initial_state(config)
-    m0 = norm(state.rho, NormKind.Linf)
-    if config.model == "Corrector":
-        m0 = norm(state.background.rho, NormKind.Linf)
-
+    m0 = norm((state.background or state).rho, NormKind.Linf)
     traj = Trajectory(model=config.model, eps=config.eps, grid=state.rho.grid, m0=m0)
     _integrate(config, state, traj)
     growth = [1 + 2 * d.hess_linf_psi for d in traj.diagnostics]
@@ -515,10 +506,7 @@ def _integrate(config, state: SimState, traj: Trajectory) -> None:
 
 
 def _retime(state: SimState, t: float) -> SimState:
-    bg = state.background
-    if bg is not None:
-        bg = SimState(t, bg.model, bg.eps, bg.rho, bg.potential)
-    return SimState(t, state.model, state.eps, state.rho, state.potential, background=bg)
+    return replace(state, time=t, background=state.background and _retime(state.background, t))
 
 
 # --- passive scalars under a prescribed potential --------------------------

@@ -94,17 +94,22 @@ class TestRunVerb:
         assert meta["final_t"] == times[-1]
 
     def test_stall_after_t0_leaves_partial_ndjson(self, run_cfg, tmp_path, monkeypatch):
-        # the t = 0 solve runs as usual; every RK4 stage solve after it gets
-        # one Picard sweep, which cannot reach the tolerance, so the first
-        # step stalls
+        # the t = 0 solve, the first call, runs as usual; every RK4 stage
+        # solve after it gets one Picard sweep, which cannot reach the
+        # tolerance, so the first step stalls
         from sglab import transport
         from sglab.transport import DiagnosticsRecord
 
-        picard = transport._picard
-        monkeypatch.setattr(transport, "_picard",
-                            lambda *a, **k: picard(*a, **{**k, "max_iter": 1}))
+        picard, calls = transport._picard, []
+
+        def one_sweep_after_t0(*a, **k):
+            calls.append(k.get("start"))
+            return picard(*a, **(k if len(calls) == 1 else {**k, "max_iter": 1}))
+
+        monkeypatch.setattr(transport, "_picard", one_sweep_after_t0)
         out = tmp_path / "out"
         assert main(["run", "--config", run_cfg]) == EXIT_INFRA
+        assert calls[0] is None and len(calls) == 2  # the cold t = 0 solve, one stage
         meta = json.loads((out / "run.json").read_text())
         assert meta["exit_reason"] == "elliptic_stall"
         assert meta["exit_time"] == 0.0 and meta["steps"] == 0
@@ -211,6 +216,18 @@ class TestExperimentVerb:
             "slope_window": [0, 1]})
         assert main(["experiment", "--config", cfg]) == EXIT_INFRA
         assert "unknown key(s) ['slope_window']" in capsys.readouterr().err
+
+    # the inequality suite fixes its own eps, grid and runs; it reads only
+    # base.seed and base.output_dir
+    @pytest.mark.parametrize("extra, named", [
+        ({"eps_list": [0.02]}, "key 'eps_list'"),
+        ({"base": {"seed": 1, "n": 32}}, "base key(s) ['n']"),
+        ({"base": {"model": "SGeps", "eps": 0.1}}, "base key(s) ['eps', 'model']"),
+    ])
+    def test_inequalities_rejects_keys_it_ignores(self, tmp_path, capsys, extra, named):
+        cfg = write_json(tmp_path / "ineq.json", {"kind": "inequalities", **extra})
+        assert main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INFRA
+        assert named in capsys.readouterr().err
 
     def test_divergence_at_t0_is_infra_error(self, tmp_path):
         cfg = write_json(tmp_path / "life0.json", {

@@ -14,6 +14,7 @@ from sglab.cli import EXIT_INFRA, main  # noqa: E402
 from sglab.config import (  # noqa: E402
     EXPERIMENT_KINDS,
     MODELS,
+    SUITE_BASE_KEYS,
     ConfigError,
     ExperimentSpec,
     RunConfig,
@@ -43,8 +44,14 @@ run_objects = st.fixed_dictionaries({}, optional={
 @st.composite
 def experiment_objects(draw):
     kind = draw(st.sampled_from(EXPERIMENT_KINDS))
+    if kind == "inequalities":  # the suite reads no eps and two base keys
+        obj = {"kind": kind, "eps_list": []}
+        if draw(st.booleans()):
+            obj["base"] = draw(run_objects.map(
+                lambda base: {k: v for k, v in base.items() if k in SUITE_BASE_KEYS}))
+        return obj
     eps = draw(st.lists(st.floats(min_value=1e-6, max_value=1.0), unique=True,
-                        min_size=0 if kind == "inequalities" else 3, max_size=6))
+                        min_size=3, max_size=6))
     obj = {"kind": kind, "eps_list": sorted(eps, reverse=True)}
     if draw(st.booleans()):
         obj["base"] = draw(run_objects)
@@ -52,8 +59,12 @@ def experiment_objects(draw):
 
 
 def dumped(cfg) -> str:
-    """The JSON text of a parsed config's fields."""
-    return json.dumps(asdict(cfg))
+    """The JSON text of a parsed config's fields, less the base keys an
+    inequalities experiment rejects."""
+    obj = asdict(cfg)
+    if obj.get("kind") == "inequalities":
+        obj["base"] = {k: obj["base"][k] for k in sorted(SUITE_BASE_KEYS)}
+    return json.dumps(obj)
 
 
 @given(run_objects | experiment_objects())

@@ -227,7 +227,7 @@ def test_bootstrap_log_ratio_single_mode(grid):
     rho = trig_field(grid, 1, 0)
     psi, _ = solve_sg_potential(rho, eps=0.0)
     status = bootstrap_status(rho, psi, eps=0.0)
-    calpha = norm(rho, NormKind.Calpha(0.5))
+    calpha = norm(rho, NormKind.Calpha)
     expect = 1.0 / (1.0 + np.log(calpha))
     assert status.log_estimate_ratio == pytest.approx(expect, rel=1e-10)
 

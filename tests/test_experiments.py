@@ -82,7 +82,7 @@ def kind_reports(mild_stability):
         mp.setattr(experiments, "SUITE_SEEDS", 1)
         mp.setattr(experiments, "SUITE_COUNT", 1)
         reports["inequalities"] = run_experiment(
-            ExperimentSpec(kind="inequalities", eps_list=[0.02], base=small_base("mild")))
+            ExperimentSpec(kind="inequalities", base=small_base("mild")))
     return reports
 
 

@@ -3,8 +3,10 @@ they look up in sglab: building each workload and entering the tracer
 fail here, in tier 1, when a deletion removes one of them. The
 benchmark's premise holds too: its seed-0 runs start from the preset
 names and its other seeds from the mode lists `DATUM_MODES`, so the two
-must describe the same datum."""
+must describe the same datum. And one seed-0 operation of each workload
+passes the check the benchmark judges every operation by."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -23,6 +25,13 @@ from sglab.transport import initial_data_field  # noqa: E402
 def test_every_workload_builds():
     for name in workloads.NAMES:
         workloads.build(name, 0)
+
+
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_seed0_operation_matches_the_reference(name, tmp_path):
+    ref = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    verdict, _ = workloads.build(name, 0).run(tmp_path)
+    assert workloads.mismatches(verdict, ref["workloads"][name], ref["tolerances"]) == []
 
 
 def test_tracer_wraps_its_targets():

@@ -232,7 +232,7 @@ def test_holder_norm_bounds():
     # single-separation value and the crude cap.
     g = TorusGrid(128)
     f = field_from(g, lambda x, y: np.cos(2 * np.pi * x))
-    val = norm(f, NormKind.Calpha(0.5))
+    val = norm(f, NormKind.Calpha)
     semi = val - 1.0  # subtract the Linf part
     # separation 1/2 gives |f(0) - f(1/2)| / sqrt(1/2) = 2 sqrt(2)
     assert semi >= 2 * np.sqrt(2) - 1e-9

@@ -391,6 +391,18 @@ def test_corrector_state_shape():
     assert norm(final.rho, NormKind.L2) > 1e-4
 
 
+def test_corrector_background_is_the_euler_run():
+    # both step d_t rho + u . grad rho = 0 with the same dt sequence through
+    # the same stage algebra, so they agree bit for bit
+    base = dict(n=64, initial_data="default", t_final=0.5)
+    euler = run_simulation(RunConfig(model="Euler", **base))
+    corr = run_simulation(RunConfig(model="Corrector", eps=0.02, **base))
+    assert corr.times == euler.times and corr.dt_history == euler.dt_history
+    for s_c, s_e in zip(corr.states, euler.states, strict=True):
+        assert np.array_equal(s_c.background.rho.values, s_e.rho.values)
+        assert np.array_equal(s_c.background.potential.values, s_e.potential.values)
+
+
 def test_corrector_elliptic_identity():
     # with rho_t = rhobar + eps rho1 and psi_t = phibar + eps phi1:
     #   lap psi_t - rho_t + eps det D^2 psi_t
