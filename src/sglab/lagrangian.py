@@ -8,7 +8,9 @@ or a binning needs torus coordinates.
 
 Velocity lookups off the grid use bicubic spline interpolation with
 periodic boundary handling (scipy's grid-wrap mode) on prefiltered
-spline coefficients, cached per evaluation time within one sweep.
+spline coefficients, cached for the last two evaluation times of one
+sweep. A flow map may carry a stack of label grids, so backward_flow
+moves the inverse flows of many times in one backward sweep.
 
 A velocity provider is any object with a `grid` attribute (TorusGrid of
 the sampled fields), a `pair(t)` method returning the two velocity
@@ -47,7 +49,7 @@ DEPOSIT_WIDTH = 3  # half-width in cells of measure_preservation_defect's hat ke
 
 @dataclass(frozen=True)
 class FlowMap:
-    """m x m particles, labeled by cell centers (i+1/2)/m at time 0.
+    """m x m particles (or a (k, m, m) stack) labeled by cell centers (i+1/2)/m at time 0.
 
     positions_x/positions_y are unwrapped plane coordinates; wrapping
     mod 1 recovers torus positions.
@@ -60,8 +62,8 @@ class FlowMap:
 
     def __post_init__(self):
         for arr in (self.positions_x, self.positions_y):
-            if arr.shape != (self.m, self.m):
-                raise ValueError(f"positions shape {arr.shape} != ({self.m}, {self.m})")
+            if arr.shape[-2:] != (self.m, self.m) or arr.shape != self.positions_x.shape:
+                raise ValueError(f"positions shape {arr.shape} != (..., {self.m}, {self.m})")
             if not np.all(np.isfinite(arr)):
                 raise ValueError("positions must be finite")
 
@@ -138,10 +140,10 @@ class TrajectoryVelocity:
 
 
 class _FilteredLookup:
-    """Caches a provider's spline coefficients per evaluation time within
-    one sweep. Times are keyed rounded to 1e-12, since an RK4 step's last
-    stage t + h and the next step's start t0 + (k+1) h may differ in the
-    last bit."""
+    """Caches a provider's spline coefficients for the last two evaluation
+    times of a monotone sweep, all that one RK4 step reuses. Times are keyed
+    rounded to 1e-12, since an RK4 step's last stage t + h and the next
+    step's start t0 + (k+1) h may differ in the last bit."""
 
     def __init__(self, provider):
         self.provider = provider
@@ -152,6 +154,8 @@ class _FilteredLookup:
         key = round(float(t), 12)
         entry = self._cache.get(key)
         if entry is None:
+            if len(self._cache) == 2:
+                del self._cache[next(iter(self._cache))]
             entry = self._cache[key] = self.provider.filtered_pair(t)
         fx, fy = entry
         # grid samples sit at j/n, so array coordinates are positions * n
@@ -235,15 +239,24 @@ def measure_preservation_defect(flow: FlowMap) -> float:
     return float(np.max(np.abs(counts - 1.0)))
 
 
-def backward_flow(velocity_source, t: float, m: int, dt: float) -> FlowMap:
-    """Inverse flow X^{-1}(t, .) at the m x m cell centers.
+def backward_flow(velocity_source, times, m: int, dt: float) -> list[FlowMap]:
+    """Inverse flows X^{-1}(t, .) at the m x m cell centers, one per t in times.
 
-    Integrates characteristics backward from t to 0; the returned map's
-    positions are where each cell center came from at time 0.
+    One backward sweep from the latest t to 0: at each t the label grid
+    joins a particle stack, which advect_flow moves on to the next
+    earlier t. Each returned map's positions are where its cell centers
+    came from at time 0, in the order of times; t = 0 gives the labels.
     """
+    levels = sorted({float(t) for t in times} | {0.0}, reverse=True)
+    if levels[-1] < 0:
+        raise ValueError("times must be >= 0")
     lab = label_flow(m)
-    back = advect_flow(velocity_source, lab, t, 0.0, dt)
-    return FlowMap(m=m, time=t, positions_x=back.positions_x, positions_y=back.positions_y)
+    x, y = lab.positions_x[None], lab.positions_y[None]
+    for prev, t in zip(levels, levels[1:]):
+        back = advect_flow(velocity_source, FlowMap(m, prev, x, y), prev, t, dt)
+        x = np.concatenate([back.positions_x, lab.positions_x[None]])
+        y = np.concatenate([back.positions_y, lab.positions_y[None]])
+    return [FlowMap(m, levels[i], x[i], y[i]) for i in (levels.index(float(t)) for t in times)]
 
 
 def inverse_flow_lipschitz(back: FlowMap) -> float:

@@ -18,6 +18,7 @@ from sglab.inequalities import (
     run_suite,
 )
 from sglab.spectral import NormKind, ScalarField, TorusGrid, norm
+from sglab.transport import advect_scalar
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +157,17 @@ def test_forced_transport_zero_velocity_is_exact(grid):
         check_forced_transport_constant(ScalarField.zeros(grid))
 
 
+@pytest.mark.parametrize("gamma", [2.0, 3.0, 4.0])
+def test_forced_transport_matches_zero_velocity_advect_scalar(grid, gamma):
+    f = random_field(grid, np.random.default_rng(52), gamma=gamma)
+    zero = ScalarField.zeros(grid)
+    out = advect_scalar(zero, lambda t: zero, 0.0, ineq.FORCED_T, dt=0.05,
+                        forcing_at=lambda t: f)
+    ratio = float(norm(out - zero, NormKind.Hminus1)
+                  / (ineq.FORCED_T * norm(f, NormKind.Hminus1)))
+    assert check_forced_transport_constant(f).ratio == ratio
+
+
 # ---------------------------------------------------------------- suite
 
 
@@ -205,3 +217,18 @@ def test_suite_collects_checker_errors(monkeypatch):
     assert ("boom", "synthetic failure") in rep.errors
     assert any(r.name == "wente" for r in rep.results)
     assert any(r.name == "grad_ode" for r in rep.results)
+
+
+def test_one_round_suite_sweeps_to_the_first_sample_only(monkeypatch):
+    swept = []
+    original = ineq.backward_flow
+
+    def recording(provider, times, m, dt):
+        swept.append(list(times))
+        return original(provider, times, m, dt)
+
+    monkeypatch.setattr(ineq, "backward_flow", recording)
+    rep = run_suite(2, count=1)
+    assert swept == [[0.05], [0.05]]
+    assert not rep.errors
+    assert [r.name for r in rep.results].count("inv_gap") == 1

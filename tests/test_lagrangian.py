@@ -184,10 +184,73 @@ def test_defect_euler_flow_small(euler128):
 
 def test_backward_flow_translation(grid64):
     prov = constant_velocity(grid64, 1.0, 0.0)
-    back = backward_flow(prov, 0.25, m=32, dt=0.01)
+    (back,) = backward_flow(prov, [0.25], m=32, dt=0.01)
     ref = label_flow(32)
+    assert back.time == 0.25
     assert np.allclose(back.positions_x, ref.positions_x - 0.25, atol=1e-13)
     assert np.allclose(back.positions_y, ref.positions_y, atol=1e-13)
+
+
+def test_backward_sweep_matches_per_time_flows(euler128):
+    # unsorted, with a duplicate and t = 0; each map is the label grid
+    # advected alone from its t to 0
+    prov = TrajectoryVelocity(euler128)
+    times = [0.3, 0.05, 0.3, 0.0, 0.15]
+    backs = backward_flow(prov, times, m=16, dt=0.0125)
+    lab = label_flow(16)
+    assert [b.time for b in backs] == times
+    for t, back in zip(times, backs):
+        ref = advect_flow(prov, lab, t, 0.0, 0.0125) if t else lab
+        assert back.positions_x.shape == (16, 16)
+        assert np.max(np.abs(back.positions_x - ref.positions_x)) <= 1e-13
+        assert np.max(np.abs(back.positions_y - ref.positions_y)) <= 1e-13
+    assert np.array_equal(backs[3].positions_x, lab.positions_x)
+    assert np.array_equal(backs[0].positions_x, backs[2].positions_x)
+    with pytest.raises(ValueError, match=">= 0"):
+        backward_flow(prov, [0.1, -0.05], m=16, dt=0.0125)
+
+
+def test_backward_sweep_checks_cfl_at_every_start_time(grid64):
+    # the speed reaches 10 only for t <= 0.3: a flow from 0.5 alone checks
+    # the limit at 0.5, the sweep through 0.2 checks it there too
+    slow = ScalarField(grid64, np.ones((64, 64)))
+    fast = ScalarField(grid64, 10 * np.ones((64, 64)))
+    zero = ScalarField.zeros(grid64)
+    prov = FieldVelocity(grid64, lambda t: (slow if t > 0.3 else fast, zero))
+    backward_flow(prov, [0.5], m=16, dt=0.01)
+    with pytest.raises(StepSizeError):
+        backward_flow(prov, [0.5, 0.2], m=16, dt=0.01)
+
+
+def test_lookup_fills_each_level_once_and_keeps_two(euler128, monkeypatch):
+    from collections import Counter
+
+    from sglab import lagrangian
+
+    sizes = []
+
+    class Recording(lagrangian._FilteredLookup):
+        def __call__(self, t, x, y):
+            out = super().__call__(t, x, y)
+            sizes.append(len(self._cache))
+            return out
+
+    class Counting(TrajectoryVelocity):
+        def filtered_pair(self, t):
+            fills[round(t, 12)] += 1
+            return super().filtered_pair(t)
+
+    monkeypatch.setattr(lagrangian, "_FilteredLookup", Recording)
+    prov = Counting(euler128)
+    fills = Counter()
+    advect_flow(prov, label_flow(16), 0.0, 0.2, dt=0.0125)
+    assert len(fills) == 2 * 16 + 1 and set(fills.values()) == {1}
+    # the sweep's advect_flow calls fill their own levels once each; only
+    # the sample time 0.1 that ends one interval and starts the next repeats
+    fills = Counter()
+    backward_flow(prov, [0.1, 0.2], m=16, dt=0.0125)
+    assert sum(fills.values()) == 2 * (2 * 8 + 1) and len(fills) == 2 * 16 + 1
+    assert max(sizes) == 2
 
 
 def test_inverse_lipschitz_identity():
