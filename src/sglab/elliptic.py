@@ -19,9 +19,9 @@ after convergence, both the residual and the reported Hessian sup
 norm. Update and scale norms are read from the coefficients.
 ScalarField stays the type at the public boundary; the public Hessian
 functions form the Hessian of its cached half-spectrum the same way.
-The RK4 stages of `transport.step_rk4` call the same sweeps and
-warm-start each stage's solve from the previous stage's potential and
-Hessian.
+The RK4 stages of `transport.step_rk4` call the same sweeps, each
+stage's solve starting from the previous solve's potential plus the
+Poisson response lap^-1 of the change in density.
 
 Matrix norm conventions, used consistently everywhere:
   - pointwise Linf of a Hessian: symmetric 2x2 operator norm
@@ -176,18 +176,16 @@ def _picard(rho_hat: np.ndarray, eps: float, tol: float = 1e-12,
             max_iter: int = 100, start=None):
     """The Picard sweeps of `solve_sg_potential` on rfft2 half-spectra.
 
-    start is None (seed with the Poisson solution) or a warm start
-    (psi_hat, hess) from a nearby solve, hess being psi_hat's stacked
-    Hessian or None. Each sweep forms the Hessian of its new iterate
-    once; it feeds the next sweep's sup-norm guard and determinant, or,
-    after convergence, the residual and the report. Returns
-    (psi_hat, hess, report).
+    start is None (seed with the Poisson solution) or a potential
+    half-spectrum guess, e.g. `transport._equations`'s Poisson predictor.
+    Each sweep forms the Hessian of its new iterate once; it feeds the
+    next sweep's sup-norm guard and determinant, or, after convergence,
+    the residual and the report. Returns (psi_hat, report).
     """
     k = kernel(rho_hat.shape[0])
     k.require_mean_zero(rho_hat)
-    psi_hat, hess = (k.inv_lap_half * rho_hat, None) if start is None else start
-    if hess is None:
-        hess = _hessian_half(k, psi_hat)
+    psi_hat = k.inv_lap_half * rho_hat if start is None else start
+    hess = _hessian_half(k, psi_hat)
     for sweep in range(1, max_iter + 1):
         hlinf = _hessian_operator_linf(*hess)
         if not np.isfinite(hlinf):
@@ -201,7 +199,7 @@ def _picard(rho_hat: np.ndarray, eps: float, tol: float = 1e-12,
         hess = _hessian_half(k, psi_hat)
         if update / scale <= tol:
             resid = k.l2(k.lap * psi_hat - rho_hat + eps * _det_half(k, hess))
-            return psi_hat, hess, MASolveReport(
+            return psi_hat, MASolveReport(
                 iterations=sweep,
                 residual=resid,
                 hessian_linf=_hessian_operator_linf(*hess),
@@ -241,7 +239,7 @@ def solve_sg_potential(
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    psi_hat, _, report = _picard(rho.hat, eps, tol, max_iter)
+    psi_hat, report = _picard(rho.hat, eps, tol, max_iter)
     return ScalarField(rho.grid, np.fft.irfft2(psi_hat)), report
 
 
@@ -270,14 +268,13 @@ def bootstrap_status(
                               eps, m0)
 
 
-def _potential_norms(rho, psi, eps, m0):
-    """(||D^2 psi||_Linf, ||D^2 psi||_L2, ||grad rho||_Linf,
-    bootstrap_status(rho, psi, eps, m0=m0)) from one Hessian and one
-    gradient, each equal to the separate call bit for bit."""
+def _potential_norms(rho, psi, eps, m0, grad_linf):
+    """(||D^2 psi||_Linf, ||D^2 psi||_L2, bootstrap_status(rho, psi, eps,
+    m0=m0)) from one Hessian, for a density whose ||grad rho||_Linf is
+    grad_linf, each equal to the separate call bit for bit."""
     hess = _hessian_values(psi)
     hlinf = _hessian_operator_linf(*hess)
-    grad_linf = norm(rho, NormKind.GradLinf)
-    return (hlinf, _hessian_frobenius_l2(*hess), grad_linf,
+    return (hlinf, _hessian_frobenius_l2(*hess),
             _bootstrap_margins(rho, hlinf, grad_linf, eps, m0))
 
 

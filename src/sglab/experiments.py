@@ -201,6 +201,12 @@ def _run_sg_and_corrector(base, eps):
     return _run_model(base, "SGeps", eps), _run_model(base, "Corrector", eps)
 
 
+def _run_lifespan_one(base, eps):
+    """A lifespan run and its Hoelder-norm series, both made in the worker."""
+    traj = _run_model(base, "SGeps", eps, stop_on_exit=True)
+    return traj, [norm(s.rho, NormKind.Calpha) for s in traj.states]
+
+
 def _run_suite_seed(seed):
     return run_suite(seed, count=SUITE_COUNT)
 
@@ -452,10 +458,14 @@ def _run_corrector(spec, threads):
 def _run_lifespan(spec, threads):
     report = ExperimentReport(kind="lifespan", eps_list=list(spec.eps_list))
     report.notes.append(LIFESPAN_NOTE)
-    one = partial(_run_model, spec.base, "SGeps", stop_on_exit=True)
+    # smallest eps first: it lives longest, so the longest run starts first
+    ascending = sorted(spec.eps_list)
+    one = partial(_run_lifespan_one, spec.base)
+    runs = dict(zip(ascending, _map_runs(ascending, one, threads)))
     riccati = {}
     calpha_series = {}
-    for eps, traj in zip(spec.eps_list, _map_runs(spec.eps_list, one, threads)):
+    for eps in spec.eps_list:
+        traj, y = runs[eps]
         row = _fresh_row(eps)
         report.runs[f"lifespan_eps{_eps_tag(eps)}"] = traj
         if traj.exit_reason == "bootstrap_exit":
@@ -467,7 +477,6 @@ def _run_lifespan(spec, threads):
                 f"t = {spec.base.t_final}; raise t_final")
         else:
             row["status"] = f"failed: {traj.exit_reason}"
-        y = [norm(s.rho, NormKind.Calpha) for s in traj.states]
         calpha_series[eps] = (list(traj.times), y)
         if len(y) >= 4:
             c, stderr, r2 = riccati_fit(traj.times, y)

@@ -106,6 +106,11 @@ class SimState:
         ux, uy = advecting_velocity(self)
         return float(np.max(np.hypot(ux.values, uy.values)))
 
+    @cached_property
+    def grad_linf(self) -> float:
+        """||grad rho||_Linf, read by the exit monitor and the diagnostics."""
+        return norm(self.rho, NormKind.GradLinf)
+
 
 @dataclass
 class DiagnosticsRecord:
@@ -266,11 +271,13 @@ def _advection_half(kern, pot_hat: np.ndarray, rho_hat: np.ndarray) -> np.ndarra
 PARTS = {"Euler": ("Euler",), "SGeps": ("SGeps",), "Corrector": ("Euler", "Corrector")}
 
 
-def _equations(model: str, eps: float, n: int, pots0=None):
+def _equations(model: str, eps: float, n: int, start=None):
     """One model's (potentials, rates) pair on half-spectrum states y.
 
-    potentials(y) solves one potential per part; each SG solve warm-starts
-    from the previous one, the first from pots0[0] (cold when pots0 is None).
+    potentials(y) solves one potential per part. Each SG solve starts from
+    the Poisson predictor psi_prev + lap^-1 (r - r_prev) of the previous
+    solve's density r_prev and potential psi_prev, at first those of the
+    step's state start = (y0, pots0); with start None it is cold.
     rates(y, pots) is dy/dt: perp grad pots[0] advects every part, and the
     Corrector adds -u1 . grad rhobar, u1 = perp grad pots[1], to rho1's.
     """
@@ -285,13 +292,13 @@ def _equations(model: str, eps: float, n: int, pots0=None):
             phibar = poisson(y[0])
             return phibar, poisson(y[1] - _det_half(kern, _hessian_half(kern, phibar)))
     elif model == "SGeps" and eps != 0.0:
-        start = None if pots0 is None else (pots0[0], None)
+        prev = None if start is None else (start[0][0], start[1][0])
 
         def potentials(y):
-            nonlocal start
-            psi_hat, hess, _ = _picard(y[0], eps, start=start)
-            start = (psi_hat, hess)
-            return (psi_hat,)
+            nonlocal prev
+            guess = None if prev is None else prev[1] + kern.inv_lap_half * (y[0] - prev[0])
+            prev = (y[0], _picard(y[0], eps, start=guess)[0])
+            return prev[1:]
     else:
         def potentials(y):
             return (poisson(y[0]),)
@@ -368,7 +375,7 @@ def step_rk4(state: SimState, dt: float, cfl: float = 0.5) -> SimState:
     parts = (state.background, state) if state.background else (state,)  # PARTS order
     y0 = tuple(p.rho.hat for p in parts)
     pots0 = tuple(p.potential.hat for p in parts)
-    potentials, rates = _equations(state.model, state.eps, state.rho.grid.n, pots0)
+    potentials, rates = _equations(state.model, state.eps, state.rho.grid.n, (y0, pots0))
     y1 = _rk4(lambda t, y: rates(y, potentials(y)), state.time, y0, dt,
               k1=rates(y0, pots0))  # k1 reuses the state's solved potentials
     rhos = tuple(map(_advance, (p.rho for p in parts), y0, y1))
@@ -381,12 +388,12 @@ def step_rk4(state: SimState, dt: float, cfl: float = 0.5) -> SimState:
 
 def _diagnostics(state: SimState, m0: float) -> DiagnosticsRecord:
     rho, pot = state.rho, state.potential
-    hess_linf, hess_l2, grad_linf, status = _potential_norms(rho, pot, state.eps, m0)
+    hess_linf, hess_l2, status = _potential_norms(rho, pot, state.eps, m0, state.grad_linf)
     return DiagnosticsRecord(
         t=state.time,
         l2_rho=norm(rho, NormKind.L2),
         linf_rho=norm(rho, NormKind.Linf),
-        grad_linf_rho=grad_linf,
+        grad_linf_rho=state.grad_linf,
         h2_rho=norm(rho, NormKind.Hs(2.0)),
         h3_rho=norm(rho, NormKind.Hs(3.0)),
         hess_linf_psi=hess_linf,
@@ -408,7 +415,7 @@ def _initial_state(config) -> SimState:
 
 
 def _grad_margin(state: SimState) -> float:
-    return 0.25 - state.eps * norm(state.rho, NormKind.GradLinf)
+    return 0.25 - state.eps * state.grad_linf
 
 
 def cumulative_trapezoid(values, times) -> np.ndarray:

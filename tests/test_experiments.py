@@ -169,6 +169,38 @@ class TestLifespanDriver:
         assert set(rep.runs) == {"lifespan_eps0.2", "lifespan_eps0.1",
                                  "lifespan_eps0.05"}
 
+    def test_runs_go_out_smallest_eps_first(self, kind_reports, monkeypatch):
+        # the longest-lived run starts first; neither the order of eps_list
+        # nor the thread count changes a per-eps row or run
+        submitted = []
+        map_runs = experiments._map_runs
+
+        def recording(items, fn, threads):
+            submitted.append(list(items))
+            return map_runs(items, fn, threads)
+
+        monkeypatch.setattr(experiments, "_map_runs", recording)
+        spec = ExperimentSpec(kind="lifespan", eps_list=[0.2, 0.1, 0.05],
+                              base=SMALL_LIFESPAN_BASE)
+        flipped = ExperimentSpec(kind="lifespan", eps_list=[0.2, 0.1, 0.05],
+                                 base=SMALL_LIFESPAN_BASE)
+        flipped.eps_list = [0.05, 0.1, 0.2]  # past the decreasing-order check
+        want = kind_reports["lifespan"]
+        reports = [run_experiment(spec, threads=1)] + [
+            run_experiment(flipped, threads=t) for t in (1, 2)]
+        assert submitted == [[0.05, 0.1, 0.2]] * 3
+        want_rows = {r["eps"]: r for r in want.summary_rows}
+        for rep in reports:
+            assert {r["eps"]: r for r in rep.summary_rows} == want_rows
+            assert [r["eps"] for r in rep.summary_rows] == rep.eps_list
+            assert rep.extras["calpha_series"] == want.extras["calpha_series"]
+            assert set(rep.runs) == set(want.runs)
+            for name, traj in rep.runs.items():
+                ref = want.runs[name]
+                assert traj.diagnostics == ref.diagnostics
+                assert (traj.times, traj.dt_history, traj.exit_reason, traj.exit_time) == (
+                    ref.times, ref.dt_history, ref.exit_reason, ref.exit_time)
+
 
 def _raise_on_odd(k):
     # module level, so pool workers can unpickle it by name

@@ -305,6 +305,19 @@ def test_max_speed_is_computed_once_per_state(monkeypatch):
     ux, uy = original(s)
     assert limit == 0.5 * s.rho.grid.h / float(np.max(np.hypot(ux.values, uy.values)))
 
+    # ||grad rho||_Linf likewise: the exit monitor and the diagnostics of
+    # a stop_on_exit run share one evaluation per state
+    grads = []
+    original_norm = transport.norm
+    monkeypatch.setattr(transport, "norm", lambda f, kind: (
+        kind.tag == "GradLinf" and grads.append(f)) or original_norm(f, kind))
+    traj = run_simulation(RunConfig(n=32, model="SGeps", eps=0.2, initial_data="steep",
+                                    t_final=0.5, sample_interval=0.25, stop_on_exit=True))
+    assert traj.exit_reason is None
+    assert len(grads) == len(traj.dt_history) + 1  # the t = 0 state and each step's
+    for st, d in zip(traj.states, traj.diagnostics, strict=True):
+        assert d.grad_linf_rho == st.grad_linf == original_norm(st.rho, NormKind.GradLinf)
+
 
 # --- run_simulation contract ------------------------------------------------
 
@@ -336,6 +349,29 @@ def test_sampling_grid_and_alignment():
             assert d.grad_linf_rho == norm(st.rho, NormKind.GradLinf)
             assert d.h2_rho == norm(st.rho, NormKind.Hs(2.0))
             assert d.h3_rho == norm(st.rho, NormKind.Hs(3.0))
+
+
+def test_stage_solves_start_from_the_poisson_predictor(monkeypatch):
+    # the n=64 steep eps 0.2 lifespan run: started from psi_prev +
+    # lap^-1 (r - r_prev), its solves take 4.27 sweeps on average; from
+    # psi_prev alone they take 5.26
+    from sglab import transport
+
+    sweeps = []
+    picard = transport._picard
+
+    def counting(*a, **k):
+        out = picard(*a, **k)
+        sweeps.append(out[-1].iterations)
+        return out
+
+    monkeypatch.setattr(transport, "_picard", counting)
+    traj = run_simulation(RunConfig(n=64, model="SGeps", eps=0.2, initial_data="steep",
+                                    t_final=120.0, sample_interval=0.5, stop_on_exit=True))
+    assert traj.exit_reason == "bootstrap_exit"
+    assert traj.exit_time == pytest.approx(10.68, abs=5e-3)
+    assert len(sweeps) == 89  # the t = 0 solve and 4 per step
+    assert sum(sweeps) / len(sweeps) <= 4.5
 
 
 def test_final_time_not_on_lattice():
