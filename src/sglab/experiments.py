@@ -17,6 +17,11 @@ Five experiment kinds share one harness:
                 envelope to the Hoelder-norm growth.
   inequalities  delegates to the randomized checker suite.
 
+Each eps driver maps one worker over eps_list, smallest eps first: it does
+all of one eps's work and returns its summary row and runs. The parent
+runs only the Euler reference (each worker gets a copy), the fits across
+eps and the merge in eps_list order.
+
 Slope fits use ordinary least squares on log eps vs log metric and only
 include runs that stayed inside the bootstrap window the whole way; the
 standard error is s / sqrt(sum (x - xbar)^2) with s^2 the residual
@@ -161,17 +166,8 @@ def riccati_fit(times, y_values):
 # ------------------------------------------------------------- helpers
 
 def _fresh_row(eps):
-    return {
-        "eps": eps,
-        "sup_velocity_gap": None,
-        "sup_w2": None,
-        "exit_time": None,
-        "slope": None,
-        "slope_stderr": None,
-        "status": "ok",
-        "in_window": False,
-        "metric": None,
-    }
+    return dict.fromkeys(SUMMARY_COLUMNS) | {"eps": eps, "status": "ok",
+                                             "in_window": False, "metric": None}
 
 
 def _map_runs(items, fn, threads):
@@ -195,16 +191,6 @@ def _map_runs(items, fn, threads):
 def _run_model(base, model, eps, **overrides):
     cfg = replace(base, model=model, eps=eps, **overrides)
     return run_simulation(cfg)
-
-
-def _run_sg_and_corrector(base, eps):
-    return _run_model(base, "SGeps", eps), _run_model(base, "Corrector", eps)
-
-
-def _run_lifespan_one(base, eps):
-    """A lifespan run and its Hoelder-norm series, both made in the worker."""
-    traj = _run_model(base, "SGeps", eps, stop_on_exit=True)
-    return traj, [norm(s.rho, NormKind.Calpha) for s in traj.states]
 
 
 def _run_suite_seed(seed):
@@ -257,57 +243,67 @@ def _apply_fit(report, gate_name):
 
 
 def _finalize(report):
-    if report.failed_assertions():
+    failed = [r["status"].startswith("failed") for r in report.summary_rows]
+    if report.failed_assertions() or (failed and all(failed)):
         report.status = "failed"
-    for row in report.summary_rows:
-        if row["status"].startswith("failed"):
-            if report.status == "passed":
-                report.status = "partial"
-    if report.summary_rows and all(
-            r["status"].startswith("failed") for r in report.summary_rows):
-        report.status = "failed"
+    elif any(failed):
+        report.status = "partial"
     return report
+
+
+def _per_eps(spec, threads, report, worker, *args):
+    """Map worker(spec.base, *args, eps) -> (row, runs, extra) over
+    eps_list, add each row and its runs to the report in eps_list order,
+    and return the extras in that order.
+
+    The smallest eps goes out first: it lives longest in a lifespan run,
+    and a wasserstein worker calibrates every W2 time of a run that stays
+    inside the bootstrap window, which small eps do.
+    """
+    ascending = sorted(spec.eps_list)
+    done = dict(zip(ascending, _map_runs(ascending, partial(worker, spec.base, *args),
+                                         threads)))
+    extras = []
+    for eps in spec.eps_list:
+        row, runs, extra = done[eps]
+        report.summary_rows.append(row)
+        report.runs.update(runs)
+        extras.append(extra)
+    return extras
 
 
 # ------------------------------------------------------ rate experiments
 
-def _patch_gaps(traj_sg, gaps):
-    for i, rec in enumerate(traj_sg.diagnostics):
-        rec.velocity_gap = float(gaps.velocity_gap[i])
-        rec.flow_gap = float(gaps.flow_gap[i])
-        rec.hminus1_gap = float(gaps.hminus1_gap[i])
-
-
-def _stability_core(spec, threads, report):
-    """Shared Euler + per-eps SG machinery for stability/wasserstein."""
-    euler = _run_model(spec.base, "Euler", 0.0)
-    report.runs["euler"] = euler
+def _euler_reference(spec, report):
+    euler = report.runs["euler"] = _run_model(spec.base, "Euler", 0.0)
     if euler.exit_reason is not None:
         raise RuntimeError(f"Euler reference run ended early: {euler.exit_reason}")
-
-    one = partial(_run_model, spec.base, "SGeps")
-    trajs = _map_runs(spec.eps_list, one, threads)
-    for eps, traj in zip(spec.eps_list, trajs):
-        row = _fresh_row(eps)
-        if traj.exit_reason is not None:
-            row["status"] = f"failed: {traj.exit_reason}"
-        else:
-            gaps = paired_gap_series(traj, euler)
-            _patch_gaps(traj, gaps)
-            row["in_window"] = _stayed_inside(traj)
-            row["metric"] = row["sup_velocity_gap"] = float(np.max(gaps.velocity_gap))
-            if not row["in_window"]:
-                row["status"] = "outside_window"
-        report.runs[f"sg_eps{_eps_tag(eps)}"] = traj
-        report.summary_rows.append(row)
-    return euler, trajs
+    return euler
 
 
-def _run_stability(spec, threads):
-    report = ExperimentReport(kind="stability", eps_list=list(spec.eps_list))
-    _stability_core(spec, threads, report)
+def _stability_one(base, euler, eps):
+    """One eps of the stability experiment: the SG run, with its gaps to
+    the Euler reference patched into its records."""
+    traj = _run_model(base, "SGeps", eps)
+    row = _fresh_row(eps)
+    if traj.exit_reason is not None:
+        row["status"] = f"failed: {traj.exit_reason}"
+    else:
+        gaps = paired_gap_series(traj, euler)
+        for i, rec in enumerate(traj.diagnostics):
+            rec.velocity_gap = float(gaps.velocity_gap[i])
+            rec.flow_gap = float(gaps.flow_gap[i])
+            rec.hminus1_gap = float(gaps.hminus1_gap[i])
+        row["in_window"] = _stayed_inside(traj)
+        row["metric"] = row["sup_velocity_gap"] = float(np.max(gaps.velocity_gap))
+        if not row["in_window"]:
+            row["status"] = "outside_window"
+    return row, {f"sg_eps{_eps_tag(eps)}": traj}, None
+
+
+def _run_stability(spec, threads, report):
+    _per_eps(spec, threads, report, _stability_one, _euler_reference(spec, report))
     _apply_fit(report, "velocity_slope")
-    return _finalize(report)
 
 
 def _coarse_density(state, eps, m):
@@ -323,68 +319,77 @@ def _w2_sample_indices(times):
     return out
 
 
-def _run_wasserstein(spec, threads):
-    report = ExperimentReport(kind="wasserstein", eps_list=list(spec.eps_list))
-    euler, trajs = _stability_core(spec, threads, report)
+def _wasserstein_one(base, euler, eps):
+    """One eps of the wasserstein experiment: the stability worker's work,
+    then the Gronwall bound and the W2 stream. Its extra is (stream,
+    calibration rows, bound-check rows), None for a failed run."""
+    row, runs, _ = _stability_one(base, euler, eps)
+    (traj,) = runs.values()
+    if traj.exit_reason is not None:
+        return row, runs, None
+    bound = gronwall_w2_bound(traj, euler)
+    idxs = _w2_sample_indices(traj.times)
+    stream, calibration, w2_check = [], [], []
+    for i, rec in enumerate(traj.diagnostics):
+        rec.gronwall_bound = float(bound.bound[i])
+    for i in idxs:
+        t, b_t = float(traj.times[i]), float(bound.bound[i])
+        a = _coarse_density(traj.states[i], eps, W2_GRID)
+        b = _coarse_density(euler.states[i], eps, W2_GRID)
+        res = w2_sinkhorn(a, b, reg=SINKHORN_REG)
+        traj.diagnostics[i].w2 = res.distance
+        stream.append({
+            "t": t,
+            "w2": res.distance,
+            "method": res.method,
+            "reg": res.reg,
+            "marginal_error": res.marginal_error,
+            "bound": b_t,
+        })
+        # the exact-LP oracle is affordable on 16^2 downsamples. Runs
+        # that stay inside the bootstrap window get calibrated at
+        # every W2 time, feeding the bias-budgeted bound check below
+        # (the Gronwall bound only covers the window); the rest are
+        # calibrated at the final time so the oracle comparison still
+        # sees them. The coarse solve keeps reg / dx^2 matched to the
+        # production lattice: the entropic iteration count blows up
+        # like exp(dx^2 / reg) otherwise, and the bias is
+        # scale-equivariant.
+        if row["in_window"] or i == idxs[-1]:
+            reg16 = SINKHORN_REG * (W2_GRID / CALIBRATION_GRID) ** 2
+            a16 = _coarse_density(traj.states[i], eps, CALIBRATION_GRID)
+            b16 = _coarse_density(euler.states[i], eps, CALIBRATION_GRID)
+            sink16 = w2_sinkhorn(a16, b16, reg=reg16).distance
+            lp16 = w2_exact_small(a16, b16).distance
+            calibration.append({
+                "eps": eps, "t": t, "sinkhorn": sink16, "lp": lp16,
+                "abs_diff": abs(sink16 - lp16),
+            })
+            if row["in_window"]:
+                budget = abs(sink16**2 - lp16**2)
+                w2_check.append({
+                    "eps": eps,
+                    "t": t,
+                    "w2_squared": res.distance**2,
+                    "bias_budget": budget,
+                    "bound": b_t,
+                    "ok": res.distance**2 + budget <= b_t,
+                })
+    row["sup_w2"] = max((r["w2"] for r in stream), default=None)
+    final = [r for r in stream if abs(r["t"] - base.t_final) <= 1e-9]
+    row["metric"] = final[-1]["w2"] if final and final[-1]["w2"] > 0 else None
+    return row, runs, (stream, calibration, w2_check)
+
+
+def _run_wasserstein(spec, threads, report):
     calibration = []
     w2_check = []
-    for row, traj in zip(report.summary_rows, trajs):
-        if traj.exit_reason is not None:
-            continue
-        eps = row["eps"]
-        in_window = row["in_window"]
-        bound = gronwall_w2_bound(traj, euler)
-        idxs = _w2_sample_indices(traj.times)
-        stream = []
-        for i, rec in enumerate(traj.diagnostics):
-            rec.gronwall_bound = float(bound.bound[i])
-        for i in idxs:
-            t, b_t = float(traj.times[i]), float(bound.bound[i])
-            a = _coarse_density(traj.states[i], eps, W2_GRID)
-            b = _coarse_density(euler.states[i], eps, W2_GRID)
-            res = w2_sinkhorn(a, b, reg=SINKHORN_REG)
-            traj.diagnostics[i].w2 = res.distance
-            stream.append({
-                "t": t,
-                "w2": res.distance,
-                "method": res.method,
-                "reg": res.reg,
-                "marginal_error": res.marginal_error,
-                "bound": b_t,
-            })
-            # the exact-LP oracle is affordable on 16^2 downsamples. Runs
-            # that stay inside the bootstrap window get calibrated at
-            # every W2 time, feeding the bias-budgeted bound check below
-            # (the Gronwall bound only covers the window); the rest are
-            # calibrated at the final time so the oracle comparison still
-            # sees them. The coarse solve keeps reg / dx^2 matched to the
-            # production lattice: the entropic iteration count blows up
-            # like exp(dx^2 / reg) otherwise, and the bias is
-            # scale-equivariant.
-            if in_window or i == idxs[-1]:
-                reg16 = SINKHORN_REG * (W2_GRID / CALIBRATION_GRID) ** 2
-                a16 = _coarse_density(traj.states[i], eps, CALIBRATION_GRID)
-                b16 = _coarse_density(euler.states[i], eps, CALIBRATION_GRID)
-                sink16 = w2_sinkhorn(a16, b16, reg=reg16).distance
-                lp16 = w2_exact_small(a16, b16).distance
-                calibration.append({
-                    "eps": eps, "t": t, "sinkhorn": sink16, "lp": lp16,
-                    "abs_diff": abs(sink16 - lp16),
-                })
-                if in_window:
-                    budget = abs(sink16**2 - lp16**2)
-                    w2_check.append({
-                        "eps": eps,
-                        "t": t,
-                        "w2_squared": res.distance**2,
-                        "bias_budget": budget,
-                        "bound": b_t,
-                        "ok": res.distance**2 + budget <= b_t,
-                    })
-        report.w2_streams[eps] = stream
-        row["sup_w2"] = max((r["w2"] for r in stream), default=None)
-        final = [r for r in stream if abs(r["t"] - spec.base.t_final) <= 1e-9]
-        row["metric"] = final[-1]["w2"] if final and final[-1]["w2"] > 0 else None
+    for eps, extra in zip(spec.eps_list, _per_eps(spec, threads, report, _wasserstein_one,
+                                                  _euler_reference(spec, report))):
+        if extra is not None:
+            report.w2_streams[eps] = extra[0]
+            calibration += extra[1]
+            w2_check += extra[2]
     report.extras["lp_calibration"] = calibration
     report.extras["w2_bound_check"] = w2_check
     _apply_fit(report, "w2_slope")
@@ -402,7 +407,6 @@ def _run_wasserstein(spec, threads):
         "detail": f"{sum(c['ok'] for c in w2_check)}/{len(w2_check)} sample "
                   f"times satisfy W2^2 + bias <= B(t) at eps in {checked}",
     })
-    return _finalize(report)
 
 
 def _consistency_residual(corr_state, eps):
@@ -418,31 +422,29 @@ def _consistency_residual(corr_state, eps):
     return float(np.max(np.abs((direct - closed).values)))
 
 
-def _run_corrector(spec, threads):
-    report = ExperimentReport(kind="corrector", eps_list=list(spec.eps_list))
-    one = partial(_run_sg_and_corrector, spec.base)
-    worst_resid = 0.0
-    for eps, (sg, corr) in zip(spec.eps_list,
-                               _map_runs(spec.eps_list, one, threads)):
-        row = _fresh_row(eps)
-        report.runs[f"sg_eps{_eps_tag(eps)}"] = sg
-        report.runs[f"corrector_eps{_eps_tag(eps)}"] = corr
-        if sg.exit_reason is not None or corr.exit_reason is not None:
-            reason = sg.exit_reason or corr.exit_reason
-            row["status"] = f"failed: {reason}"
-        else:
-            gaps = []
-            for s_sg, s_c in zip(sg.states, corr.states):
-                corrected = s_c.background.potential + eps * s_c.potential
-                gaps.append(norm(s_sg.potential - corrected, NormKind.Hs(1.0)))
-            row["metric"] = row["sup_velocity_gap"] = float(np.max(gaps))
-            row["in_window"] = _stayed_inside(sg)
-            if not row["in_window"]:
-                row["status"] = "outside_window"
-            worst_resid = max(worst_resid,
-                              max(_consistency_residual(s, eps)
-                                  for s in corr.states))
-        report.summary_rows.append(row)
+def _corrector_one(base, eps):
+    """One eps of the corrector experiment: the SG and Corrector runs and
+    the H^1 gap to the corrected potential. Its extra is the largest
+    consistency residual, 0.0 for a failed run."""
+    sg, corr = _run_model(base, "SGeps", eps), _run_model(base, "Corrector", eps)
+    row = _fresh_row(eps)
+    runs = {f"sg_eps{_eps_tag(eps)}": sg, f"corrector_eps{_eps_tag(eps)}": corr}
+    if sg.exit_reason is not None or corr.exit_reason is not None:
+        row["status"] = f"failed: {sg.exit_reason or corr.exit_reason}"
+        return row, runs, 0.0
+    gaps = []
+    for s_sg, s_c in zip(sg.states, corr.states):
+        corrected = s_c.background.potential + eps * s_c.potential
+        gaps.append(norm(s_sg.potential - corrected, NormKind.Hs(1.0)))
+    row["metric"] = row["sup_velocity_gap"] = float(np.max(gaps))
+    row["in_window"] = _stayed_inside(sg)
+    if not row["in_window"]:
+        row["status"] = "outside_window"
+    return row, runs, max(_consistency_residual(s, eps) for s in corr.states)
+
+
+def _run_corrector(spec, threads, report):
+    worst_resid = max(_per_eps(spec, threads, report, _corrector_one))
     report.extras["consistency_residual"] = worst_resid
     _apply_fit(report, "corrector_slope")
     report.assertions.append({
@@ -450,46 +452,45 @@ def _run_corrector(spec, threads):
         "ok": worst_resid <= CONSISTENCY_TOL,
         "detail": f"max |defect - closed form| = {worst_resid:.3e}",
     })
-    return _finalize(report)
 
 
 # ------------------------------------------------------------- lifespan
 
-def _run_lifespan(spec, threads):
-    report = ExperimentReport(kind="lifespan", eps_list=list(spec.eps_list))
+def _lifespan_one(base, eps):
+    """One eps of the lifespan experiment: the run to its bootstrap exit,
+    its Hoelder-norm series and the Riccati fit to it. Its extra is
+    (times, series, fit), fit None below four samples."""
+    traj = _run_model(base, "SGeps", eps, stop_on_exit=True)
+    y = [norm(s.rho, NormKind.Calpha) for s in traj.states]
+    row = _fresh_row(eps)
+    if traj.exit_reason == "bootstrap_exit":
+        row["exit_time"] = traj.exit_time
+    elif traj.exit_reason is None:
+        row["status"] = "no_exit"
+    else:
+        row["status"] = f"failed: {traj.exit_reason}"
+    fit = None
+    if len(y) >= 4:
+        c, stderr, r2 = riccati_fit(traj.times, y)
+        fit = {"C": c, "stderr": stderr, "r2": r2}
+        row["slope"] = c
+        row["slope_stderr"] = stderr
+    return row, {f"lifespan_eps{_eps_tag(eps)}": traj}, (list(traj.times), y, fit)
+
+
+def _run_lifespan(spec, threads, report):
     report.notes.append(LIFESPAN_NOTE)
-    # smallest eps first: it lives longest, so the longest run starts first
-    ascending = sorted(spec.eps_list)
-    one = partial(_run_lifespan_one, spec.base)
-    runs = dict(zip(ascending, _map_runs(ascending, one, threads)))
-    riccati = {}
-    calpha_series = {}
-    for eps in spec.eps_list:
-        traj, y = runs[eps]
-        row = _fresh_row(eps)
-        report.runs[f"lifespan_eps{_eps_tag(eps)}"] = traj
-        if traj.exit_reason == "bootstrap_exit":
-            row["exit_time"] = traj.exit_time
-        elif traj.exit_reason is None:
-            row["status"] = "no_exit"
-            report.notes.append(
-                f"eps = {eps} never left the bootstrap window by "
-                f"t = {spec.base.t_final}; raise t_final")
-        else:
-            row["status"] = f"failed: {traj.exit_reason}"
-        calpha_series[eps] = (list(traj.times), y)
-        if len(y) >= 4:
-            c, stderr, r2 = riccati_fit(traj.times, y)
-            riccati[eps] = {"C": c, "stderr": stderr, "r2": r2}
-            row["slope"] = c
-            row["slope_stderr"] = stderr
-        report.summary_rows.append(row)
+    series = dict(zip(spec.eps_list, _per_eps(spec, threads, report, _lifespan_one)))
+    report.notes += [f"eps = {r['eps']} never left the bootstrap window by "
+                     f"t = {spec.base.t_final}; raise t_final"
+                     for r in report.summary_rows if r["status"] == "no_exit"]
+    riccati = {e: fit for e, (_, _, fit) in series.items() if fit is not None}
     ordered = [r["exit_time"] for r in report.summary_rows]
     report.extras["exit_times"] = {_eps_tag(e): t for e, t in zip(spec.eps_list, ordered)
                                    if t is not None}
     report.extras["riccati"] = {_eps_tag(e): v for e, v in riccati.items()}
     report.extras["calpha_series"] = {
-        _eps_tag(e): {"t": t, "calpha": y} for e, (t, y) in calpha_series.items()
+        _eps_tag(e): {"t": t, "calpha": y} for e, (t, y, _) in series.items()
     }
     monotone = (all(t is not None for t in ordered)
                 and all(a < b for a, b in zip(ordered, ordered[1:])))
@@ -508,13 +509,11 @@ def _run_lifespan(spec, threads):
         "detail": {k: {"C": round(v["C"], 6), "r2": round(v["r2"], 6)}
                    for k, v in riccati.items()},
     })
-    return _finalize(report)
 
 
 # --------------------------------------------------------- inequalities
 
-def _run_inequalities(spec, threads):
-    report = ExperimentReport(kind="inequalities", eps_list=list(spec.eps_list))
+def _run_inequalities(spec, threads, report):
     seeds = [spec.base.seed + k for k in range(SUITE_SEEDS)]
     suites = _map_runs(seeds, _run_suite_seed, threads)
     for rep in suites:
@@ -541,7 +540,6 @@ def _run_inequalities(spec, threads):
         "detail": f"{sum(r['pass'] for r in records)}/{len(records)} checks passed, "
                   f"{len(merged.errors)} errors, seeds {seeds[0]}..{seeds[-1]}",
     })
-    return _finalize(report)
 
 
 # ------------------------------------------------------------- dispatch
@@ -561,7 +559,9 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentReport:
         raise TypeError("run_experiment needs an ExperimentSpec")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    return _DRIVERS[spec.kind](spec, threads)
+    report = ExperimentReport(kind=spec.kind, eps_list=list(spec.eps_list))
+    _DRIVERS[spec.kind](spec, threads, report)
+    return _finalize(report)
 
 
 # ------------------------------------------------------------- emission

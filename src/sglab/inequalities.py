@@ -10,10 +10,10 @@ Random fields draw i.i.d. complex Gaussian Fourier coefficients with a
 power-law decay |k|^-gamma, truncated at the dealiasing cutoff n/3 and
 Hermitian-symmetrized, so every sample is real, mean-zero, and
 band-limited. Trajectory-backed checks share one simulation bundle per
-seed: an Euler run, an SG run at eps = 0.05 from the same datum
-(normalized to unit gradient so the run stays inside the bootstrap
-window), the corrector run, and particle flows for both velocity
-fields.
+seed: an SG run at eps = 0.05 (its datum normalized to unit gradient so
+the run stays inside the bootstrap window), the corrector run from the
+same datum, whose Euler background is the Euler run, and particle flows
+for both velocity fields.
 
 run_suite(seed, count) executes every checker of FIELD_CHECKS and
 BUNDLE_CHECKS count times (cycling through sample times for trajectory
@@ -52,7 +52,8 @@ from .spectral import (
     norm,
     perp_gradient,
 )
-from .transport import _advance, _rk4, cumulative_trapezoid, gronwall_integral, run_simulation
+from .transport import (Trajectory, _advance, _diagnostics, _rk4, cumulative_trapezoid,
+                        gronwall_integral, run_simulation)
 
 __all__ = [
     "CheckResult",
@@ -273,7 +274,7 @@ class _Bundle:
     """Per-seed simulation package shared by the trajectory checks.
 
     Per-sample norms (Hessian and gradient sup norms, Sobolev norms of
-    rho) come from the runs' diagnostics records, not from recomputation.
+    rho) and m0 = ||rho0||_Linf come from the runs' records, not recomputed.
     """
 
     def __init__(self, seed: int, count: int):
@@ -284,10 +285,15 @@ class _Bundle:
         modes = _field_to_modes(rho0)
         base = dict(n=BUNDLE_N, t_final=BUNDLE_T, sample_interval=BUNDLE_INTERVAL,
                     initial_data=modes)
-        self.euler = run_simulation(RunConfig(model="Euler", eps=0.0, **base))
         self.sg = run_simulation(RunConfig(model="SGeps", eps=BUNDLE_EPS, **base))
-        self.corrector = run_simulation(
+        corr = self.corrector = run_simulation(
             RunConfig(model="Corrector", eps=BUNDLE_EPS, **base))
+        # the Corrector's backgrounds are the Euler run bit for bit; their
+        # records leave A_t unset, which no bundle check reads
+        bgs = [s.background for s in corr.states]
+        self.euler = Trajectory(model="Euler", eps=0.0, grid=corr.grid, m0=corr.m0,
+                                states=bgs, times=corr.times,
+                                diagnostics=[_diagnostics(bg, corr.m0) for bg in bgs])
         self.rho0 = self.euler.states[0].rho
         self._vel_sg = TrajectoryVelocity(self.sg)
         self._vel_euler = TrajectoryVelocity(self.euler)
@@ -309,21 +315,24 @@ class _Bundle:
     @cached_property
     def forcing(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-sample ||u1 . grad rhobar||_{H^-1} and ||D^2 phibar||_Linf, Corrector run."""
-        force, hess = [], []
+        force = []
         for s in self.corrector.states:
             u1x, u1y = perp_gradient(s.potential)
             bg = s.background
             gx, gy = derivative(bg.rho, (1, 0)), derivative(bg.rho, (0, 1))
             f = ScalarField(s.rho.grid, u1x.values * gx.values + u1y.values * gy.values)
             force.append(norm(f, NormKind.Hminus1))
-            hess.append(hessian_linf(bg.potential))
-        return np.array(force), np.array(hess)
+        return np.array(force), np.array([d.hess_linf_psi for d in self.euler.diagnostics])
+
+    @cached_property
+    def det_hminus1(self) -> list:
+        """||det D^2 psi||_{H^-1} of each SG state."""
+        return [norm(hessian_det(s.potential), NormKind.Hminus1) for s in self.sg.states]
 
     @cached_property
     def wente_constant(self) -> float:
         """Largest Wente quotient over the SG run's potentials."""
-        return max(norm(hessian_det(s.potential), NormKind.Hminus1) / d.hess_l2_psi ** 2
-                   for s, d in zip(self.sg.states, self.sg.diagnostics))
+        return max(h / d.hess_l2_psi ** 2 for h, d in zip(self.det_hminus1, self.sg.diagnostics))
 
 
 def _field_to_modes(f: ScalarField):
@@ -399,10 +408,8 @@ def _check_l2_hessian(bundle: _Bundle, idx: int) -> CheckResult:
 def _check_vel_gap(bundle: _Bundle, idx: int) -> CheckResult:
     """Velocity gap against the Loeper flow term plus the direct MA term."""
     lhs = bundle.gaps.velocity_gap[idx]
-    m0 = norm(bundle.rho0, NormKind.Linf)
-    det = hessian_det(bundle.sg.states[idx].potential)
-    rhs = (np.sqrt(2.0) * m0 * bundle.gaps.flow_gap[idx]
-           + BUNDLE_EPS * norm(det, NormKind.Hminus1))
+    rhs = (np.sqrt(2.0) * bundle.euler.m0 * bundle.gaps.flow_gap[idx]
+           + BUNDLE_EPS * bundle.det_hminus1[idx])
     ratio = float(lhs / rhs)
     return CheckResult("vel_gap", ratio, 1.0, bundle.seed,
                        _digest(bundle.sg.states[idx].potential, idx, "vel_gap"))
@@ -411,7 +418,7 @@ def _check_vel_gap(bundle: _Bundle, idx: int) -> CheckResult:
 def _check_flow_hminus1(bundle: _Bundle, idx: int) -> CheckResult:
     """Loeper: ||rho1 - rho2||_{H^-1} <= sqrt(2) ||rho0||_inf flow gap."""
     lhs = bundle.gaps.hminus1_gap[idx]
-    rhs = np.sqrt(2.0) * norm(bundle.rho0, NormKind.Linf) * bundle.gaps.flow_gap[idx]
+    rhs = np.sqrt(2.0) * bundle.euler.m0 * bundle.gaps.flow_gap[idx]
     if rhs == 0.0:
         raise ValueError("degenerate input: coincident flows")
     ratio = float(lhs / rhs)
@@ -465,9 +472,8 @@ def _check_flow_gronwall(bundle: _Bundle, idx: int) -> CheckResult:
     if bundle.gaps.flow_gap[idx] == 0.0:
         raise ValueError("degenerate input: coincident flows")
     times = bundle.times[: idx + 1]
-    m0 = norm(bundle.rho0, NormKind.Linf)
     c_w = bundle.wente_constant
-    rate = [d.hess_linf_psi + np.sqrt(2.0) * m0
+    rate = [d.hess_linf_psi + np.sqrt(2.0) * bundle.euler.m0
             for d in bundle.euler.diagnostics[: idx + 1]]
     cum = cumulative_trapezoid(rate, times)
     source = np.array([BUNDLE_EPS * c_w * d.hess_l2_psi ** 2

@@ -90,6 +90,16 @@ def _prefilter(u: np.ndarray) -> np.ndarray:
     return ndimage.spline_filter(u, order=3, mode="grid-wrap")
 
 
+def _spline_values(coefs, x: np.ndarray, y: np.ndarray) -> tuple:
+    """Each periodic cubic spline of the n x n coefficient arrays coefs at
+    the torus points (x, y), shaped like x; the coordinates are built once."""
+    n = coefs[0].shape[-1]
+    # grid samples sit at j/n, so array coordinates are positions * n
+    coords = np.vstack([np.mod(x, 1.0).ravel() * n, np.mod(y, 1.0).ravel() * n])
+    return tuple(ndimage.map_coordinates(c, coords, order=3, mode="grid-wrap",
+                                         prefilter=False).reshape(x.shape) for c in coefs)
+
+
 class TrajectoryVelocity:
     """Velocity provider backed by a Trajectory's potential samples.
 
@@ -147,7 +157,6 @@ class _FilteredLookup:
 
     def __init__(self, provider):
         self.provider = provider
-        self.n = provider.grid.n
         self._cache = {}
 
     def __call__(self, t: float, x: np.ndarray, y: np.ndarray):
@@ -157,15 +166,7 @@ class _FilteredLookup:
             if len(self._cache) == 2:
                 del self._cache[next(iter(self._cache))]
             entry = self._cache[key] = self.provider.filtered_pair(t)
-        fx, fy = entry
-        # grid samples sit at j/n, so array coordinates are positions * n
-        coords = np.vstack([
-            np.mod(x, 1.0).ravel() * self.n,
-            np.mod(y, 1.0).ravel() * self.n,
-        ])
-        vx = ndimage.map_coordinates(fx, coords, order=3, mode="grid-wrap", prefilter=False)
-        vy = ndimage.map_coordinates(fy, coords, order=3, mode="grid-wrap", prefilter=False)
-        return vx.reshape(x.shape), vy.reshape(y.shape)
+        return _spline_values(entry, x, y)
 
 
 def advect_flow(velocity_source, labels: FlowMap, t0: float, t1: float, dt: float) -> FlowMap:
@@ -297,14 +298,7 @@ def pushforward_density(rho0: ScalarField, velocity_source, t: float,
     X, Y = np.meshgrid(pts, pts, indexing="ij")
     lab = FlowMap(m=n, time=0.0, positions_x=X, positions_y=Y)
     feet = advect_flow(velocity_source, lab, t, 0.0, dt)
-    filt = _prefilter(rho0.values)
-    coords = np.vstack([
-        np.mod(feet.positions_x, 1.0).ravel() * n,
-        np.mod(feet.positions_y, 1.0).ravel() * n,
-    ])
-    vals = ndimage.map_coordinates(
-        filt, coords, order=3, mode="grid-wrap", prefilter=False
-    ).reshape(n, n)
+    (vals,) = _spline_values((_prefilter(rho0.values),), feet.positions_x, feet.positions_y)
     out = ScalarField(grid, vals)
     return out - out.mean() + rho0.mean()
 

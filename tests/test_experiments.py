@@ -171,7 +171,8 @@ class TestLifespanDriver:
 
     def test_runs_go_out_smallest_eps_first(self, kind_reports, monkeypatch):
         # the longest-lived run starts first; neither the order of eps_list
-        # nor the thread count changes a per-eps row or run
+        # nor the thread count changes a per-eps row or run. Every eps
+        # driver sends its eps out in the same order
         submitted = []
         map_runs = experiments._map_runs
 
@@ -200,6 +201,12 @@ class TestLifespanDriver:
                 assert traj.diagnostics == ref.diagnostics
                 assert (traj.times, traj.dt_history, traj.exit_reason, traj.exit_time) == (
                     ref.times, ref.dt_history, ref.exit_reason, ref.exit_time)
+        for kind in ("stability", "wasserstein", "corrector"):
+            submitted.clear()
+            rep = run_experiment(ExperimentSpec(kind=kind, eps_list=[0.04, 0.02, 0.01],
+                                                base=small_base("mild")), threads=1)
+            assert submitted == [[0.01, 0.02, 0.04]]
+            assert rep.summary_rows == kind_reports[kind].summary_rows
 
 
 def _raise_on_odd(k):
@@ -211,13 +218,34 @@ def _raise_on_odd(k):
 
 class TestWorkerPool:
     @pytest.mark.parametrize("spec", [
-        ExperimentSpec(kind="corrector", eps_list=[0.04, 0.02, 0.01],
-                       base=small_base("mild")),
+        ExperimentSpec(kind=kind, eps_list=[0.04, 0.02, 0.01], base=small_base("mild"))
+        for kind in ("stability", "wasserstein", "corrector")
+    ] + [
         ExperimentSpec(kind="lifespan", eps_list=[0.2, 0.1, 0.05],
                        base=SMALL_LIFESPAN_BASE),
-    ], ids=["corrector", "lifespan"])
+    ], ids=["stability", "wasserstein", "corrector", "lifespan"])
     def test_threads_do_not_change_emitted_files(self, spec, tmp_path):
         assert_thread_counts_agree(spec, tmp_path, {})
+
+    def test_per_eps_analysis_runs_in_the_workers(self, monkeypatch):
+        # forked workers call their own copies of these wrappers, so `seen`
+        # only records the calls made in this process
+        seen = []
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                seen.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("paired_gap_series", "w2_sinkhorn"):
+            monkeypatch.setattr(experiments, name, recording(getattr(experiments, name)))
+        spec = ExperimentSpec(kind="wasserstein", eps_list=[0.04, 0.02, 0.01],
+                              base=small_base("mild"))
+        assert run_experiment(spec, threads=2).w2_streams
+        assert seen == []
+        run_experiment(spec, threads=1)
+        assert seen.count("paired_gap_series") == 3 and "w2_sinkhorn" in seen
 
     def test_worker_error_reaches_caller_with_its_type(self):
         with pytest.raises(W2ConvergenceError) as exc:

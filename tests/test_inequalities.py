@@ -1,5 +1,7 @@
 """Checker-level and suite-level tests for the inequality lab."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from sglab.inequalities import (
     random_field,
     run_suite,
 )
+from sglab.config import RunConfig
 from sglab.spectral import NormKind, ScalarField, TorusGrid, norm
 from sglab.transport import advect_scalar
 
@@ -232,3 +235,30 @@ def test_one_round_suite_sweeps_to_the_first_sample_only(monkeypatch):
     assert swept == [[0.05], [0.05]]
     assert not rep.errors
     assert [r.name for r in rep.results].count("inv_gap") == 1
+
+
+def test_bundle_reads_euler_from_its_corrector_run(monkeypatch):
+    made = []
+    original = ineq.run_simulation
+
+    def counting(cfg):
+        made.append(cfg.model)
+        return original(cfg)
+
+    monkeypatch.setattr(ineq, "run_simulation", counting)
+    bundle = ineq._Bundle(3, count=1)
+    assert made == ["SGeps", "Corrector"]
+    # the same datum the bundle draws; its Euler view is this run bit for
+    # bit, the A_t record aside, which no bundle check reads
+    rho0 = random_field(TorusGrid(ineq.BUNDLE_N), np.random.default_rng([3, 1]),
+                        gamma=4.0, normalize="gradlinf")
+    euler = original(RunConfig(model="Euler", eps=0.0, n=ineq.BUNDLE_N,
+                               t_final=ineq.BUNDLE_T, sample_interval=ineq.BUNDLE_INTERVAL,
+                               initial_data=ineq._field_to_modes(rho0)))
+    assert bundle.euler.times == euler.times
+    assert bundle.euler.m0 == euler.m0 == norm(bundle.rho0, NormKind.Linf)
+    assert bundle.euler.diagnostics == [replace(d, A_t=None) for d in euler.diagnostics]
+    for mine, ref in zip(bundle.euler.states, euler.states, strict=True):
+        assert mine.model == ref.model and mine.eps == ref.eps
+        for name in ("rho", "potential"):
+            assert getattr(mine, name).values.tobytes() == getattr(ref, name).values.tobytes()
