@@ -12,11 +12,13 @@ eps * ||D^2 psi||_Linf stays below 1/2, which the bootstrap regime
 
 The sweeps run on rfft2 half-spectra with the cached multipliers of
 `spectral.kernel(n)` (rows p = -n/2..n/2-1 in fftfreq order, columns
-q = 0..n/2). Each sweep forms the Hessian of its new iterate once, as
-one batched irfft2 of three components; that Hessian feeds the next
-sweep's sup-norm guard and its determinant (one masked rfft2), or,
-after convergence, both the residual and the reported Hessian sup
-norm. Update and scale norms are read from the coefficients.
+q = 0..n/2), through the two-stage `spectral.rfft2`/`irfft2`. Each
+sweep that does not converge forms the Hessian of its new iterate once,
+as one batched irfft2 of three components; that Hessian feeds the next
+sweep's sup-norm guard and its determinant (one masked rfft2). A
+converged iterate is returned as it is: only `solve_sg_potential` forms
+its Hessian, residual and Hessian sup norm, for its report. Update and
+scale norms are read from the coefficients.
 ScalarField stays the type at the public boundary; the public Hessian
 functions form the Hessian of its cached half-spectrum the same way.
 The RK4 stages of `transport.step_rk4` call the same sweeps, each
@@ -43,8 +45,10 @@ from .spectral import (
     NormKind,
     SpectralKernel,
     _require_mean_zero,
+    irfft2,
     kernel,
     norm,
+    rfft2,
 )
 
 __all__ = [
@@ -104,7 +108,7 @@ def hessian_det(psi: ScalarField) -> ScalarField:
     perfect mixed derivatives, so its integral over the torus vanishes.
     """
     k = kernel(psi.grid.n)
-    return ScalarField(psi.grid, np.fft.irfft2(_det_half(k, _hessian_half(k, psi.hat))))
+    return ScalarField(psi.grid, irfft2(_det_half(k, _hessian_half(k, psi.hat))))
 
 
 def cofactor_contract(phi: ScalarField, eta: ScalarField) -> ScalarField:
@@ -112,7 +116,7 @@ def cofactor_contract(phi: ScalarField, eta: ScalarField) -> ScalarField:
     axx, axy, ayy = _hessian_values(phi)
     bxx, bxy, byy = _hessian_values(eta)
     out = ayy * bxx - 2.0 * (axy * bxy) + axx * byy
-    return ScalarField(phi.grid, np.fft.irfft2(kernel(phi.grid.n).mask_half * np.fft.rfft2(out)))
+    return ScalarField(phi.grid, irfft2(kernel(phi.grid.n).mask_half * rfft2(out)))
 
 
 def det_expansion_residual(phi: ScalarField, eta: ScalarField, eps: float) -> float:
@@ -163,13 +167,13 @@ def hessian_l2(psi: ScalarField) -> float:
 
 def _hessian_half(k: SpectralKernel, psi_hat: np.ndarray) -> np.ndarray:
     """Real-space (psi_xx, psi_xy, psi_yy), stacked, from a half-spectrum."""
-    return np.fft.irfft2(k.hess * psi_hat)
+    return irfft2(k.hess * psi_hat)
 
 
 def _det_half(k: SpectralKernel, hess: np.ndarray) -> np.ndarray:
     """Dealiased half-spectrum of det D^2 psi from its real-space Hessian."""
     pxx, pxy, pyy = hess
-    return k.mask_half * np.fft.rfft2(pxx * pyy - pxy * pxy)
+    return k.mask_half * rfft2(pxx * pyy - pxy * pxy)
 
 
 def _picard(rho_hat: np.ndarray, eps: float, tol: float = 1e-12,
@@ -178,9 +182,10 @@ def _picard(rho_hat: np.ndarray, eps: float, tol: float = 1e-12,
 
     start is None (seed with the Poisson solution) or a potential
     half-spectrum guess, e.g. `transport._equations`'s Poisson predictor.
-    Each sweep forms the Hessian of its new iterate once; it feeds the
-    next sweep's sup-norm guard and determinant, or, after convergence,
-    the residual and the report. Returns (psi_hat, report).
+    Each sweep that does not converge forms the Hessian of its new
+    iterate once, for the next sweep's sup-norm guard and determinant.
+    Returns (psi_hat, sweeps) at the first sweep whose relative update is
+    at most tol, without forming that iterate's Hessian or residual.
     """
     k = kernel(rho_hat.shape[0])
     k.require_mean_zero(rho_hat)
@@ -196,19 +201,13 @@ def _picard(rho_hat: np.ndarray, eps: float, tol: float = 1e-12,
         update = k.hs(psi_next - psi_hat, 1.0)
         scale = max(k.hs(psi_next, 1.0), 1e-14)
         psi_hat = psi_next
-        hess = _hessian_half(k, psi_hat)
         if update / scale <= tol:
-            resid = k.l2(k.lap * psi_hat - rho_hat + eps * _det_half(k, hess))
-            return psi_hat, MASolveReport(
-                iterations=sweep,
-                residual=resid,
-                hessian_linf=_hessian_operator_linf(*hess),
-                converged=True,
-            )
+            return psi_hat, sweep
         if eps * hlinf > 0.5:
             raise EllipticDivergenceError(
                 f"eps*||D^2 psi||_Linf = {eps * hlinf:.3e} > 1/2 at sweep {sweep}"
             )
+        hess = _hessian_half(k, psi_hat)
     raise EllipticConvergenceError(
         f"no convergence to tol={tol:g} within {max_iter} sweeps"
     )
@@ -224,9 +223,10 @@ def solve_sg_potential(
 
     Picard sweeps psi <- lap^-1(rho - eps det D^2 psi_prev), seeded with
     the Poisson solution. Stops when the relative H1 update drops below
-    tol. eps = 0 returns the plain Poisson solution after one sweep, and
-    so does any rho whose potential has identically zero determinant
-    (e.g. data varying in only one direction).
+    tol; the report's residual and Hessian sup norm are those of the
+    returned potential. eps = 0 returns the plain Poisson solution after
+    one sweep, and so does any rho whose potential has identically zero
+    determinant (e.g. data varying in only one direction).
 
     Raises MeanViolationError when rho (or a sweep's right-hand side)
     does not have zero mean, ValueError when the Hessian of an iterate
@@ -239,8 +239,15 @@ def solve_sg_potential(
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    psi_hat, report = _picard(rho.hat, eps, tol, max_iter)
-    return ScalarField(rho.grid, np.fft.irfft2(psi_hat)), report
+    psi_hat, sweeps = _picard(rho.hat, eps, tol, max_iter)
+    k = kernel(rho.grid.n)
+    hess = _hessian_half(k, psi_hat)
+    return ScalarField(rho.grid, irfft2(psi_hat)), MASolveReport(
+        iterations=sweeps,
+        residual=k.l2(k.lap * psi_hat - rho.hat + eps * _det_half(k, hess)),
+        hessian_linf=_hessian_operator_linf(*hess),
+        converged=True,
+    )
 
 
 def solve_corrector_potential(
@@ -249,8 +256,8 @@ def solve_corrector_potential(
     """First-order potential: lap phi1 = rho1 - det D^2 phibar, <phi1> = 0."""
     k = kernel(rho1.grid.n)
     rhs = rho1.hat - _det_half(k, _hessian_half(k, phibar.hat))
-    _require_mean_zero(np.fft.irfft2(rhs))
-    return ScalarField(rho1.grid, np.fft.irfft2(k.inv_lap_half * rhs))
+    _require_mean_zero(irfft2(rhs))
+    return ScalarField(rho1.grid, irfft2(k.inv_lap_half * rhs))
 
 
 def bootstrap_status(
@@ -265,27 +272,28 @@ def bootstrap_status(
     trajectory should pass the initial value, which transport conserves.
     """
     return _bootstrap_margins(rho, hessian_linf(psi), norm(rho, NormKind.GradLinf),
-                              eps, m0)
+                              norm(rho, NormKind.Calpha), eps, m0)
 
 
-def _potential_norms(rho, psi, eps, m0, grad_linf):
+def _potential_norms(rho, psi, eps, m0, grad_linf, calpha):
     """(||D^2 psi||_Linf, ||D^2 psi||_L2, bootstrap_status(rho, psi, eps,
     m0=m0)) from one Hessian, for a density whose ||grad rho||_Linf is
-    grad_linf, each equal to the separate call bit for bit."""
+    grad_linf and whose ||rho||_Calpha is calpha, each equal to the
+    separate call bit for bit."""
     hess = _hessian_values(psi)
     hlinf = _hessian_operator_linf(*hess)
     return (hlinf, _hessian_frobenius_l2(*hess),
-            _bootstrap_margins(rho, hlinf, grad_linf, eps, m0))
+            _bootstrap_margins(rho, hlinf, grad_linf, calpha, eps, m0))
 
 
-def _bootstrap_margins(rho, hlinf, grad_linf, eps, m0) -> BootstrapStatus:
+def _bootstrap_margins(rho, hlinf, grad_linf, calpha, eps, m0) -> BootstrapStatus:
     """`bootstrap_status` for a potential whose ||D^2 psi||_Linf is hlinf
-    and a density whose ||grad rho||_Linf is grad_linf."""
+    and a density whose ||grad rho||_Linf is grad_linf and whose
+    ||rho||_Calpha is calpha."""
     if m0 is None:
         m0 = norm(rho, NormKind.Linf)
     grad_margin = 0.25 - eps * grad_linf
     hessian_margin = 0.25 - eps * hlinf
-    calpha = norm(rho, NormKind.Calpha)
     if m0 <= 0:
         ratio = np.inf if hlinf > 0 else 0.0
     else:

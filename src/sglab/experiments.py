@@ -170,6 +170,13 @@ def _fresh_row(eps):
                                              "in_window": False, "metric": None}
 
 
+_worker = {}  # in a forked pool worker, "fn": the function it maps, set by its initializer
+
+
+def _call_worker_fn(item):
+    return _worker["fn"](item)
+
+
 def _map_runs(items, fn, threads):
     """Run fn(item) for each item, returning the results in input order.
 
@@ -177,14 +184,17 @@ def _map_runs(items, fn, threads):
     processes. They are forked, so they inherit the imported modules and
     the warm `spectral.kernel` caches; a fork-context pool starts every
     worker before its manager thread, so no thread is alive at fork
-    time. fn, its arguments, its results and anything it raises must
-    pickle: module-level functions or partials of them.
+    time. fn reaches each worker once, as the argument of the pool's
+    initializer, which a forked worker inherits rather than unpickles, so
+    fn and whatever it holds (an Euler reference run) need not pickle.
+    The items, the results and anything fn raises must pickle.
     """
     workers = min(threads, len(items))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(fn, items))
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_worker.__setitem__, initargs=("fn", fn)) as pool:
+            return list(pool.map(_call_worker_fn, items))
     return [fn(item) for item in items]
 
 
@@ -461,7 +471,7 @@ def _lifespan_one(base, eps):
     its Hoelder-norm series and the Riccati fit to it. Its extra is
     (times, series, fit), fit None below four samples."""
     traj = _run_model(base, "SGeps", eps, stop_on_exit=True)
-    y = [norm(s.rho, NormKind.Calpha) for s in traj.states]
+    y = [s.calpha for s in traj.states]
     row = _fresh_row(eps)
     if traj.exit_reason == "bootstrap_exit":
         row["exit_time"] = traj.exit_time

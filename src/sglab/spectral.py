@@ -12,6 +12,12 @@ mirror (-p, -q) of a column 0 < q < n/2 is its conjugate. So Parseval
 reads ||f||_L2^2 = sum w_q |hat[p, q] / n^2|^2 with w_q = 2 on those
 columns and 1 on the self-mirrored columns q = 0 and q = n/2.
 
+Every rfft2/irfft2 of the solvers and steppers goes through this
+module's two-stage kernel, `rfft2`/`irfft2`: the two 1-D passes numpy's
+2-D calls make, bit for bit, with the complex intermediate of `irfft2`
+written into a per-shape buffer of the calling thread instead of a
+fresh array. Outputs are always fresh arrays.
+
 Sobolev norms are homogeneous: ||f||_Hs = (sum_{k != 0} |k|^{2s} |c_k|^2)^{1/2}
 with |k| = 2*pi*sqrt(p^2+q^2). This makes the interpolation inequalities
 exact with constant 1 (Hoelder on the spectral weights).
@@ -19,6 +25,7 @@ exact with constant 1 (Hoelder on the spectral weights).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -145,6 +152,26 @@ def _abs2(hat: np.ndarray) -> np.ndarray:
     return hat.real ** 2 + hat.imag ** 2
 
 
+_buffers = threading.local()  # its __dict__, per thread: shape -> irfft2 work array
+
+
+def rfft2(values: np.ndarray) -> np.ndarray:
+    """np.fft.rfft2 over the last two axes, bit for bit: rfft along axis
+    -1, then an in-place fft along axis -2 of that fresh array."""
+    out = np.fft.rfft(values, axis=-1)
+    return np.fft.fft(out, axis=-2, out=out)
+
+
+def irfft2(hat: np.ndarray) -> np.ndarray:
+    """np.fft.irfft2 over the last two axes, bit for bit: ifft along axis
+    -2 into this thread's buffer of hat's shape, then irfft along axis -1
+    into a fresh array."""
+    buf = _buffers.__dict__.get(hat.shape)
+    if buf is None:
+        buf = _buffers.__dict__[hat.shape] = np.empty(hat.shape, dtype=complex)
+    return np.fft.irfft(np.fft.ifft(hat, axis=-2, out=buf), axis=-1)
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform n x n discretization of [0,1)^2, n a power of two, n >= 8."""
@@ -215,7 +242,7 @@ class ScalarField:
         """Unnormalized half-spectrum rfft2(values), in `SpectralKernel`'s
         layout; cached and read-only."""
         if self._hat is None:
-            hat = np.fft.rfft2(self._values)
+            hat = rfft2(self._values)
             hat.setflags(write=False)
             self._hat = hat
         return self._hat
@@ -305,7 +332,7 @@ def _require_mean_zero(values: np.ndarray, rel_tol: float = 1e-10) -> None:
 
 
 def _from_hat(grid: TorusGrid, hat: np.ndarray) -> ScalarField:
-    return ScalarField(grid, np.fft.irfft2(hat))
+    return ScalarField(grid, irfft2(hat))
 
 
 def derivative(f: ScalarField, order: tuple[int, int]) -> ScalarField:
@@ -328,7 +355,7 @@ def inv_laplacian(f: ScalarField) -> ScalarField:
 
 def _gradient_values(f: ScalarField) -> np.ndarray:
     """Stacked (d_x f, d_y f) values from one batched irfft2."""
-    return np.fft.irfft2(kernel(f.grid.n).grad * f.hat)
+    return irfft2(kernel(f.grid.n).grad * f.hat)
 
 
 def perp_gradient(psi: ScalarField) -> tuple[ScalarField, ScalarField]:

@@ -35,9 +35,11 @@ from .spectral import (
     TorusGrid,
     NormKind,
     dealias,
+    irfft2,
     kernel,
     norm,
     perp_gradient,
+    rfft2,
 )
 from .elliptic import (
     EllipticConvergenceError,
@@ -110,6 +112,11 @@ class SimState:
     def grad_linf(self) -> float:
         """||grad rho||_Linf, read by the exit monitor and the diagnostics."""
         return norm(self.rho, NormKind.GradLinf)
+
+    @cached_property
+    def calpha(self) -> float:
+        """||rho||_Calpha, read by the diagnostics and the lifespan series."""
+        return norm(self.rho, NormKind.Calpha)
 
 
 @dataclass
@@ -261,9 +268,9 @@ def initial_data_field(grid: TorusGrid, spec) -> ScalarField:
 def _advection_half(kern, pot_hat: np.ndarray, rho_hat: np.ndarray) -> np.ndarray:
     """Half-spectrum of the dealiased u . grad rho for u = perp grad potential:
     4 inverse transforms (two batched irfft2 calls) and 1 masked rfft2."""
-    px, py = np.fft.irfft2(kern.grad * pot_hat)
-    rx, ry = np.fft.irfft2(kern.grad * rho_hat)
-    return kern.mask_half * np.fft.rfft2(px * ry - py * rx)
+    px, py = irfft2(kern.grad * pot_hat)
+    rx, ry = irfft2(kern.grad * rho_hat)
+    return kern.mask_half * rfft2(px * ry - py * rx)
 
 
 # each model's parts, background first; a half-spectrum state y holds one
@@ -317,7 +324,7 @@ def _state(t: float, model: str, eps: float, rhos, pot_hats) -> SimState:
     state = None
     for part, rho, pot in zip(PARTS[model], rhos, pot_hats):
         state = SimState(t, part, eps if part == model else 0.0, rho,
-                         ScalarField(rho.grid, np.fft.irfft2(pot)), background=state)
+                         ScalarField(rho.grid, irfft2(pot)), background=state)
     return state
 
 
@@ -336,7 +343,7 @@ def _advance(f: ScalarField, r0: np.ndarray, r1: np.ndarray) -> ScalarField:
 
     The increment, not r1, returns to grid values, so a state the flow
     leaves unchanged keeps its bits instead of taking a round trip."""
-    out = f + np.fft.irfft2(r1 - r0)
+    out = f + irfft2(r1 - r0)
     return out - out.mean()
 
 
@@ -388,7 +395,8 @@ def step_rk4(state: SimState, dt: float, cfl: float = 0.5) -> SimState:
 
 def _diagnostics(state: SimState, m0: float) -> DiagnosticsRecord:
     rho, pot = state.rho, state.potential
-    hess_linf, hess_l2, status = _potential_norms(rho, pot, state.eps, m0, state.grad_linf)
+    hess_linf, hess_l2, status = _potential_norms(rho, pot, state.eps, m0, state.grad_linf,
+                                                   state.calpha)
     return DiagnosticsRecord(
         t=state.time,
         l2_rho=norm(rho, NormKind.L2),

@@ -271,3 +271,28 @@ def test_solve_nonfinite_hessian_is_value_error():
         g, lambda x, y: 1e160 * np.cos(TWO_PI * x) * np.cos(TWO_PI * y))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
         solve_sg_potential(rho, eps=1e-200)
+
+
+def test_picard_forms_no_hessian_or_residual_after_convergence(monkeypatch):
+    # the start's Hessian and one per sweep but the last; one determinant
+    # per sweep and none for a residual. solve_sg_potential forms the
+    # converged iterate's Hessian and residual determinant once, for its
+    # report
+    from sglab import elliptic
+    from sglab.transport import initial_data_field
+
+    calls = []
+    for name in ("_hessian_half", "_det_half"):
+        def counting(*a, _fn=getattr(elliptic, name), _name=name):
+            calls.append(_name)
+            return _fn(*a)
+        monkeypatch.setattr(elliptic, name, counting)
+    rho = initial_data_field(TorusGrid(64), "steep")
+    psi_hat, sweeps = elliptic._picard(rho.hat, 0.2)
+    assert sweeps >= 3
+    assert calls.count("_hessian_half") == calls.count("_det_half") == sweeps
+    calls.clear()
+    psi, report = solve_sg_potential(rho, 0.2)
+    assert report.iterations == sweeps
+    assert np.array_equal(psi.values, np.fft.irfft2(psi_hat))
+    assert calls.count("_hessian_half") == calls.count("_det_half") == sweeps + 1

@@ -4,6 +4,7 @@ emission schema, and byte determinism."""
 import csv
 import json
 import pickle
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,18 @@ def _raise_on_odd(k):
     return k
 
 
+class _Unpicklable:
+    def __init__(self, offset):
+        self.offset = offset
+
+    def __reduce__(self):
+        raise TypeError("this object does not pickle")
+
+
+def _add_offset(held, k):
+    return k + held.offset
+
+
 class TestWorkerPool:
     @pytest.mark.parametrize("spec", [
         ExperimentSpec(kind=kind, eps_list=[0.04, 0.02, 0.01], base=small_base("mild"))
@@ -252,12 +265,22 @@ class TestWorkerPool:
             _map_runs([0, 1, 2], _raise_on_odd, threads=2)
         assert exc.value.marginal_error == 0.5
 
+    def test_worker_function_reaches_forked_workers_unpickled(self):
+        # the pool hands fn to each worker once, through its initializer;
+        # under fork that is inherited, so fn itself never pickles
+        fn = partial(_add_offset, _Unpicklable(10))
+        with pytest.raises(TypeError):
+            pickle.dumps(fn)
+        assert _map_runs([0, 1, 2], fn, threads=2) == _map_runs([0, 1, 2], fn, threads=1)
+        assert _map_runs([0, 1, 2], fn, threads=1) == [10, 11, 12]
+
     def test_pool_starts_at_most_one_worker_per_item(self, monkeypatch):
         started = []
 
         class RecordingPool:
-            def __init__(self, max_workers, mp_context):
+            def __init__(self, max_workers, mp_context, initializer, initargs):
                 started.append((max_workers, mp_context.get_start_method()))
+                initializer(*initargs)  # what each forked worker runs first
 
             def __enter__(self):
                 return self
@@ -269,6 +292,7 @@ class TestWorkerPool:
                 return map(fn, items)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments, "_worker", {})
         assert _map_runs([0, 2, 4], _raise_on_odd, threads=8) == [0, 2, 4]
         assert started == [(3, "fork")]
         # one worker's worth of work runs in this process

@@ -20,7 +20,9 @@ from sglab.spectral import (
     inv_laplacian,
     perp_gradient,
     dealias,
+    irfft2,
     norm,
+    rfft2,
 )
 from sglab.spectral import HOLDER_ALPHA, _holder_seminorm  # test-only import
 
@@ -382,3 +384,44 @@ def test_half_spectrum_is_cached_and_read_only(grid):
     assert np.array_equal(f.hat, np.fft.rfft2(f.values))
     with pytest.raises(ValueError):
         f.hat[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("lead", [(), (2,), (3,)], ids=["single", "stack2", "stack3"])
+def test_two_stage_transforms_equal_numpy_bit_for_bit(n, lead):
+    rng = np.random.default_rng([n, len(lead)])
+    values = rng.standard_normal(lead + (n, n))
+    hat = np.fft.rfft2(values)
+    assert np.array_equal(rfft2(values), hat)
+    # a generic half-spectrum too, not only one that came from real values
+    hat = hat + 1j * rng.standard_normal(hat.shape)
+    assert np.array_equal(irfft2(hat), np.fft.irfft2(hat))
+
+
+def test_irfft2_outputs_do_not_share_its_buffer():
+    rng = np.random.default_rng(3)
+    a, b = np.fft.rfft2(rng.standard_normal((2, 2, 32, 32)))
+    first = irfft2(a)
+    kept = first.copy()
+    second = irfft2(b)
+    assert np.array_equal(first, kept)
+    assert not np.shares_memory(first, second)
+
+
+def test_irfft2_threads_keep_their_own_buffers():
+    import threading
+
+    rng = np.random.default_rng(4)
+    hats = np.fft.rfft2(rng.standard_normal((2, 3, 64, 64)))
+    bad = []
+
+    def worker(hat):
+        want = np.fft.irfft2(hat)
+        bad.extend(k for k in range(200) if not np.array_equal(irfft2(hat), want))
+
+    threads = [threading.Thread(target=worker, args=(h,)) for h in hats]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert bad == []

@@ -362,7 +362,7 @@ def test_stage_solves_start_from_the_poisson_predictor(monkeypatch):
 
     def counting(*a, **k):
         out = picard(*a, **k)
-        sweeps.append(out[-1].iterations)
+        sweeps.append(out[-1])
         return out
 
     monkeypatch.setattr(transport, "_picard", counting)
@@ -372,6 +372,48 @@ def test_stage_solves_start_from_the_poisson_predictor(monkeypatch):
     assert traj.exit_time == pytest.approx(10.68, abs=5e-3)
     assert len(sweeps) == 89  # the t = 0 solve and 4 per step
     assert sum(sweeps) / len(sweeps) <= 4.5
+
+
+def test_sg_step_transform_count(monkeypatch):
+    # one n=64 steep eps 0.2 SG step from t = 0. Its four stage solves take
+    # 5/4/5/3 sweeps, each sweep one determinant (rfft2) of one Hessian
+    # (3-stack irfft2), the converged iterate neither; four advection
+    # rates take 2 gradients (2-stack irfft2) and one rfft2 each; the CFL
+    # speed is a 2-stack irfft2; the increment and the new potential one
+    # irfft2 each; the state's potential half-spectrum one rfft2
+    from collections import Counter
+    from sglab import elliptic, spectral, transport
+
+    calls, sweeps = [], []
+
+    def counting(fn):
+        def wrapper(a):
+            calls.append((fn.__name__, a.shape))
+            return fn(a)
+        return wrapper
+
+    kernels = (spectral.rfft2, spectral.irfft2)
+    for module in (spectral, elliptic, transport):
+        for fn in kernels:
+            monkeypatch.setattr(module, fn.__name__, counting(fn))
+    picard = transport._picard
+
+    def sweeping(*a, **k):
+        out = picard(*a, **k)
+        sweeps.append(out[-1])
+        return out
+
+    monkeypatch.setattr(transport, "_picard", sweeping)
+    state = _initial_state(RunConfig(n=64, model="SGeps", eps=0.2, initial_data="steep",
+                                     t_final=1.0))
+    calls.clear()
+    sweeps.clear()
+    step_rk4(state, cfl_limit(state))
+    assert sweeps == [5, 4, 5, 3]
+    assert Counter(calls) == {("rfft2", (64, 64)): 17 + 4 + 1,
+                              ("irfft2", (3, 64, 33)): 17,
+                              ("irfft2", (2, 64, 33)): 8 + 1,
+                              ("irfft2", (64, 33)): 2}
 
 
 def test_final_time_not_on_lattice():
