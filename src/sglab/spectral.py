@@ -58,6 +58,12 @@ class MeanViolationError(ValueError):
         return self.args[0]
 
 
+# mean-zero checks pass |mean| <= MEAN_REL_TOL * RMS + MEAN_FLOOR * (1 + max |values|);
+# the floor keeps roundoff-scale means of tiny difference fields (e.g. converged
+# solver updates) from tripping them
+MEAN_REL_TOL, MEAN_FLOOR = 1e-10, 1e-15
+
+
 class SpectralKernel:
     """Per-n rfft2 half-spectrum multipliers, built once per grid size by
     `kernel(n)`; there are no full-spectrum multipliers.
@@ -131,15 +137,13 @@ class SpectralKernel:
             self._hs_weights[s] = w
         return float(np.sqrt(np.sum(w * _abs2(hat))))
 
-    def require_mean_zero(self, hat: np.ndarray, rel_tol: float = 1e-10) -> None:
+    def require_mean_zero(self, hat: np.ndarray) -> None:
         """`_require_mean_zero` read from a half-spectrum: the mean is the
         zero mode, the RMS comes from Parseval, and n * RMS, which bounds
         max |values| (Cauchy-Schwarz over the n^2 modes), stands in for
         it in the absolute floor. Used inside the solvers' sweeps and
         stages; the public operators check values in real space."""
-        scale = self.l2(hat)
-        _mean_check(float(hat[0, 0].real) / self.n ** 2,
-                    rel_tol * scale + 1e-15 * (1.0 + self.n * scale))
+        _mean_check(float(hat[0, 0].real) / self.n ** 2, lambda: (r := self.l2(hat), self.n * r))
 
 
 @lru_cache(maxsize=32)
@@ -258,11 +262,6 @@ class ScalarField:
                 arr.setflags(write=False)
 
     @classmethod
-    def from_function(cls, grid: TorusGrid, fn) -> "ScalarField":
-        X, Y = grid.points()
-        return cls(grid, fn(X, Y))
-
-    @classmethod
     def zeros(cls, grid: TorusGrid) -> "ScalarField":
         return cls(grid, np.zeros((grid.n, grid.n)))
 
@@ -316,19 +315,19 @@ NormKind.Hminus1 = NormKind("Hs", s=-1.0)
 NormKind.GradLinf = NormKind("GradLinf")
 
 
-def _mean_check(m: float, tol: float) -> None:
-    if abs(m) > tol:
-        raise MeanViolationError(
-            f"field mean {m:.3e} exceeds tolerance {tol:.3e}", m
-        )
+def _mean_check(m: float, rms_and_peak) -> None:
+    """Raise unless |m| is within the tolerance of (RMS, max |values|) = rms_and_peak();
+    that is never below MEAN_FLOOR, so a mean under the floor skips the call."""
+    if abs(m) > MEAN_FLOOR:
+        rms, peak = rms_and_peak()
+        tol = MEAN_REL_TOL * rms + MEAN_FLOOR * (1.0 + peak)
+        if abs(m) > tol:
+            raise MeanViolationError(f"field mean {m:.3e} exceeds tolerance {tol:.3e}", m)
 
 
-def _require_mean_zero(values: np.ndarray, rel_tol: float = 1e-10) -> None:
-    scale = float(np.sqrt(np.mean(values**2)))
-    # absolute floor keeps roundoff-scale means of tiny difference fields
-    # (e.g. converged solver updates) from tripping the guard
-    tol = rel_tol * scale + 1e-15 * (1.0 + float(np.max(np.abs(values))))
-    _mean_check(float(np.mean(values)), tol)
+def _require_mean_zero(values: np.ndarray) -> None:
+    _mean_check(float(np.mean(values)), lambda: (float(np.sqrt(np.mean(values**2))),
+                                                 float(np.max(np.abs(values)))))
 
 
 def _from_hat(grid: TorusGrid, hat: np.ndarray) -> ScalarField:

@@ -1,5 +1,10 @@
 """RK4 pseudo-spectral integration of the active transport systems.
 
+Every initial datum is a list of Fourier mode rows [p, q, cos, sin], each
+adding cos * cos(2 pi(px+qy)) + sin * sin(2 pi(px+qy)); a preset name
+stands for its rows in `PRESETS`. The rows are sampled on the grid by one
+inverse FFT, then dealiased and projected to mean zero.
+
 Three models share one stepper:
 
   Euler       d_t rho + u . grad rho = 0,   u = perp grad lap^-1 rho
@@ -183,37 +188,18 @@ def _shared_times(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:
 
 # --- initial data ----------------------------------------------------------
 
-def _default_datum(x, y):
-    # two-mode datum with ||rho||_Linf = 1.5, used by the gap experiments
-    return np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y) + 0.5 * np.cos(4 * np.pi * y)
-
-
-def _mild_datum(x, y):
-    # scaled-down copy of the default datum; its gradient is small enough
-    # that eps up to 0.08 starts well inside the bootstrap margin, which
-    # the second-order corrector sweeps need
-    return 0.25 * (
-        np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y) + 0.5 * np.cos(4 * np.pi * y)
-    )
-
-
-def _steep_datum(x, y):
-    # oblique-mode datum for gradient-growth (lifespan) runs; amplitude is
-    # small so eps up to 0.2 starts inside the gradient margin
-    return 0.08 * (
-        np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
-        + 0.7 * np.cos(2 * np.pi * (2 * x + y))
-    )
-
-
-def _shear_datum(x, y):
-    # stationary state: rho depends on y alone, so u = (c(y), 0) and
-    # u . grad rho = 0 identically
-    return -4 * np.pi ** 2 * np.cos(2 * np.pi * y) + 0.0 * x
-
-
-PRESET_BUILDERS = {"default": _default_datum, "mild": _mild_datum,
-                   "steep": _steep_datum, "shear": _shear_datum}
+PRESETS = {
+    # cos 2pi x cos 2pi y + 0.5 cos 4pi y: ||rho||_Linf = 1.5, for the gap experiments
+    "default": [[1, 1, 0.5, 0], [1, -1, 0.5, 0], [0, 2, 0.5, 0]],
+    # 0.25 * default: eps up to 0.08 starts well inside the bootstrap margin,
+    # which the second-order corrector sweeps need
+    "mild": [[1, 1, 0.125, 0], [1, -1, 0.125, 0], [0, 2, 0.125, 0]],
+    # 0.08 (cos 2pi x cos 2pi y + 0.7 cos 2pi(2x + y)): oblique modes for lifespan
+    # runs, small enough that eps up to 0.2 starts inside the gradient margin
+    "steep": [[1, 1, 0.04, 0], [1, -1, 0.04, 0], [2, 1, 0.056, 0]],
+    # -4 pi^2 cos 2pi y: stationary, as u = (c(y), 0) and u . grad rho = 0
+    "shear": [[0, 1, -4 * np.pi ** 2, 0]],
+}
 
 
 def _mode_list_values(n: int, spec) -> np.ndarray:
@@ -228,9 +214,7 @@ def _mode_list_values(n: int, spec) -> np.ndarray:
     """
     spec_hat = np.zeros((n, n), dtype=complex)
     for row in spec:
-        if len(row) != 4:
-            raise ValueError(f"mode row {row!r} is not [p, q, cos, sin]")
-        p, q, c, s = row
+        p, q, c, s = row  # a row of another length raises ValueError here
         if int(p) != p or int(q) != q:
             raise ValueError(f"mode indices must be integers, got {row!r}")
         if p == 0 and q == 0:
@@ -243,23 +227,14 @@ def _mode_list_values(n: int, spec) -> np.ndarray:
 
 
 def initial_data_field(grid: TorusGrid, spec) -> ScalarField:
-    """Build initial data from a preset name or a Fourier mode list.
-
-    A mode list is a sequence of [p, q, cos_coeff, sin_coeff] rows adding
-    cos_coeff*cos(2 pi(px+qy)) + sin_coeff*sin(2 pi(px+qy)). The (0, 0)
-    row is rejected: it would violate the zero-mean convention.
-    """
+    """Initial data from a preset name or a list of mode rows (see the
+    module docstring); a (0, 0) row would break the zero-mean convention
+    and is rejected."""
     if isinstance(spec, str):
-        try:
-            fn = PRESET_BUILDERS[spec]
-        except KeyError:
-            raise ValueError(
-                f"unknown preset {spec!r}; have {sorted(PRESET_BUILDERS)}"
-            ) from None
-        raw = ScalarField.from_function(grid, fn)
-    else:
-        raw = ScalarField(grid, _mode_list_values(grid.n, spec))
-    out = dealias(raw)
+        if spec not in PRESETS:
+            raise ValueError(f"unknown preset {spec!r}; have {sorted(PRESETS)}")
+        spec = PRESETS[spec]
+    out = dealias(ScalarField(grid, _mode_list_values(grid.n, spec)))
     return out - out.mean()
 
 

@@ -71,6 +71,7 @@ PRODUCT_FLOOR = 1e-250
 # tighter than HiGHS's dual feasibility tolerance (1e-7), so the final
 # support is certified by duals at least as feasible as a full solve's
 REDUCED_COST_TOL = 1e-12
+THIN_ATOM_CUT = 1e-7  # _merge_thin_support's cut, a fraction of the heaviest atom
 
 
 class W2ConvergenceError(RuntimeError):
@@ -336,8 +337,8 @@ def w2_sinkhorn(a: DensityOnTorus, b: DensityOnTorus, reg: float = 5e-4,
     )
 
 
-def _merge_thin_support(weights, cost_to_self, cut=1e-7):
-    """Move mass of atoms below cut*max onto their nearest heavy atom.
+def _merge_thin_support(weights, cost_to_self):
+    """Move mass of atoms below THIN_ATOM_CUT * max onto their nearest heavy atom.
 
     The LP solver misclassifies problems whose equality right-hand
     sides span many orders of magnitude, so thin atoms are merged into
@@ -346,7 +347,7 @@ def _merge_thin_support(weights, cost_to_self, cut=1e-7):
     the relocated mass times the squared torus diameter, and smooth
     near-uniform densities are returned untouched.
     """
-    keep = weights > cut * float(np.max(weights))
+    keep = weights > THIN_ATOM_CUT * float(np.max(weights))
     if np.all(keep):
         return weights, np.nonzero(keep)[0]
     idx_keep = np.nonzero(keep)[0]

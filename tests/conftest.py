@@ -1,6 +1,9 @@
 """Shared pytest plumbing: collected acceptance verdicts are printed
-as one block after the normal test summary, and property tests draw
-the same Hypothesis examples on every run."""
+as one block after the normal test summary, property tests draw the
+same Hypothesis examples on every run, and `field_from` samples a
+function on a grid."""
+
+from sglab.spectral import ScalarField
 
 try:
     from hypothesis import settings
@@ -13,6 +16,11 @@ else:
     settings.load_profile("sglab")
 
 _ACCEPTANCE = []
+
+
+def field_from(grid, fn):
+    """The field of fn(x, y) sampled at the grid points."""
+    return ScalarField(grid, fn(*grid.points()))
 
 
 def record_acceptance(number, name, passed, detail=""):

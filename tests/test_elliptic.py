@@ -14,6 +14,7 @@ Closed forms used below, all derivable by elementary trig:
 
 import numpy as np
 import pytest
+from conftest import field_from
 
 from sglab.spectral import (
     MeanViolationError,
@@ -66,7 +67,7 @@ def reference_sg_solve(rho, eps, tol=1e-12, max_iter=100):
 
 
 def trig_field(grid, p, q, amp=1.0, phase=0.0):
-    return ScalarField.from_function(
+    return field_from(
         grid, lambda x, y: amp * np.cos(TWO_PI * (p * x + q * y) + phase)
     )
 
@@ -78,7 +79,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def checker(grid):
-    return ScalarField.from_function(
+    return field_from(
         grid, lambda x, y: np.cos(TWO_PI * x) * np.cos(TWO_PI * y)
     )
 
@@ -94,7 +95,7 @@ def test_hessian_against_trig_oracle(grid):
 
 def test_hessian_det_closed_form(checker, grid):
     det = hessian_det(checker)
-    expect = ScalarField.from_function(
+    expect = field_from(
         grid,
         lambda x, y: 8 * np.pi ** 4 * (np.cos(2 * TWO_PI * x) + np.cos(2 * TWO_PI * y)),
     )
@@ -157,7 +158,7 @@ def test_solve_poisson_limit(grid):
 def test_solve_one_dimensional_data_matches_poisson(grid):
     # data varying only in y has identically zero Hessian determinant, so
     # the nonlinear correction vanishes for every eps
-    rho = ScalarField.from_function(grid, lambda x, y: np.cos(TWO_PI * y))
+    rho = field_from(grid, lambda x, y: np.cos(TWO_PI * y))
     base, _ = solve_sg_potential(rho, eps=0.0)
     for eps in (0.01, 0.05, 0.1):
         psi, report = solve_sg_potential(rho, eps=eps)
@@ -168,7 +169,7 @@ def test_solve_one_dimensional_data_matches_poisson(grid):
 
 def test_solve_default_datum_residual():
     g = TorusGrid(128)
-    rho = ScalarField.from_function(
+    rho = field_from(
         g,
         lambda x, y: np.cos(TWO_PI * x) * np.cos(TWO_PI * y)
         + 0.5 * np.cos(2 * TWO_PI * y),
@@ -180,7 +181,7 @@ def test_solve_default_datum_residual():
 
 
 def test_solve_divergence_guard(grid):
-    rho = ScalarField.from_function(
+    rho = field_from(
         grid, lambda x, y: np.cos(TWO_PI * x) * np.cos(TWO_PI * y)
     )
     # Poisson solution has ||D^2 psi||_Linf = 1/2, so eps = 1.5 puts the
@@ -192,7 +193,7 @@ def test_solve_divergence_guard(grid):
 def test_corrector_potential_closed_form(checker, grid):
     rho1 = ScalarField.zeros(grid)
     phi1 = solve_corrector_potential(rho1, checker)
-    expect = ScalarField.from_function(
+    expect = field_from(
         grid,
         lambda x, y: (np.pi ** 2 / 2)
         * (np.cos(2 * TWO_PI * x) + np.cos(2 * TWO_PI * y)),
@@ -250,13 +251,13 @@ def test_solve_matches_scalarfield_reference(n, preset, eps):
 
 
 def test_solve_rejects_nonzero_mean(grid):
-    rho = ScalarField.from_function(grid, lambda x, y: np.cos(TWO_PI * x) + 0.1)
+    rho = field_from(grid, lambda x, y: np.cos(TWO_PI * x) + 0.1)
     with pytest.raises(MeanViolationError):
         solve_sg_potential(rho, eps=0.05)
 
 
 def test_solve_sweep_cap(grid):
-    rho = ScalarField.from_function(
+    rho = field_from(
         grid, lambda x, y: np.cos(TWO_PI * x) * np.cos(TWO_PI * y)
         + 0.5 * np.cos(2 * TWO_PI * y))
     with pytest.raises(EllipticConvergenceError):
@@ -267,7 +268,7 @@ def test_solve_nonfinite_hessian_is_value_error():
     # ||D^2 psi||_Linf ~ 1e160 overflows once squared; eps keeps the
     # divergence guard quiet, so the finiteness check is what fires
     g = TorusGrid(32)
-    rho = ScalarField.from_function(
+    rho = field_from(
         g, lambda x, y: 1e160 * np.cos(TWO_PI * x) * np.cos(TWO_PI * y))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
         solve_sg_potential(rho, eps=1e-200)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import field_from
 
 from sglab.config import RunConfig
 from sglab.lagrangian import (
@@ -135,7 +136,7 @@ def test_filtered_pair_is_the_filtered_velocity(euler128, grid64):
         for got, u in zip(prov.filtered_pair(t), prov.pair(t), strict=True):
             want = spline(u)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    shear = ScalarField.from_function(grid64, lambda x, y: np.sin(2 * np.pi * y))
+    shear = field_from(grid64, lambda x, y: np.sin(2 * np.pi * y))
     field = FieldVelocity(grid64, lambda t: (shear, (1 + t) * shear))
     for got, u in zip(field.filtered_pair(0.5), field.pair(0.5), strict=True):
         assert np.array_equal(got, spline(u))
@@ -270,7 +271,7 @@ def test_forward_backward_roundtrip(euler128):
 # ------------------------------------------------------------ pushforward
 
 def test_pushforward_t0_is_identity(grid64):
-    rho0 = ScalarField.from_function(
+    rho0 = field_from(
         grid64, lambda x, y: np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y))
     prov = constant_velocity(grid64, 1.0, 0.0)
     out = pushforward_density(rho0, prov, 0.0)
@@ -279,7 +280,7 @@ def test_pushforward_t0_is_identity(grid64):
 
 def test_pushforward_shear_invariant(grid64):
     # rho depending on y alone is invariant under any flow u = (c(y), 0)
-    rho0 = ScalarField.from_function(
+    rho0 = field_from(
         grid64, lambda x, y: np.cos(2 * np.pi * y) + 0.0 * x)
 
     def shear(t):

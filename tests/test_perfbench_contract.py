@@ -3,8 +3,9 @@ they look up in sglab: building each workload and entering the tracer
 fail here, in tier 1, when a deletion removes one of them. The
 benchmark's premise holds too: its seed-0 runs start from the preset
 names and its other seeds from the mode lists `DATUM_MODES`, so the two
-must describe the same datum. And one seed-0 operation of each workload
-passes the check the benchmark judges every operation by."""
+must be the same rows and build the same datum bit for bit. And one
+seed-0 operation of each workload passes the check the benchmark judges
+every operation by."""
 
 import json
 import sys
@@ -19,7 +20,7 @@ import pytest  # noqa: E402
 
 from perfbench import spans, workloads  # noqa: E402
 from sglab.spectral import TorusGrid  # noqa: E402
-from sglab.transport import initial_data_field  # noqa: E402
+from sglab.transport import PRESETS, initial_data_field  # noqa: E402
 
 
 def test_every_workload_builds():
@@ -41,7 +42,9 @@ def test_tracer_wraps_its_targets():
 
 @pytest.mark.parametrize("name", sorted(workloads.DATUM_MODES))
 def test_datum_modes_match_the_presets(name):
-    grid = TorusGrid(64)
-    preset = initial_data_field(grid, name).values
-    modes = initial_data_field(grid, workloads.DATUM_MODES[name]).values
-    assert np.max(np.abs(preset - modes)) <= 1e-14
+    assert workloads.DATUM_MODES[name] == PRESETS[name]
+    for n in (32, 64, 128):
+        grid = TorusGrid(n)
+        preset = initial_data_field(grid, name).values
+        modes = initial_data_field(grid, workloads.DATUM_MODES[name]).values
+        assert np.array_equal(preset, modes)

@@ -10,6 +10,7 @@ import pickle
 
 import numpy as np
 import pytest
+from conftest import field_from
 
 from sglab.spectral import (
     TorusGrid,
@@ -24,11 +25,13 @@ from sglab.spectral import (
     norm,
     rfft2,
 )
-from sglab.spectral import HOLDER_ALPHA, _holder_seminorm  # test-only import
-
-
-def field_from(grid, fn):
-    return ScalarField.from_function(grid, fn)
+from sglab.spectral import (  # test-only imports
+    HOLDER_ALPHA,
+    SpectralKernel,
+    _holder_seminorm,
+    _require_mean_zero,
+    kernel,
+)
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +133,65 @@ def test_inv_laplacian_rejects_nonzero_mean(grid):
     f = ScalarField(grid, np.ones((64, 64)))
     with pytest.raises(MeanViolationError):
         inv_laplacian(f)
+
+
+def _first_verdict(m, tol):
+    """The mean check's message without the floor test: the full
+    tolerance is computed for every field, then compared with |m|."""
+    return f"field mean {m:.3e} exceeds tolerance {tol:.3e}" if abs(m) > tol else None
+
+
+def _verdict(check, arg):
+    try:
+        check(arg)
+    except MeanViolationError as err:
+        return str(err)
+    return None
+
+
+def _mean_check_inputs(n=32):
+    """Fields whose means straddle the 1e-15 floor and the relative
+    tolerance, plus zero and NaN fields."""
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal((n, n))
+    base -= base.mean()
+    out = [np.zeros((n, n)), np.full((n, n), np.nan), np.where(base > 2.0, np.nan, base)]
+    for amp in (0.0, 1e-6, 1.0, 1e4):
+        for mean in (5e-16, 9.9e-16, 1e-15, 1.01e-15, 1.5e-15, 3e-15):
+            out.append(amp * base + mean)
+        for k in (0.5, 0.99, 1.01, 2.0):  # around the relative tolerance
+            out.append(amp * base + k * (1e-10 * amp + 1e-15 * (1 + 3 * amp)))
+    return out
+
+
+def test_mean_checks_keep_their_first_verdicts():
+    n = 32
+    kern = kernel(n)
+    passes = set()
+    for values in _mean_check_inputs(n):
+        scale = float(np.sqrt(np.mean(values ** 2)))
+        tol = 1e-10 * scale + 1e-15 * (1.0 + float(np.max(np.abs(values))))
+        expect = _first_verdict(float(np.mean(values)), tol)
+        assert _verdict(_require_mean_zero, values) == expect
+        hat = rfft2(values)
+        scale = kern.l2(hat)
+        tol = 1e-10 * scale + 1e-15 * (1.0 + n * scale)
+        expect_hat = _first_verdict(float(hat[0, 0].real) / n ** 2, tol)
+        assert _verdict(kern.require_mean_zero, hat) == expect_hat
+        passes |= {expect is None, expect_hat is None}
+    assert passes == {True, False}  # both verdicts occur
+
+
+def test_mean_check_under_the_floor_skips_the_norm(monkeypatch):
+    n = 32
+    calls = []
+    l2 = SpectralKernel.l2
+    monkeypatch.setattr(SpectralKernel, "l2", lambda self, hat: calls.append(1) or l2(self, hat))
+    base = np.cos(2 * np.pi * np.arange(n) / n)[:, None] * np.ones((1, n))
+    kernel(n).require_mean_zero(rfft2(base + 5e-16))
+    assert calls == []
+    kernel(n).require_mean_zero(rfft2(base + 1e-14))  # above the floor, within tolerance
+    assert calls == [1]
 
 
 def test_perp_gradient_stream_function(grid):

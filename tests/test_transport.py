@@ -3,6 +3,7 @@ corrector consistency, sampling contract."""
 
 import numpy as np
 import pytest
+from conftest import field_from
 
 from sglab.config import RunConfig
 from sglab.spectral import (
@@ -25,6 +26,7 @@ from sglab.elliptic import (
 )
 from sglab.lagrangian import TrajectoryVelocity
 from sglab.transport import (
+    PRESETS,
     SimState,
     StepSizeError,
     Trajectory,
@@ -56,10 +58,38 @@ def test_presets_have_zero_mean():
         assert abs(f.mean()) < 1e-14
 
 
+# each preset's formula, as its comment in transport.PRESETS states it
+PRESET_FORMULAS = {
+    "default": lambda x, y: np.cos(TWO_PI * x) * np.cos(TWO_PI * y)
+    + 0.5 * np.cos(2 * TWO_PI * y),
+    "mild": lambda x, y: 0.25 * (np.cos(TWO_PI * x) * np.cos(TWO_PI * y)
+                                 + 0.5 * np.cos(2 * TWO_PI * y)),
+    "steep": lambda x, y: 0.08 * (np.cos(TWO_PI * x) * np.cos(TWO_PI * y)
+                                  + 0.7 * np.cos(TWO_PI * (2 * x + y))),
+    "shear": lambda x, y: -4 * np.pi ** 2 * np.cos(TWO_PI * y) + 0.0 * x,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_rows_sample_their_formula(name):
+    g = TorusGrid(64)
+    f = initial_data_field(g, name)
+    expect = dealias(field_from(g, PRESET_FORMULAS[name]))
+    assert np.max(np.abs(f.values - (expect - expect.mean()).values)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_rows_pass_mode_row_validation(name):
+    # integer indices, no (0, 0) row: a config may spell any preset as rows
+    cfg = RunConfig(initial_data=PRESETS[name])
+    assert np.array_equal(initial_data_field(TorusGrid(32), cfg.initial_data).values,
+                          initial_data_field(TorusGrid(32), name).values)
+
+
 def test_mode_list_datum():
     g = TorusGrid(64)
     f = initial_data_field(g, [[1, 0, 1.0, 0.0], [0, 2, 0.0, 0.5]])
-    expect = ScalarField.from_function(
+    expect = field_from(
         g, lambda x, y: np.cos(TWO_PI * x) + 0.5 * np.sin(2 * TWO_PI * y)
     )
     assert np.allclose(f.values, expect.values, atol=1e-13)
@@ -105,7 +135,8 @@ def test_mode_list_rejects_constant():
 
 def test_unknown_preset_rejected():
     g = TorusGrid(64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unknown preset 'nonsense'; have \['default', "
+                                         r"'mild', 'shear', 'steep'\]"):
         initial_data_field(g, "nonsense")
 
 
@@ -525,8 +556,8 @@ def test_corrector_transport_defect_scales_quadratically():
 def test_advect_scalar_constant_forcing_zero_velocity():
     g = TorusGrid(32)
     zero_pot = ScalarField.zeros(g)
-    f = ScalarField.from_function(g, lambda x, y: np.sin(TWO_PI * y))
-    sigma0 = ScalarField.from_function(g, lambda x, y: np.cos(TWO_PI * x))
+    f = field_from(g, lambda x, y: np.sin(TWO_PI * y))
+    sigma0 = field_from(g, lambda x, y: np.cos(TWO_PI * x))
     T = 0.7
     out = advect_scalar(
         sigma0, lambda t: zero_pot, 0.0, T, dt=0.1, forcing_at=lambda t: f
@@ -539,7 +570,7 @@ def test_field_series_interpolator_cubic_exact():
     # potentials cubic in t times one field: the 4-point Lagrange stencil
     # of TrajectoryVelocity reproduces the velocity to roundoff
     g = TorusGrid(32)
-    base = ScalarField.from_function(
+    base = field_from(
         g, lambda x, y: np.cos(TWO_PI * x) * np.sin(TWO_PI * y))
     bx, by = (u.values for u in perp_gradient(base))
     times = [0.0, 0.1, 0.2, 0.3, 0.4]

@@ -8,6 +8,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 from scipy.special import logsumexp
+from conftest import field_from
 
 from sglab import wasserstein
 from sglab.config import RunConfig
@@ -84,7 +85,7 @@ def test_physical_density_uniform_and_negative():
     grid = TorusGrid(32)
     flat = physical_density(ScalarField.zeros(grid), 0.5)
     assert np.allclose(flat.weights, 1.0 / 32 ** 2, atol=1e-18)
-    rho = ScalarField.from_function(
+    rho = field_from(
         grid, lambda x, y: -2.0 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y))
     with pytest.raises(ValueError, match="not a measure"):
         physical_density(rho, 0.6)
