@@ -354,6 +354,7 @@ def _wasserstein_one(base, euler, eps):
             "method": res.method,
             "reg": res.reg,
             "marginal_error": res.marginal_error,
+            "iterations": res.iterations,
             "bound": b_t,
         })
         # the exact-LP oracle is affordable on 16^2 downsamples. Runs
@@ -629,7 +630,7 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
 
     for eps, rows in report.w2_streams.items():
         lines = [json.dumps({k: _json_value(r[k]) for k in
-                             ("t", "w2", "method", "reg", "marginal_error")},
+                             ("t", "w2", "method", "reg", "marginal_error", "iterations")},
                             separators=(",", ":")) for r in rows]
         emit(f"w2_eps{_eps_tag(eps)}.ndjson", "\n".join(lines) + "\n" if lines else "")
 

@@ -10,16 +10,17 @@ Two solvers:
   the scaling domain with log absorption (Schmitzer 2019): the max of
   the exponent is taken out before the product and added back after
   it. An axis whose product underflows is contracted exactly in the log
-  domain instead. Regularization is annealed from a coarse value down
-  to the target, warm-starting the potentials, which keeps the
-  iteration count at strong regularization levels. The debiased value
-  OT(a,b) - (OT(a,a) + OT(b,b))/2 is one exact sum of per-atom
-  differences of the three solves' potentials, since the three values
-  nearly cancel; bitwise-equal inputs run one solve and give exactly
-  zero. The cross term alternates the two half-steps; the two
-  self-transport terms iterate the averaged symmetric update
-  f <- (f + T(f))/2 (Feydy et al. 2019), one half-step per iteration,
-  and converge in about a tenth of the iterations.
+  domain instead. The debiased value OT(a,b) - (OT(a,a) + OT(b,b))/2
+  is one exact sum of per-atom differences of the three solves'
+  potentials, since the three values nearly cancel; bitwise-equal
+  inputs run one solve and give exactly zero. The two self-transport
+  terms run first: regularization is annealed from a coarse value down
+  to the target, warm-starting the potentials, and they iterate the
+  averaged symmetric update f <- (f + T(f))/2 (Feydy et al. 2019), one
+  half-step per iteration. The cross term alternates the two
+  half-steps, started at the target regularization from the
+  self-transport potentials (f_aa, f_bb); when those are a poor start
+  (far-apart densities) it is annealed from zero instead.
 
 * w2_exact_small: the transport linear program, for cross-checking the
   entropic solver on problems up to 16 x 16. It is solved by column
@@ -29,8 +30,8 @@ Two solvers:
   joins the support until the duals certify the full product. Near-equal
   densities, whose optimal plan stays next to the diagonal, take one
   solve on about 5 of the 256 pairs per atom; OTResult.iterations counts
-  the solves. Per-atom mass differences below HiGHS's primal feasibility
-  tolerance (1e-7) can read as a distance of 0.
+  the solves; bitwise-equal weights take none. Per-atom mass differences
+  below HiGHS's primal feasibility tolerance (1e-7) can read as 0.
 
 Atoms are placed at block starts when downsampling; both densities in
 any comparison get the same convention, so the common half-block shift
@@ -71,6 +72,7 @@ PRODUCT_FLOOR = 1e-250
 # tighter than HiGHS's dual feasibility tolerance (1e-7), so the final
 # support is certified by duals at least as feasible as a full solve's
 REDUCED_COST_TOL = 1e-12
+WARM_LIMIT = 1e-2  # first warm marginal error above which _ot_reg anneals (see there)
 THIN_ATOM_CUT = 1e-7  # _merge_thin_support's cut, a fraction of the heaviest atom
 
 
@@ -210,12 +212,21 @@ def _half_update(pot_other, logw_other, cost, kernel, reg):
     return -reg * T.T
 
 
-def _ot_reg(wa, wb, reg, tol, cap, term):
+def _ot_reg(wa, wb, reg, tol, cap, term, start=None):
     """Entropic OT between lattice weight arrays, log domain.
 
     Anneals the regularization from 0.25 down to reg, two iterations per
     halving with warm-started potentials, then polishes at reg until the
-    L1 marginal violation of the implied plan drops to tol. Returns
+    L1 marginal violation of the implied plan drops to tol. Given start
+    = (f, g), it polishes from those potentials and skips the annealing
+    (Schmitzer 2019). If the first iteration's marginal error exceeds
+    WARM_LIMIT, the solve reruns annealed from zero, bit for bit, not
+    counting that probe: from a far start, polishing is mostly slower
+    than annealing (random 8^2 weights, reg 1e-4: 22,294 iterations
+    against 18,171). Cross solves from debiasing potentials probe at
+    1e-7 to 2e-5 on the wasserstein experiment's pairs and at 0.30 to
+    0.46 on far-apart test pairs; WARM_LIMIT sits in the gap between.
+    Returns
     (f, g, dev, iterations, marginal_error): the potentials on both
     lattices and dev, the per-atom deviation of the plan's first
     marginal from wa. The entropic value is
@@ -253,12 +264,10 @@ def _ot_reg(wa, wb, reg, tol, cap, term):
     ca = _axis_cost(ma, mb)  # both axes use identical 1D lattices
     symmetric = np.array_equal(wa, wb)
 
-    f = np.zeros((ma, ma))
-    g = np.zeros((mb, mb))
-
+    f, g = (np.zeros((ma, ma)), np.zeros((mb, mb))) if start is None else start
     schedule = []
     r = 0.25
-    while r > reg * 1.0000001:
+    while start is None and r > reg * 1.0000001:
         schedule += [r, r]
         r *= 0.5
     kernels = {r: np.exp(-ca / r) for r in schedule + [reg]}
@@ -281,6 +290,8 @@ def _ot_reg(wa, wb, reg, tol, cap, term):
             if polish:
                 # row marginals of the plan (f, g) are wa * exp((f - f_new)/reg)
                 err = float(np.sum(wa * np.abs(np.exp((f - f_new) / r) - 1.0)))
+                if start is not None and iterations == 1 and not err <= WARM_LIMIT:
+                    return _ot_reg(wa, wb, reg, tol, cap, term)
                 if err <= tol:
                     f_half = _half_update(g, lb, ca, k, reg)
                     dev = wa * (np.exp((f_new - f_half) / reg) - 1.0)
@@ -302,19 +313,22 @@ def w2_sinkhorn(a: DensityOnTorus, b: DensityOnTorus, reg: float = 5e-4,
     Computes sqrt of OT_reg(a,b) - (OT_reg(a,a) + OT_reg(b,b))/2. The
     three values nearly cancel, so the difference is taken atom by
     atom on the potentials and summed exactly (math.fsum). The two
-    debiasing terms run the averaged symmetric update (see _ot_reg), and
-    bitwise-equal weights run that one solve and give exactly 0.
+    debiasing terms run first, with the averaged symmetric update, and
+    bitwise-equal weights run that one solve and give exactly 0. The
+    cross term starts at reg from their potentials (f_aa, f_bb), or is
+    annealed from zero when they are a poor start (see _ot_reg).
     OTResult.iterations sums the solves' iterations: one half-step per
     symmetric iteration, two per alternating one. cap bounds each solve,
     annealing included; a solve that reaches it raises
-    W2ConvergenceError naming the term.
+    W2ConvergenceError naming the term. reg and tol must be positive
+    and finite.
     """
     if a.m > SINKHORN_SIDE_LIMIT or b.m > SINKHORN_SIDE_LIMIT:
         raise ValueError(f"lattice side exceeds {SINKHORN_SIDE_LIMIT}")
-    if reg <= 0:
-        raise ValueError("reg must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (reg > 0 and math.isfinite(reg)):
+        raise ValueError("reg must be positive and finite")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
     if cap < 1:
         raise ValueError("cap must be at least 1")
     wa, wb = a.weights, b.weights
@@ -322,9 +336,10 @@ def w2_sinkhorn(a: DensityOnTorus, b: DensityOnTorus, reg: float = 5e-4,
         *_, it, err = _ot_reg(wa, wa, reg, tol, cap, "OT(a,a)")
         return OTResult(distance=0.0, method="sinkhorn", reg=reg,
                         iterations=it, marginal_error=err)
-    f_ab, g_ab, dev_ab, it_ab, err_ab = _ot_reg(wa, wb, reg, tol, cap, "OT(a,b)")
     f_aa, g_aa, dev_aa, it_aa, err_aa = _ot_reg(wa, wa, reg, tol, cap, "OT(a,a)")
     f_bb, g_bb, dev_bb, it_bb, err_bb = _ot_reg(wb, wb, reg, tol, cap, "OT(b,b)")
+    f_ab, g_ab, dev_ab, it_ab, err_ab = _ot_reg(wa, wb, reg, tol, cap, "OT(a,b)",
+                                                start=(f_aa, f_bb))
     on_a = wa * (f_ab - 0.5 * (f_aa + g_aa)) - reg * (dev_ab - 0.5 * dev_aa)
     on_b = wb * (g_ab - 0.5 * (f_bb + g_bb)) + (0.5 * reg) * dev_bb
     s = math.fsum(np.concatenate([on_a.ravel(), on_b.ravel()]))
@@ -416,7 +431,8 @@ def w2_exact_small(a: DensityOnTorus, b: DensityOnTorus) -> OTResult:
     full product; every pair below -REDUCED_COST_TOL joins the support
     and the LP is solved again. The loop ends when the duals certify the
     whole product, and at worst the support grows to the full product.
-    OTResult.iterations is the number of restricted solves.
+    OTResult.iterations is the number of restricted solves. Bitwise-equal
+    weights return distance 0 with no solve (iterations 0).
 
     The value is exact only up to HiGHS's tolerances. Per-atom marginal
     differences below its primal feasibility tolerance (1e-7) can vanish:
@@ -425,6 +441,8 @@ def w2_exact_small(a: DensityOnTorus, b: DensityOnTorus) -> OTResult:
     """
     if a.m > EXACT_SIDE_LIMIT or b.m > EXACT_SIDE_LIMIT:
         raise ValueError(f"lattice side exceeds {EXACT_SIDE_LIMIT}")
+    if np.array_equal(a.weights, b.weights):
+        return OTResult(0.0, "exact", 0.0, iterations=0, marginal_error=0.0)
     cost = torus_cost(a.m, b.m)
     square = a.m == b.m
     wa, ia = _merge_thin_support(a.weights.ravel(),

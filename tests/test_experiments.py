@@ -17,6 +17,7 @@ from sglab.experiments import (
     ExperimentReport,
     LIFESPAN_NOTE,
     SUMMARY_COLUMNS,
+    _eps_tag,
     _map_runs,
     _w2_sample_indices,
     emit_report,
@@ -373,6 +374,18 @@ class TestEmission:
             lines = (tmp_path / f"sg_eps{r['eps']}.ndjson").read_text().splitlines()
             bound = {rec["t"]: rec["gronwall_bound"] for rec in map(json.loads, lines)}
             assert float(r["gronwall_bound"]) == bound[float(r["t"])]
+
+    def test_w2_stream_records_the_solver_iterations(self, kind_reports, tmp_path):
+        rep = kind_reports["wasserstein"]
+        emit_report(rep, tmp_path)
+        for eps, rows in rep.w2_streams.items():
+            path = tmp_path / f"w2_eps{_eps_tag(eps)}.ndjson"
+            recs = [json.loads(x) for x in path.read_text().splitlines()]
+            assert [r["iterations"] for r in recs] == [r["iterations"] for r in rows]
+            for rec in recs:
+                assert list(rec) == ["t", "w2", "method", "reg", "marginal_error",
+                                     "iterations"]
+                assert isinstance(rec["iterations"], int) and rec["iterations"] >= 1
 
     def test_empty_report_gets_failed_row(self, tmp_path):
         rep = ExperimentReport(kind="stability", eps_list=[0.04, 0.02, 0.01],

@@ -127,9 +127,19 @@ def test_point_masses_torus_distance():
     assert r.marginal_error <= 1e-8
 
 
-def test_exact_self_distance_zero():
+def test_exact_self_distance_zero(monkeypatch):
     a = random_density(8, 3)
-    assert w2_exact_small(a, a).distance < 1e-9
+    solves = record_lp_solves(monkeypatch)
+    r = w2_exact_small(a, a)
+    # bitwise-equal weights are answered without an LP
+    assert solves == []
+    assert r.distance == 0.0 and r.iterations == 0 and r.marginal_error == 0.0
+    # one ulp apart in one atom: the LP runs
+    w = a.weights.copy()
+    w[2, 5] = np.nextafter(w[2, 5], 1.0)
+    r = w2_exact_small(a, DensityOnTorus(8, w))
+    assert len(solves) == r.iterations >= 1
+    assert r.distance < 1e-9
 
 
 def test_exact_size_guard():
@@ -432,8 +442,49 @@ def test_sinkhorn_debiasing_matches_alternating_reference(calibration_pair):
     ref = reference_debiased_w2(a.weights, b.weights, reg=2e-3)
     r = w2_sinkhorn(a, b, reg=2e-3)
     assert r.distance == pytest.approx(ref, rel=1e-3)
-    # one cross solve of ~200 iterations and two self-transport solves of ~20
-    assert r.iterations <= 300
+    # two self-transport solves of ~20 iterations, then a cross solve of
+    # ~70 started from their potentials (~200 when annealed from zero)
+    assert r.iterations <= 150
+
+
+def warm_and_annealed(a, b, reg, tol=1e-9, cap=100_000):
+    """The cross solve started from the debiasing potentials, and the
+    same solve annealed from zero."""
+    wa, wb = a.weights, b.weights
+    f_aa = wasserstein._ot_reg(wa, wa, reg, tol, cap, "OT(a,a)")[0]
+    f_bb = wasserstein._ot_reg(wb, wb, reg, tol, cap, "OT(b,b)")[0]
+    return (wasserstein._ot_reg(wa, wb, reg, tol, cap, "OT(a,b)", start=(f_aa, f_bb)),
+            wasserstein._ot_reg(wa, wb, reg, tol, cap, "OT(a,b)"))
+
+
+def test_sinkhorn_far_pair_falls_back_to_annealing():
+    # the first warm marginal error is far above WARM_LIMIT, so the
+    # cross solve is the annealed one, bit for bit and iteration for
+    # iteration (the probe iteration is not counted)
+    warm, annealed = warm_and_annealed(random_density(8, 5), random_density(8, 6), 1e-4)
+    for x, y in zip(warm, annealed):
+        assert np.array_equal(x, y)
+
+
+def smooth_density(m):
+    x = np.arange(m) / m
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    w = 1.0 + 0.3 * np.cos(2 * np.pi * X) * np.cos(2 * np.pi * Y)
+    return DensityOnTorus(m=m, weights=w / w.sum())
+
+
+def test_sinkhorn_warm_start_across_lattice_sides():
+    # one smooth density on 8^2 and 16^2 lattices: at reg 2e-2 the first
+    # warm marginal error is about 8e-6, so the cross solve stays warm
+    a, b = smooth_density(8), smooth_density(16)
+    reg = 2e-2
+    (f, g, dev, it, err), annealed = warm_and_annealed(a, b, reg)
+    assert f.shape == dev.shape == (8, 8) and g.shape == (16, 16)
+    assert err <= 1e-9
+    assert it < annealed[3]
+    r = w2_sinkhorn(a, b, reg=reg)
+    ref = reference_debiased_w2(a.weights, b.weights, reg)
+    assert r.distance == pytest.approx(ref, rel=1e-3)
 
 
 def test_sinkhorn_is_symmetric_in_its_arguments(calibration_pair):
@@ -447,7 +498,8 @@ def test_sinkhorn_is_symmetric_in_its_arguments(calibration_pair):
 @pytest.mark.parametrize("identical", [True, False], ids=["OT(a,a)", "OT(a,b)"])
 def test_sinkhorn_cap_counts_annealing(cap, identical):
     # reg 1e-4 anneals for 24 iterations: a cap inside the annealing
-    # stops it there, and the reported error is measured at reg
+    # stops it there, and the reported error is measured at reg. The
+    # debiasing terms run first, so OT(a,a) meets the cap either way
     a = random_density(8, 5)
     b = a if identical else random_density(8, 6)
     with pytest.raises(W2ConvergenceError) as exc:
@@ -455,19 +507,36 @@ def test_sinkhorn_cap_counts_annealing(cap, identical):
     err = exc.value
     assert err.iterations == cap
     assert 0 <= err.marginal_error <= 2
-    assert str(err).startswith("OT(a,a): " if identical else "OT(a,b): ")
+    assert str(err).startswith("OT(a,a): ")
     assert f"after {cap} iterations" in str(err)
     back = pickle.loads(pickle.dumps(err))
     assert vars(back) == vars(err) and str(back) == str(err)
 
 
+def test_sinkhorn_cap_names_the_warm_cross_solve(calibration_pair, monkeypatch):
+    # each self-transport solve takes 20 iterations and the warm cross
+    # solve about 70, so a cap of 40 stops the cross solve alone
+    a, b = calibration_pair
+    inner, calls = wasserstein._ot_reg, []
+
+    def recorded(wa, wb, reg, tol, cap, term, start=None):
+        calls.append((term, start is not None))
+        return inner(wa, wb, reg, tol, cap, term, start)
+
+    monkeypatch.setattr(wasserstein, "_ot_reg", recorded)
+    with pytest.raises(W2ConvergenceError, match=r"^OT\(a,b\): ") as exc:
+        w2_sinkhorn(a, b, reg=2e-3, cap=40)
+    assert exc.value.iterations == 40
+    assert calls == [("OT(a,a)", False), ("OT(b,b)", False), ("OT(a,b)", True)]
+
+
 def test_sinkhorn_cap_names_the_debiasing_term(monkeypatch):
-    # the cross term converges; a debiasing term that stalls is named
+    # the other terms converge; a debiasing term that stalls is named
     a, b = bump_density(16, 0.3, 0.5), bump_density(16, 0.4, 0.5)
     inner = wasserstein._ot_reg
 
-    def stall_bb(wa, wb, reg, tol, cap, term):
-        return inner(wa, wb, reg, tol, 3 if term == "OT(b,b)" else cap, term)
+    def stall_bb(wa, wb, reg, tol, cap, term, start=None):
+        return inner(wa, wb, reg, tol, 3 if term == "OT(b,b)" else cap, term, start)
 
     monkeypatch.setattr(wasserstein, "_ot_reg", stall_bb)
     with pytest.raises(W2ConvergenceError, match=r"^OT\(b,b\): "):
@@ -475,7 +544,9 @@ def test_sinkhorn_cap_names_the_debiasing_term(monkeypatch):
 
 
 @pytest.mark.parametrize("kwargs", [dict(cap=0), dict(cap=-1), dict(tol=0.0),
-                                    dict(tol=-1e-9), dict(reg=0.0)])
+                                    dict(tol=-1e-9), dict(reg=0.0),
+                                    dict(reg=math.nan), dict(reg=math.inf),
+                                    dict(tol=math.nan), dict(tol=math.inf)])
 def test_sinkhorn_rejects_bad_controls(kwargs):
     a = random_density(8, 5)
     with pytest.raises(ValueError):
