@@ -19,8 +19,7 @@ Two solvers:
   averaged symmetric update f <- (f + T(f))/2 (Feydy et al. 2019), one
   half-step per iteration. The cross term alternates the two
   half-steps, started at the target regularization from the
-  self-transport potentials (f_aa, f_bb); when those are a poor start
-  (far-apart densities) it is annealed from zero instead.
+  self-transport potentials (f_aa, f_bb) with no annealing.
 
 * w2_exact_small: the transport linear program, for cross-checking the
   entropic solver on problems up to 16 x 16. It is solved by column
@@ -72,7 +71,6 @@ PRODUCT_FLOOR = 1e-250
 # tighter than HiGHS's dual feasibility tolerance (1e-7), so the final
 # support is certified by duals at least as feasible as a full solve's
 REDUCED_COST_TOL = 1e-12
-WARM_LIMIT = 1e-2  # first warm marginal error above which _ot_reg anneals (see there)
 THIN_ATOM_CUT = 1e-7  # _merge_thin_support's cut, a fraction of the heaviest atom
 
 
@@ -219,16 +217,11 @@ def _ot_reg(wa, wb, reg, tol, cap, term, start=None):
     halving with warm-started potentials, then polishes at reg until the
     L1 marginal violation of the implied plan drops to tol. Given start
     = (f, g), it polishes from those potentials and skips the annealing
-    (Schmitzer 2019). If the first iteration's marginal error exceeds
-    WARM_LIMIT, the solve reruns annealed from zero, bit for bit, not
-    counting that probe: from a far start, polishing is mostly slower
-    than annealing (random 8^2 weights, reg 1e-4: 22,294 iterations
-    against 18,171). Cross solves from debiasing potentials probe at
-    1e-7 to 2e-5 on the wasserstein experiment's pairs and at 0.30 to
-    0.46 on far-apart test pairs; WARM_LIMIT sits in the gap between.
-    Returns
-    (f, g, dev, iterations, marginal_error): the potentials on both
-    lattices and dev, the per-atom deviation of the plan's first
+    (Schmitzer 2019); from a good start, such as a cross solve's
+    debiasing potentials on near densities, that halves the iterations,
+    while from a far one it can take more than annealing from zero.
+    Returns (f, g, dev, iterations, marginal_error): the potentials on
+    both lattices and dev, the per-atom deviation of the plan's first
     marginal from wa. The entropic value is
     sum(wa*f) + sum(wb*g) - reg*sum(dev): the bare sum of potentials is
     only first-order accurate in the marginal violation, while
@@ -290,8 +283,6 @@ def _ot_reg(wa, wb, reg, tol, cap, term, start=None):
             if polish:
                 # row marginals of the plan (f, g) are wa * exp((f - f_new)/reg)
                 err = float(np.sum(wa * np.abs(np.exp((f - f_new) / r) - 1.0)))
-                if start is not None and iterations == 1 and not err <= WARM_LIMIT:
-                    return _ot_reg(wa, wb, reg, tol, cap, term)
                 if err <= tol:
                     f_half = _half_update(g, lb, ca, k, reg)
                     dev = wa * (np.exp((f_new - f_half) / reg) - 1.0)
@@ -315,8 +306,8 @@ def w2_sinkhorn(a: DensityOnTorus, b: DensityOnTorus, reg: float = 5e-4,
     atom on the potentials and summed exactly (math.fsum). The two
     debiasing terms run first, with the averaged symmetric update, and
     bitwise-equal weights run that one solve and give exactly 0. The
-    cross term starts at reg from their potentials (f_aa, f_bb), or is
-    annealed from zero when they are a poor start (see _ot_reg).
+    cross term starts at reg from their potentials (f_aa, f_bb) and
+    skips the annealing (see _ot_reg).
     OTResult.iterations sums the solves' iterations: one half-step per
     symmetric iteration, two per alternating one. cap bounds each solve,
     annealing included; a solve that reaches it raises

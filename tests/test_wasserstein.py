@@ -457,15 +457,6 @@ def warm_and_annealed(a, b, reg, tol=1e-9, cap=100_000):
             wasserstein._ot_reg(wa, wb, reg, tol, cap, "OT(a,b)"))
 
 
-def test_sinkhorn_far_pair_falls_back_to_annealing():
-    # the first warm marginal error is far above WARM_LIMIT, so the
-    # cross solve is the annealed one, bit for bit and iteration for
-    # iteration (the probe iteration is not counted)
-    warm, annealed = warm_and_annealed(random_density(8, 5), random_density(8, 6), 1e-4)
-    for x, y in zip(warm, annealed):
-        assert np.array_equal(x, y)
-
-
 def smooth_density(m):
     x = np.arange(m) / m
     X, Y = np.meshgrid(x, x, indexing="ij")
@@ -474,8 +465,8 @@ def smooth_density(m):
 
 
 def test_sinkhorn_warm_start_across_lattice_sides():
-    # one smooth density on 8^2 and 16^2 lattices: at reg 2e-2 the first
-    # warm marginal error is about 8e-6, so the cross solve stays warm
+    # one smooth density on 8^2 and 16^2 lattices: the cross solve
+    # starts from potentials of two sizes and beats annealing from zero
     a, b = smooth_density(8), smooth_density(16)
     reg = 2e-2
     (f, g, dev, it, err), annealed = warm_and_annealed(a, b, reg)
@@ -496,18 +487,25 @@ def test_sinkhorn_is_symmetric_in_its_arguments(calibration_pair):
 
 @pytest.mark.parametrize("cap", [1, 5, 24, 25])
 @pytest.mark.parametrize("identical", [True, False], ids=["OT(a,a)", "OT(a,b)"])
-def test_sinkhorn_cap_counts_annealing(cap, identical):
+def test_sinkhorn_cap_counts_annealing(cap, identical, monkeypatch):
     # reg 1e-4 anneals for 24 iterations: a cap inside the annealing
     # stops it there, and the reported error is measured at reg. The
-    # debiasing terms run first, so OT(a,a) meets the cap either way
+    # warm cross solve of a far pair, capped alone, stops in its
+    # polishing; its error is measured the same way
     a = random_density(8, 5)
     b = a if identical else random_density(8, 6)
+    inner = wasserstein._ot_reg
+
+    def cap_ab(wa, wb, reg, tol, cap_, term, start=None):
+        return inner(wa, wb, reg, tol, cap if term == "OT(a,b)" else cap_, term, start)
+
+    monkeypatch.setattr(wasserstein, "_ot_reg", cap_ab)
     with pytest.raises(W2ConvergenceError) as exc:
-        w2_sinkhorn(a, b, reg=1e-4, cap=cap)
+        w2_sinkhorn(a, b, reg=1e-4, cap=cap if identical else 100_000)
     err = exc.value
     assert err.iterations == cap
     assert 0 <= err.marginal_error <= 2
-    assert str(err).startswith("OT(a,a): ")
+    assert str(err).startswith("OT(a,a): " if identical else "OT(a,b): ")
     assert f"after {cap} iterations" in str(err)
     back = pickle.loads(pickle.dumps(err))
     assert vars(back) == vars(err) and str(back) == str(err)
