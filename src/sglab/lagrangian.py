@@ -10,7 +10,9 @@ Velocity lookups off the grid use bicubic spline interpolation with
 periodic boundary handling (scipy's grid-wrap mode) on prefiltered
 spline coefficients, cached for the last two evaluation times of one
 sweep. A flow map may carry a stack of label grids, so backward_flow
-moves the inverse flows of many times in one backward sweep.
+moves the inverse flows of many times in one backward sweep. scipy.ndimage
+loads on the first lookup, so a process that traces no particles never
+imports it.
 
 A velocity provider is any object with a `grid` attribute (TorusGrid of
 the sampled fields), a `pair(t)` method returning the two velocity
@@ -25,7 +27,6 @@ weights as the velocities.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .spectral import ScalarField, NormKind, norm, perp_gradient
 from .transport import StepSizeError, Trajectory, _rk4, _shared_times
@@ -87,12 +88,14 @@ def label_flow(m: int) -> FlowMap:
 
 def _prefilter(u: np.ndarray) -> np.ndarray:
     """Periodic cubic spline coefficients of grid samples u."""
+    from scipy import ndimage
     return ndimage.spline_filter(u, order=3, mode="grid-wrap")
 
 
 def _spline_values(coefs, x: np.ndarray, y: np.ndarray) -> tuple:
     """Each periodic cubic spline of the n x n coefficient arrays coefs at
     the torus points (x, y), shaped like x; the coordinates are built once."""
+    from scipy import ndimage
     n = coefs[0].shape[-1]
     # grid samples sit at j/n, so array coordinates are positions * n
     coords = np.vstack([np.mod(x, 1.0).ravel() * n, np.mod(y, 1.0).ravel() * n])

@@ -209,10 +209,12 @@ def _mode_list_values(n: int, spec) -> np.ndarray:
     e the DFT basis vector at (p mod n, q mod n), and sin is
     (e - conj e)/2i, so each row adds n^2/2 * (c -/+ i s) to the
     coefficients at +/-(p, q) mod n. Reducing mod n puts aliased rows
-    (|p| >= n/2) where grid sampling puts them, and a Nyquist row, whose
-    two coefficients coincide, gets c and loses s as its samples do.
+    (|p| >= n/2) where grid sampling puts them: p = 60 at n = 64 acts as
+    p = -4. A row whose reduced frequency lies above the 2/3 band
+    (max(|p|, |q|) > n/3), which dealiasing would zero, raises ValueError.
     """
     spec_hat = np.zeros((n, n), dtype=complex)
+    keep = kernel(n).mask
     for row in spec:
         p, q, c, s = row  # a row of another length raises ValueError here
         if int(p) != p or int(q) != q:
@@ -220,6 +222,9 @@ def _mode_list_values(n: int, spec) -> np.ndarray:
         if p == 0 and q == 0:
             raise ValueError("(0, 0) mode is not allowed (zero-mean convention)")
         p, q = int(p), int(q)
+        if not keep[p % n, q % n]:
+            raise ValueError(f"mode row {row!r} lies above the 2/3 band of the "
+                             f"n = {n} grid, where dealiasing would zero it")
         half = 0.5 * n * n * complex(float(c), -float(s))
         spec_hat[p % n, q % n] += half
         spec_hat[-p % n, -q % n] += half.conjugate()
@@ -229,7 +234,7 @@ def _mode_list_values(n: int, spec) -> np.ndarray:
 def initial_data_field(grid: TorusGrid, spec) -> ScalarField:
     """Initial data from a preset name or a list of mode rows (see the
     module docstring); a (0, 0) row would break the zero-mean convention
-    and is rejected."""
+    and a row above the 2/3 band would vanish, so both are rejected."""
     if isinstance(spec, str):
         if spec not in PRESETS:
             raise ValueError(f"unknown preset {spec!r}; have {sorted(PRESETS)}")

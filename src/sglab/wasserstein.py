@@ -31,6 +31,8 @@ Two solvers:
   solve on about 5 of the 256 pairs per atom; OTResult.iterations counts
   the solves; bitwise-equal weights take none. Per-atom mass differences
   below HiGHS's primal feasibility tolerance (1e-7) can read as 0.
+  scipy.optimize and scipy.sparse load on the first LP solve, so a
+  process that solves no LP never imports them.
 
 Atoms are placed at block starts when downsampling; both densities in
 any comparison get the same convention, so the common half-block shift
@@ -41,8 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .spectral import ScalarField, perp_gradient
 from .transport import Trajectory, _shared_times, gronwall_integral
@@ -395,6 +395,8 @@ def _restricted_lp(C, wa, wb, rows, cols):
     infeasible when merged atoms weigh less than its primal feasibility
     tolerance (translated 16^2 bumps of width 0.08).
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
     p, q = C.shape
     k = np.arange(len(rows))
     in_col = cols < q - 1

@@ -1,6 +1,10 @@
 """CLI verb coverage: exit codes, emitted files, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +149,64 @@ class TestRunVerb:
         verb = "experiment" if "kind" in text else "run"
         assert main([verb, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_INFRA
         assert "finite" in capsys.readouterr().err
+
+    def test_mode_row_above_the_band_is_rejected(self, tmp_path, capsys):
+        # p = 40 > 64/3: dealiasing used to zero the row and the run went on
+        # from a roundoff datum (l2_rho 7.9e-17)
+        out = tmp_path / "band"
+        cfg = write_json(tmp_path / "band.json", {"n": 64, "initial_data": [[40, 0, 1.0, 0.0]]})
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_INFRA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: mode row [40, 0, 1.0, 0.0]")
+        assert "2/3 band" in err
+        assert not (out / "run.ndjson").exists()
+
+
+# Runs in a fresh interpreter: the run verb and a lifespan experiment load
+# no scipy module; a particle flow loads scipy.ndimage and the exact LP
+# scipy.optimize, each on its first call.
+SCIPY_ON_DEMAND = """
+import json, sys
+from pathlib import Path
+import numpy as np
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+from sglab.cli import main
+tmp = Path(sys.argv[1])
+(tmp / "run.json").write_text(json.dumps({
+    "n": 32, "model": "SGeps", "eps": 0.05, "t_final": 0.1,
+    "sample_interval": 0.05, "initial_data": "mild"}))
+(tmp / "life.json").write_text(json.dumps({
+    "kind": "lifespan", "eps_list": [0.2, 0.1, 0.05],
+    "base": {"n": 32, "model": "SGeps", "t_final": 0.5, "sample_interval": 0.25,
+             "initial_data": "steep", "stop_on_exit": True}}))
+assert main(["run", "--config", str(tmp / "run.json"), "--out", str(tmp / "r")]) == 0
+main(["experiment", "--config", str(tmp / "life.json"), "--out", str(tmp / "l"),
+      "--threads", "1"])
+assert loaded() == [], loaded()
+
+from sglab.config import RunConfig
+from sglab.lagrangian import TrajectoryVelocity, advect_flow, label_flow
+from sglab.transport import run_simulation
+from sglab.wasserstein import DensityOnTorus, w2_exact_small
+traj = run_simulation(RunConfig(n=32, t_final=0.1, sample_interval=0.05,
+                                initial_data="mild"))
+advect_flow(TrajectoryVelocity(traj), label_flow(4), 0.0, 0.05, 0.01)
+assert "scipy.ndimage" in sys.modules, loaded()
+w = np.ones((8, 8))
+w2_exact_small(DensityOnTorus(8, w / w.sum()), DensityOnTorus(8, (w + np.eye(8)) / (w.sum() + 8)))
+assert "scipy.optimize" in sys.modules, loaded()
+"""
+
+
+def test_scipy_loads_only_for_particles_and_the_lp(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_ON_DEMAND, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestUsage:

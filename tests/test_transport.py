@@ -109,12 +109,13 @@ def reference_mode_list_field(grid, spec):
 @pytest.mark.parametrize("n, seed", [(32, 0), (32, 1), (64, 2)])
 def test_mode_list_matches_grid_sum(n, seed):
     rng = np.random.default_rng(seed)
-    k = rng.integers(-n, n + 1, size=(40, 2))
-    # Nyquist rows, whose +/-(p, q) coefficients coincide, and a repeat
-    nyq = n // 2
-    k[:4] = [[nyq, 0], [0, -nyq], [nyq, nyq], [-nyq, 3 * nyq]]
+    # in-band frequencies, about half of them shifted by multiples of n
+    # into aliased rows, and a repeat
+    band = n // 3
+    k = rng.integers(-band, band + 1, size=(40, 2))
+    k += n * rng.integers(-1, 2, size=(40, 2))
     k[4] = k[5]
-    k = k[np.any(k != 0, axis=1)]
+    k = k[np.any(k % n != 0, axis=1)]
     assert np.any(np.abs(k) >= n // 2)
     spec = [[int(p), int(q), float(c), float(s)]
             for (p, q), (c, s) in zip(k, rng.normal(size=(len(k), 2)))]
@@ -125,6 +126,23 @@ def test_mode_list_matches_grid_sum(n, seed):
     # that bound at n = 64 (measured 2e-13 of 65)
     scale = sum(abs(c) + abs(s) for _, _, c, s in spec)
     assert np.max(np.abs(f.values - ref.values)) <= 1e-13 * scale
+
+
+def test_mode_list_aliased_row_is_its_reduced_row():
+    g = TorusGrid(64)
+    for row, reduced in (([60, 3, 0.7, -0.2], [-4, 3, 0.7, -0.2]),
+                         ([-2, 85, 0.1, 0.4], [-2, 21, 0.1, 0.4])):
+        assert np.array_equal(initial_data_field(g, [row]).values,
+                              initial_data_field(g, [reduced]).values)
+
+
+@pytest.mark.parametrize("n, row", [(64, [40, 0, 1.0, 0.0]), (64, [3, -22, 0.0, 1.0]),
+                                    (64, [32, 0, 1.0, 0.0]), (64, [100, 0, 1.0, 0.0]),
+                                    (32, [11, 1, 1.0, 0.0]), (32, [-5, 21, 0.0, 1.0])])
+def test_mode_list_rejects_rows_above_the_band(n, row):
+    # dealiasing would zero the row; reduced mod n, max(|p|, |q|) > n/3
+    with pytest.raises(ValueError, match=r"above the 2/3 band"):
+        initial_data_field(TorusGrid(n), [[1, 0, 1.0, 0.0], row])
 
 
 def test_mode_list_rejects_constant():

@@ -5,6 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy import sparse
 from scipy.optimize import linprog
 from scipy.special import logsumexp
@@ -200,15 +201,16 @@ def test_exact_matches_full_product_lp(case):
 
 
 def record_lp_solves(monkeypatch):
-    """Wrap wasserstein.linprog; returns the list of its results."""
+    """Wrap scipy.optimize.linprog, which wasserstein imports per call;
+    returns the list of its results."""
     results = []
-    inner = wasserstein.linprog
+    inner = scipy.optimize.linprog
 
     def recorded(*args, **kwargs):
         results.append(inner(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(wasserstein, "linprog", recorded)
+    monkeypatch.setattr(scipy.optimize, "linprog", recorded)
     return results
 
 
