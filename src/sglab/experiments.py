@@ -225,7 +225,7 @@ def _apply_fit(report, gate_name):
     target, tol = SLOPE_GATES[report.kind]
     if len(usable) < 2:
         report.notes.append(
-            "fewer than two runs stayed inside the bootstrap window; no fit")
+            "fewer than two in-window runs with a positive metric; no fit")
         report.assertions.append({
             "name": gate_name, "ok": False,
             "detail": "insufficient in-window runs for a slope fit",
@@ -321,12 +321,11 @@ def _coarse_density(state, eps, m):
 
 
 def _w2_sample_indices(times):
-    out = []
-    for i, t in enumerate(times):
-        k = round(t / W2_SAMPLE_SPACING)
-        if abs(t - k * W2_SAMPLE_SPACING) <= 1e-9:
-            out.append(i)
-    return out
+    """Indices of the samples at multiples of W2_SAMPLE_SPACING, and of
+    the last sample (t_final), which the rate fit reads."""
+    last = len(times) - 1
+    return [i for i, t in enumerate(times) if i == last
+            or abs(t - round(t / W2_SAMPLE_SPACING) * W2_SAMPLE_SPACING) <= 1e-9]
 
 
 def _wasserstein_one(base, euler, eps):

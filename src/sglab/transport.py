@@ -415,8 +415,8 @@ def cumulative_trapezoid(values, times) -> np.ndarray:
 def gronwall_integral(a, source, times) -> np.ndarray:
     """B_i = int_0^{t_i} exp(a(t_i) - a(s)) source(s) ds per sample i, by
     the trapezoid rule on the samples up to t_i; a and source are arrays."""
-    return np.array([np.trapezoid(np.exp(a[i] - a[: i + 1]) * source[: i + 1], times[: i + 1])
-                     for i in range(len(a))])
+    return np.array([cumulative_trapezoid(np.exp(a[i] - a[: i + 1]) * source[: i + 1],
+                                          times[: i + 1])[-1] for i in range(len(a))])
 
 
 def run_simulation(config) -> Trajectory:

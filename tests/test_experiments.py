@@ -406,6 +406,22 @@ class TestSampleIndices:
     def test_skips_offgrid_times(self):
         assert _w2_sample_indices([0.0, 0.07, 0.13, 0.2]) == [0, 3]
 
+    def test_keeps_the_final_sample(self):
+        assert _w2_sample_indices([0.05 * k for k in range(6)]) == [0, 2, 4, 5]
+
+    def test_final_time_off_the_grid_is_fitted(self):
+        # t_final 0.25 is no multiple of the W2 spacing: its W2 is still
+        # measured, so the in-window runs (eps 0.02, 0.01) get a metric
+        base = RunConfig(n=32, t_final=0.25, sample_interval=0.05,
+                         initial_data="default")
+        rep = run_experiment(ExperimentSpec(kind="wasserstein",
+                                            eps_list=[0.04, 0.02, 0.01], base=base))
+        assert [[r["t"] for r in s] for s in rep.w2_streams.values()] == [[0.0, 0.1, 0.2, 0.25]] * 3
+        assert rep.fit["eps_used"] == [0.02, 0.01]
+        assert all(r["metric"] > 0 for r in rep.summary_rows)
+        gate = next(a for a in rep.assertions if a["name"] == "w2_slope")
+        assert gate["detail"].startswith("slope ")
+
 
 def test_run_experiment_validates_inputs(mild_stability):
     spec, _ = mild_stability

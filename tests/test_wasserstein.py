@@ -418,12 +418,22 @@ def reference_debiased_w2(wa, wb, reg, tol=1e-9, cap=100_000):
     return np.sqrt(max(math.fsum(np.concatenate([on_a.ravel(), on_b.ravel()])), 0.0))
 
 
-@pytest.mark.parametrize("which", ["calibration", "bump32"])
+def checkerboard_density(m, seed):
+    """Random weights on the atoms (i, j) with i + j odd, zero on the rest."""
+    w = random_density(m, seed).weights * (np.add.outer(np.arange(m), np.arange(m)) % 2)
+    return DensityOnTorus(m, w / w.sum())
+
+
+@pytest.mark.parametrize("which", ["calibration", "bump32", "dirac16", "checkerboard16"])
 def test_symmetric_solve_matches_alternating_reference(calibration_pair, which):
     if which == "calibration":
         w, reg = calibration_pair[0].weights, 2e-3
-    else:
+    elif which == "bump32":
         w, reg = bump_density(32, 0.3, 0.5).weights, 5e-4
+    elif which == "dirac16":
+        w, reg = point_mass(16, 3, 7).weights, 1e-4
+    else:
+        w, reg = checkerboard_density(16, 3).weights, 1e-4
     tol = 1e-9
     f, g, dev, it, err = wasserstein._ot_reg(w, w, reg, tol, 100_000, "OT(a,a)")
     f_ref, g_ref, dev_ref, it_ref, err_ref = reference_ot_reg(w, w, reg, tol, 100_000)
@@ -444,14 +454,14 @@ def test_sinkhorn_debiasing_matches_alternating_reference(calibration_pair):
     ref = reference_debiased_w2(a.weights, b.weights, reg=2e-3)
     r = w2_sinkhorn(a, b, reg=2e-3)
     assert r.distance == pytest.approx(ref, rel=1e-3)
-    # two self-transport solves of ~20 iterations, then a cross solve of
-    # ~70 started from their potentials (~200 when annealed from zero)
+    # two self-transport solves of 6 iterations, then a cross solve of
+    # ~70 started from their potentials (~170 from zero)
     assert r.iterations <= 150
 
 
-def warm_and_annealed(a, b, reg, tol=1e-9, cap=100_000):
+def warm_and_cold(a, b, reg, tol=1e-9, cap=100_000):
     """The cross solve started from the debiasing potentials, and the
-    same solve annealed from zero."""
+    same solve started from zero potentials."""
     wa, wb = a.weights, b.weights
     f_aa = wasserstein._ot_reg(wa, wa, reg, tol, cap, "OT(a,a)")[0]
     f_bb = wasserstein._ot_reg(wb, wb, reg, tol, cap, "OT(b,b)")[0]
@@ -468,13 +478,13 @@ def smooth_density(m):
 
 def test_sinkhorn_warm_start_across_lattice_sides():
     # one smooth density on 8^2 and 16^2 lattices: the cross solve
-    # starts from potentials of two sizes and beats annealing from zero
+    # starts from potentials of two sizes and beats a start from zero
     a, b = smooth_density(8), smooth_density(16)
     reg = 2e-2
-    (f, g, dev, it, err), annealed = warm_and_annealed(a, b, reg)
+    (f, g, dev, it, err), cold = warm_and_cold(a, b, reg)
     assert f.shape == dev.shape == (8, 8) and g.shape == (16, 16)
     assert err <= 1e-9
-    assert it < annealed[3]
+    assert it < cold[3]
     r = w2_sinkhorn(a, b, reg=reg)
     ref = reference_debiased_w2(a.weights, b.weights, reg)
     assert r.distance == pytest.approx(ref, rel=1e-3)
@@ -487,15 +497,24 @@ def test_sinkhorn_is_symmetric_in_its_arguments(calibration_pair):
     assert ab == pytest.approx(ba, rel=1e-3)
 
 
-@pytest.mark.parametrize("cap", [1, 5, 24, 25])
-@pytest.mark.parametrize("identical", [True, False], ids=["OT(a,a)", "OT(a,b)"])
-def test_sinkhorn_cap_counts_annealing(cap, identical, monkeypatch):
-    # reg 1e-4 anneals for 24 iterations: a cap inside the annealing
-    # stops it there, and the reported error is measured at reg. The
-    # warm cross solve of a far pair, capped alone, stops in its
-    # polishing; its error is measured the same way
-    a = random_density(8, 5)
-    b = a if identical else random_density(8, 6)
+@pytest.mark.parametrize("pair, reg, cap", [
+    pytest.param("self-random8", 1e-4, 1, id="OT(a,a)-random8-1"),
+    pytest.param("self-calibration", 2e-3, 1, id="OT(a,a)-calibration-1"),
+    pytest.param("self-calibration", 2e-3, 5, id="OT(a,a)-calibration-5"),
+    *(pytest.param("random8", 1e-4, cap, id=f"OT(a,b)-{cap}") for cap in (1, 5, 24, 25)),
+])
+def test_sinkhorn_cap_counts_iterations(pair, reg, cap, calibration_pair, monkeypatch):
+    # from zero the 8^2 random density's self-transport solve converges
+    # in 2 iterations at reg 1e-4 and the calibration density's in 6 at
+    # reg 2e-3, so these caps stop it early. The warm cross solve of a
+    # far pair, capped alone, stops the same way. Either error is
+    # measured with the other potential fitted to the last f
+    if pair == "self-calibration":
+        a = b = calibration_pair[0]
+    else:
+        a = random_density(8, 5)
+        b = a if pair == "self-random8" else random_density(8, 6)
+    identical = a is b
     inner = wasserstein._ot_reg
 
     def cap_ab(wa, wb, reg, tol, cap_, term, start=None):
@@ -503,7 +522,7 @@ def test_sinkhorn_cap_counts_annealing(cap, identical, monkeypatch):
 
     monkeypatch.setattr(wasserstein, "_ot_reg", cap_ab)
     with pytest.raises(W2ConvergenceError) as exc:
-        w2_sinkhorn(a, b, reg=1e-4, cap=cap if identical else 100_000)
+        w2_sinkhorn(a, b, reg=reg, cap=cap if identical else 100_000)
     err = exc.value
     assert err.iterations == cap
     assert 0 <= err.marginal_error <= 2
@@ -514,7 +533,7 @@ def test_sinkhorn_cap_counts_annealing(cap, identical, monkeypatch):
 
 
 def test_sinkhorn_cap_names_the_warm_cross_solve(calibration_pair, monkeypatch):
-    # each self-transport solve takes 20 iterations and the warm cross
+    # each self-transport solve takes 6 iterations and the warm cross
     # solve about 70, so a cap of 40 stops the cross solve alone
     a, b = calibration_pair
     inner, calls = wasserstein._ot_reg, []
@@ -528,6 +547,25 @@ def test_sinkhorn_cap_names_the_warm_cross_solve(calibration_pair, monkeypatch):
         w2_sinkhorn(a, b, reg=2e-3, cap=40)
     assert exc.value.iterations == 40
     assert calls == [("OT(a,a)", False), ("OT(b,b)", False), ("OT(a,b)", True)]
+
+
+def test_sinkhorn_iterates_at_one_regularization(calibration_pair, monkeypatch):
+    # no solve anneals: every half-step runs at the target reg, and each
+    # self-transport solve converges from zero in a few iterations
+    a, b = calibration_pair
+    half_steps = count_calls(monkeypatch, "_half_update")
+    inner, iterations = wasserstein._ot_reg, {}
+
+    def recorded(wa, wb, reg, tol, cap, term, start=None):
+        out = inner(wa, wb, reg, tol, cap, term, start)
+        iterations[term] = out[3]
+        return out
+
+    monkeypatch.setattr(wasserstein, "_ot_reg", recorded)
+    w2_sinkhorn(a, b, reg=2e-3)
+    assert {args[-1] for args in half_steps} == {2e-3}
+    assert sorted(iterations) == ["OT(a,a)", "OT(a,b)", "OT(b,b)"]
+    assert iterations["OT(a,a)"] <= 10 and iterations["OT(b,b)"] <= 10
 
 
 def test_sinkhorn_cap_names_the_debiasing_term(monkeypatch):
