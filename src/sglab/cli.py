@@ -19,12 +19,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, ExperimentSpec, RunConfig, parse_config
-from .elliptic import EllipticConvergenceError, EllipticDivergenceError
 from .experiments import SUITE_COUNT, _record_line, emit_report, run_experiment
 from .fieldio import load_field, read_checkpoint, write_checkpoint, write_text
 from .inequalities import run_suite
-from .spectral import NormKind, TorusGrid, norm
-from .transport import ELLIPTIC_EXITS, Trajectory, run_simulation
+from .spectral import NormKind, norm
+from .transport import run_simulation
 
 EXIT_OK = 0
 EXIT_ASSERTION = 2
@@ -52,22 +51,6 @@ def _field_line(label, f):
     l2 = norm(f, NormKind.L2)
     linf = norm(f, NormKind.Linf)
     return f"  {label}: n={f.grid.n} mean={f.mean():+.3e} l2={l2:.6e} linf={linf:.6e}"
-
-
-def _simulate(cfg):
-    """run_simulation for the run and dump verbs.
-
-    An elliptic failure in the t = 0 solve comes back as a trajectory
-    with no samples, exit_time 0 and the failure's exit_reason, so the
-    verb still writes a well-formed summary before it exits 3.
-    """
-    try:
-        return run_simulation(cfg)
-    except (EllipticDivergenceError, EllipticConvergenceError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return Trajectory(model=cfg.model, eps=cfg.eps, grid=TorusGrid(cfg.n),
-                          m0=float("nan"), exit_reason=ELLIPTIC_EXITS[type(err)],
-                          exit_time=0.0)
 
 
 def _write_run(out, cfg, traj):
@@ -98,7 +81,7 @@ def _exit_code(traj):
 
 def _cmd_run(args):
     cfg = _want_run_config(_read_config(args.config), "run")
-    traj = _simulate(cfg)
+    traj = run_simulation(cfg)
     nd = _write_run(Path(args.out or cfg.output_dir), cfg, traj)
     if traj.times:
         print(f"{cfg.model} eps={cfg.eps:g} n={cfg.n}: "
@@ -127,6 +110,11 @@ def _cmd_experiment(args):
     for note in report.notes:
         print(f"note: {note}")
     print(f"status: {report.status}; wrote {len(written)} files under {out}")
+    aborted = [(tag, traj) for tag, traj in report.runs.items() if _exit_code(traj) != EXIT_OK]
+    for tag, traj in aborted:
+        print(f"error: {tag}: {traj.exit_reason} at t={traj.exit_time:g}", file=sys.stderr)
+    if aborted:
+        return EXIT_INFRA
     if report.failed_assertions():
         return EXIT_ASSERTION
     if report.status != "passed":
@@ -165,7 +153,7 @@ def _cmd_check(args):
 
 def _cmd_dump(args):
     cfg = _want_run_config(_read_config(args.config), "dump")
-    traj = _simulate(cfg)
+    traj = run_simulation(cfg)
     out = Path(args.out or cfg.output_dir)
     if not traj.states:
         nd = _write_run(out, cfg, traj)

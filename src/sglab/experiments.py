@@ -212,7 +212,8 @@ def _stayed_inside(traj):
 
 
 def _eps_tag(eps: float) -> str:
-    return f"{eps:g}"
+    """eps as file names and report keys show it; distinct for distinct eps."""
+    return repr(eps)
 
 
 def _apply_fit(report, gate_name):

@@ -5,10 +5,10 @@ Field dump layout: one UTF-8 JSON header line terminated by '\n' with keys
 row-major with the x index outer and the y index inner. Round-trips are
 bit-exact. Loading rejects a header that is not a JSON object with an
 integer "n" and a string "kind", a checkpoint sidecar that lacks a
-known "model", numeric "time" and "eps", or an integer "step", and a
-checkpoint whose two fields differ in "n", whose field headers disagree
-with the sidecar on "time" or "epsilon", or whose field kinds are not
-"rho" and the model's potential kind (POTENTIAL_KINDS).
+known "model", "time" and "eps" numbers in float range, or an integer
+"step", and a checkpoint whose two fields differ in "n", whose field
+headers disagree with the sidecar on "time" or "epsilon", or whose
+field kinds are not "rho" and the model's potential kind (POTENTIAL_KINDS).
 
 Every output file of the package is written through atomic_open: a
 temp file in the target directory, renamed over the target once it is
@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,8 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
+    """A float, or an int a float can hold (json reads 10**400 as an int)."""
+    return isinstance(v, float) or _is_int(v) and abs(v) <= sys.float_info.max
 
 
 @contextlib.contextmanager

@@ -159,7 +159,7 @@ class Trajectory:
     states/diagnostics carry one entry per sample time. exit_reason is
     None for a clean run to t_final; otherwise one of bootstrap_exit,
     elliptic_divergence, elliptic_stall, step_limit, and the trajectory
-    holds whatever was sampled before the event.
+    holds the samples taken up to the state the run ended at.
     """
 
     model: str
@@ -426,8 +426,10 @@ def run_simulation(config) -> Trajectory:
     stop_on_exit, the gradient margin 1/4 - eps ||grad rho||_Linf is
     monitored every step; on a sign change the run stops, the crossing
     time is located by linear interpolation of the margin, and the
-    trajectory reports exit_reason = "bootstrap_exit". Elliptic failures
-    likewise end the run with a partial trajectory instead of raising.
+    trajectory reports exit_reason = "bootstrap_exit". An elliptic
+    failure likewise ends the run instead of raising, at the last
+    completed state, which the trajectory records and whose time is
+    exit_time; a failed t = 0 solve leaves no sample and exit_time 0.
     Each record's A_t is the Gronwall exponent int_0^t (1 + 2 ||D^2 pot||_Linf).
     """
     if config.n < 32:
@@ -435,18 +437,17 @@ def run_simulation(config) -> Trajectory:
     if config.model not in PARTS:
         raise ValueError(f"unknown model {config.model!r}")
 
-    state = _initial_state(config)
-    m0 = norm((state.background or state).rho, NormKind.Linf)
-    traj = Trajectory(model=config.model, eps=config.eps, grid=state.rho.grid, m0=m0)
-    _integrate(config, state, traj)
+    traj = Trajectory(model=config.model, eps=config.eps, grid=TorusGrid(config.n),
+                      m0=float("nan"))
+    _integrate(config, traj)
     growth = [1 + 2 * d.hess_linf_psi for d in traj.diagnostics]
     for d, a_t in zip(traj.diagnostics, cumulative_trapezoid(growth, traj.times)):
         d.A_t = float(a_t)
     return traj
 
 
-def _integrate(config, state: SimState, traj: Trajectory) -> None:
-    """Step and sample into traj until t_final or an exit event."""
+def _integrate(config, traj: Trajectory) -> None:
+    """Solve at t = 0, then step and sample into traj until t_final or an exit."""
     si = config.sample_interval
     sample_times = [k * si for k in range(1, int(np.floor(config.t_final / si + 1e-9)) + 1)]
     if sample_times and abs(sample_times[-1] - config.t_final) <= 1e-9 * max(1.0, config.t_final):
@@ -459,17 +460,17 @@ def _integrate(config, state: SimState, traj: Trajectory) -> None:
         traj.times.append(st.time)
         traj.diagnostics.append(_diagnostics(st, traj.m0))
 
-    record(state)
-
     monitor_exit = bool(config.stop_on_exit and config.eps > 0)
-    if monitor_exit and _grad_margin(state) <= 0:
-        traj.exit_reason = "bootstrap_exit"
-        traj.exit_time = 0.0
-        return
-
-    steps = 0
-    margin_prev = _grad_margin(state) if monitor_exit else None
     try:
+        state = _initial_state(config)
+        traj.m0 = norm((state.background or state).rho, NormKind.Linf)
+        record(state)
+        if monitor_exit and _grad_margin(state) <= 0:
+            traj.exit_reason = "bootstrap_exit"
+            traj.exit_time = 0.0
+            return
+        steps = 0
+        margin_prev = _grad_margin(state) if monitor_exit else None
         for target in sample_times:
             while state.time < target - 1e-12:
                 steps += 1
@@ -496,8 +497,10 @@ def _integrate(config, state: SimState, traj: Trajectory) -> None:
                     margin_prev = margin
             record(state)
     except (EllipticDivergenceError, EllipticConvergenceError) as err:
+        if traj.states and traj.states[-1] is not state:
+            record(state)  # the last completed state, between two samples
         traj.exit_reason = ELLIPTIC_EXITS[type(err)]
-        traj.exit_time = state.time
+        traj.exit_time = traj.times[-1] if traj.times else 0.0
 
 
 def _retime(state: SimState, t: float) -> SimState:

@@ -35,6 +35,14 @@ def exp_cfg(tmp_path):
     })
 
 
+def assert_failed_row(out, eps, reason):
+    """out holds a full report whose eps row failed with reason."""
+    rows = {r["eps"]: r["status"] for r in
+            json.loads((out / "report.json").read_text())["summary"]}
+    assert rows[eps] == f"failed: {reason}"
+    assert f"{eps!r},,,,,,failed: {reason}" in (out / "summary.csv").read_text().splitlines()
+
+
 class TestRunVerb:
     def test_writes_diagnostics(self, run_cfg, tmp_path):
         assert main(["run", "--config", run_cfg]) == EXIT_OK
@@ -96,6 +104,23 @@ class TestRunVerb:
         times = [json.loads(line)["t"] for line in lines]
         assert times == sorted(times) and times[-1] <= meta["exit_time"]
         assert meta["final_t"] == times[-1]
+
+    def test_aborted_dump_checkpoints_the_exit_state(self, tmp_path):
+        # the divergence above; the checkpoint is the last completed state
+        cfg = write_json(tmp_path / "div.json", {
+            "n": 32, "model": "SGeps", "eps": 0.043, "t_final": 1.0,
+            "sample_interval": 0.1,
+            "initial_data": [[1, 1, 4.0, 0.0], [1, -1, 4.0, 0.0], [2, 1, 5.6, 0.0]],
+        })
+        run, ckpt = tmp_path / "run", tmp_path / "ckpt"
+        assert main(["run", "--config", cfg, "--out", str(run)]) == EXIT_INFRA
+        assert main(["dump", "--config", cfg, "--out", str(ckpt)]) == EXIT_INFRA
+        meta = json.loads((run / "run.json").read_text())
+        sidecar = json.loads((ckpt / "checkpoint.json").read_text())
+        assert sidecar["time"] == meta["exit_time"] == meta["final_t"]
+        assert sidecar["step"] == meta["steps"]
+        last = json.loads((run / "run.ndjson").read_text().splitlines()[-1])
+        assert last["t"] == meta["exit_time"]
 
     def test_stall_after_t0_leaves_partial_ndjson(self, run_cfg, tmp_path, monkeypatch):
         # the t = 0 solve, the first call, runs as usual; every RK4 stage
@@ -299,6 +324,7 @@ class TestExperimentVerb:
                      "output_dir": str(tmp_path / "life0_out")},
         })
         assert main(["experiment", "--config", cfg]) == EXIT_INFRA
+        assert_failed_row(tmp_path / "life0_out", 0.6, "elliptic_divergence")
 
     def test_divergence_at_t0_in_worker_is_infra_error(self, tmp_path, capfd):
         # the solve diverges inside a worker process; its error must
@@ -313,6 +339,55 @@ class TestExperimentVerb:
         err = capfd.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        assert_failed_row(tmp_path / "life0_out", 0.6, "elliptic_divergence")
+
+    def test_failed_eps_keeps_the_others(self, tmp_path, capfd):
+        # eps 3.0 fails its t = 0 solve; eps 0.04 and 0.02 still get their
+        # runs and W2 streams, byte for byte as in a spec without eps 3.0
+        def spec(eps_list):
+            return write_json(tmp_path / "w2.json", {
+                "kind": "wasserstein", "eps_list": eps_list,
+                "base": {"n": 32, "t_final": 0.2, "sample_interval": 0.05,
+                         "initial_data": "default"}})
+
+        ref = tmp_path / "ref"
+        main(["experiment", "--config", spec([0.04, 0.02, 0.01]), "--out", str(ref)])
+        cfg = spec([3.0, 0.04, 0.02])
+        files = {}
+        for threads in ("1", "3"):
+            out = tmp_path / f"threads{threads}"
+            capfd.readouterr()
+            assert main(["experiment", "--config", cfg, "--out", str(out),
+                         "--threads", threads]) == EXIT_INFRA
+            err = capfd.readouterr().err
+            assert err == "error: sg_eps3.0: elliptic_divergence at t=0\n"
+            assert_failed_row(out, 3.0, "elliptic_divergence")
+            files[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert files["1"] == files["3"]
+        assert (out / "sg_eps3.0.ndjson").read_text() == ""
+        same = ["euler.ndjson"] + [f"{kind}_eps{eps}.ndjson" for kind in ("sg", "w2")
+                                   for eps in (0.04, 0.02)]
+        for name in same:
+            assert files["1"][name] == (ref / name).read_bytes()
+        assert "w2_eps3.0.ndjson" not in files["1"]
+
+    def test_mid_run_abort_outranks_a_failed_gate(self, tmp_path, capfd):
+        # the eps 0.043 SG run diverges near t = 0.88 (see
+        # test_divergence_mid_run_leaves_partial_ndjson), and too few runs
+        # stay in the window for the slope gate: the abort sets the exit code
+        cfg = write_json(tmp_path / "corr.json", {
+            "kind": "corrector", "eps_list": [0.043, 0.02, 0.01],
+            "base": {"n": 32, "t_final": 0.9, "sample_interval": 0.3,
+                     "initial_data": [[1, 1, 4.0, 0.0], [1, -1, 4.0, 0.0], [2, 1, 5.6, 0.0]],
+                     "output_dir": str(tmp_path / "corr_out")},
+        })
+        capfd.readouterr()
+        assert main(["experiment", "--config", cfg]) == EXIT_INFRA
+        captured = capfd.readouterr()
+        assert "[FAIL] corrector_slope" in captured.out
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: sg_eps0.043: elliptic_divergence at t=0.8")
+        assert_failed_row(tmp_path / "corr_out", 0.043, "elliptic_divergence")
 
 
 class TestCheckVerb:

@@ -397,6 +397,39 @@ class TestEmission:
         assert lines[1].endswith(",failed")
 
 
+class TestEpsTags:
+    def test_tags_read_as_g_on_short_eps(self):
+        for eps in (0.2, 0.1, 0.05, 0.21, 0.19, 0.08, 0.04, 0.02, 0.01):
+            assert _eps_tag(eps) == f"{eps:g}"
+        assert _eps_tag(0.2000001) != _eps_tag(0.2)
+
+    def test_close_eps_keep_their_own_runs(self, tmp_path):
+        # 0.04000001 and 0.04 agree to six significant digits
+        eps_list = [0.04000001, 0.04, 0.02]
+        base = RunConfig(n=32, t_final=0.05, sample_interval=0.05, initial_data="mild")
+        rep = run_experiment(ExperimentSpec(kind="corrector", eps_list=eps_list, base=base))
+        names = {Path(p).name for p in emit_report(rep, tmp_path)}
+        for model in ("sg", "corrector"):
+            assert {n for n in names if n.startswith(f"{model}_eps")} == {
+                f"{model}_eps{_eps_tag(e)}.ndjson" for e in eps_list}
+            assert [rep.runs[f"{model}_eps{_eps_tag(e)}"].eps for e in eps_list] == eps_list
+        assert [r["eps"] for r in rep.summary_rows] == eps_list
+
+    def test_close_eps_keep_their_own_lifespan_extras(self, tmp_path):
+        eps_list = [0.2000001, 0.2, 0.19]
+        rep = run_experiment(ExperimentSpec(kind="lifespan", eps_list=eps_list,
+                                            base=SMALL_LIFESPAN_BASE))
+        emit_report(rep, tmp_path)
+        tags = [_eps_tag(e) for e in eps_list]
+        assert list(rep.extras["calpha_series"]) == tags
+        assert sorted(rep.extras["riccati"]) == sorted(tags)
+        rows = read_csv(tmp_path / "calpha_vs_t.csv")
+        for eps, tag in zip(eps_list, tags):
+            series = [float(r["calpha"]) for r in rows if float(r["eps"]) == eps]
+            assert series == [s.calpha for s in rep.runs[f"lifespan_eps{tag}"].states]
+        assert rep.extras["calpha_series"][tags[0]] != rep.extras["calpha_series"][tags[1]]
+
+
 class TestSampleIndices:
     def test_picks_tenth_multiples(self):
         times = [0.05 * k for k in range(11)]

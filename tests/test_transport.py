@@ -507,6 +507,15 @@ def test_immediate_bootstrap_exit():
     assert len(t.states) == 1
 
 
+def test_divergence_at_t0_ends_the_run():
+    # ||D^2 psi||_Linf of the Poisson seed is 1, so eps = 0.6 trips the
+    # divergence guard in the t = 0 solve; the run ends there, not by raising
+    t = run_simulation(RunConfig(n=32, model="SGeps", eps=0.6, initial_data="default"))
+    assert (t.exit_reason, t.exit_time) == ("elliptic_divergence", 0.0)
+    assert t.states == t.times == t.diagnostics == t.dt_history == []
+    assert t.grid == TorusGrid(32)
+
+
 def test_corrector_state_shape():
     cfg = RunConfig(n=32, model="Corrector", t_final=0.2, sample_interval=0.1)
     t = run_simulation(cfg)
