@@ -12,8 +12,9 @@ Hermitian-symmetrized, so every sample is real, mean-zero, and
 band-limited. Trajectory-backed checks share one simulation bundle per
 seed: an SG run at eps = 0.05 (its datum normalized to unit gradient so
 the run stays inside the bootstrap window), the corrector run from the
-same datum, whose Euler background is the Euler run, and particle flows
-for both velocity fields.
+same datum, whose Euler background is the Euler run, particle flows
+for both velocity fields, and both runs' inverse flows from their
+back-to-labels maps.
 
 run_suite(seed, count) executes every checker of FIELD_CHECKS and
 BUNDLE_CHECKS count times (cycling through sample times for trajectory
@@ -36,10 +37,9 @@ from .elliptic import (
     hessian_l2,
 )
 from .lagrangian import (
-    TrajectoryVelocity,
-    backward_flow,
     flow_gap,
     inverse_flow_lipschitz,
+    inverse_flows,
     paired_gap_series,
 )
 from .spectral import (
@@ -295,11 +295,7 @@ class _Bundle:
                                 states=bgs, times=corr.times,
                                 diagnostics=[_diagnostics(bg, corr.m0) for bg in bgs])
         self.rho0 = self.euler.states[0].rho
-        self._vel_sg = TrajectoryVelocity(self.sg)
-        self._vel_euler = TrajectoryVelocity(self.euler)
-        self.gaps = paired_gap_series(self.sg, self.euler, m=FLOW_LABELS,
-                                      dt=FLOW_DT,
-                                      providers=(self._vel_sg, self._vel_euler))
+        self.gaps = paired_gap_series(self.sg, self.euler, m=FLOW_LABELS, dt=FLOW_DT)
         self.times = np.asarray(self.euler.times)
         # the sample index that each of run_suite's count rounds reads
         self.rounds = [1 + k % (len(self.times) - 1) for k in range(count)]
@@ -308,8 +304,8 @@ class _Bundle:
     def backward(self) -> dict:
         """Sample index -> (SG, Euler) inverse flows, at the samples that rounds reads."""
         idxs = sorted(set(self.rounds))
-        sg, euler = (backward_flow(v, self.times[idxs], FLOW_LABELS, FLOW_DT)
-                     for v in (self._vel_sg, self._vel_euler))
+        sg, euler = (inverse_flows(traj, self.times[idxs], FLOW_LABELS, FLOW_DT)
+                     for traj in (self.sg, self.euler))
         return dict(zip(idxs, zip(sg, euler)))
 
     @cached_property

@@ -9,10 +9,14 @@ or a binning needs torus coordinates.
 Velocity lookups off the grid use bicubic spline interpolation with
 periodic boundary handling (scipy's grid-wrap mode) on prefiltered
 spline coefficients, cached for the last two evaluation times of one
-sweep. A flow map may carry a stack of label grids, so backward_flow
-moves the inverse flows of many times in one backward sweep. scipy.ndimage
-loads on the first lookup, so a process that traces no particles never
-imports it.
+sweep. scipy.ndimage loads on the first lookup, so a process that traces
+no particles never imports it.
+
+Inverse flows X^{-1}(t, .) come from inverse_flows, which steps the
+periodic back-to-labels displacement forward on half-spectra in one
+pass for all times. backward_flow, a backward particle sweep that moves
+a stack of label grids, is kept only as the reference that the tests
+compare inverse_flows against.
 
 A velocity provider is any object with a `grid` attribute (TorusGrid of
 the sampled fields), a `pair(t)` method returning the two velocity
@@ -25,11 +29,12 @@ weights as the velocities.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .spectral import ScalarField, NormKind, norm, perp_gradient
-from .transport import StepSizeError, Trajectory, _rk4, _shared_times
+from .spectral import ScalarField, NormKind, irfft2, kernel, norm, perp_gradient
+from .transport import StepSizeError, Trajectory, _rk4, _shared_times, advect_scalar
 
 __all__ = [
     "FlowMap",
@@ -40,6 +45,7 @@ __all__ = [
     "flow_gap",
     "measure_preservation_defect",
     "backward_flow",
+    "inverse_flows",
     "inverse_flow_lipschitz",
     "pushforward_density",
     "paired_gap_series",
@@ -103,6 +109,28 @@ def _spline_values(coefs, x: np.ndarray, y: np.ndarray) -> tuple:
                                          prefilter=False).reshape(x.shape) for c in coefs)
 
 
+def _lagrange(times: np.ndarray, t: float, *series) -> tuple:
+    """Cubic Lagrange combination at time t of each series of per-sample
+    arrays: the 4-point stencil of the samples around t, accurate to
+    O(sample_interval^4). Times outside [times[0], times[-1]] raise."""
+    if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
+        raise ValueError(
+            f"t = {t} outside sample coverage [{times[0]}, {times[-1]}]"
+        )
+    j = int(np.searchsorted(times, t))
+    lo = max(0, min(j - 2, len(times) - 4))
+    hi = min(len(times), lo + 4)
+    out = tuple(np.zeros_like(s[0]) for s in series)
+    for i in range(lo, hi):
+        w = 1.0
+        for k in range(lo, hi):
+            if k != i:
+                w *= (t - times[k]) / (times[i] - times[k])
+        for acc, s in zip(out, series):
+            acc += w * s[i]
+    return out
+
+
 class TrajectoryVelocity:
     """Velocity provider backed by a Trajectory's potential samples.
 
@@ -125,31 +153,10 @@ class TrajectoryVelocity:
         self._fy = [_prefilter(u) for u in self._uy]
 
     def pair(self, t: float):
-        return self._combine(t, self._ux, self._uy)
+        return _lagrange(self._times, t, self._ux, self._uy)
 
     def filtered_pair(self, t: float):
-        return self._combine(t, self._fx, self._fy)
-
-    def _combine(self, t, xs, ys):
-        """Lagrange combination at time t of the per-sample arrays xs, ys."""
-        times = self._times
-        if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
-            raise ValueError(
-                f"t = {t} outside velocity coverage [{times[0]}, {times[-1]}]"
-            )
-        j = int(np.searchsorted(times, t))
-        lo = max(0, min(j - 2, len(times) - 4))
-        hi = min(len(times), lo + 4)
-        ux = np.zeros_like(xs[0])
-        uy = np.zeros_like(ys[0])
-        for i in range(lo, hi):
-            w = 1.0
-            for k in range(lo, hi):
-                if k != i:
-                    w *= (t - times[k]) / (times[i] - times[k])
-            ux += w * xs[i]
-            uy += w * ys[i]
-        return ux, uy
+        return _lagrange(self._times, t, self._fx, self._fy)
 
 
 class _FilteredLookup:
@@ -172,6 +179,13 @@ class _FilteredLookup:
         return _spline_values(entry, x, y)
 
 
+def _particle_limit(velocity_source, t: float) -> float:
+    """Largest particle step h/max|u(t)| under the provider's velocity
+    at time t, h the spacing of its grid."""
+    speed = float(np.max(np.hypot(*velocity_source.pair(t))))
+    return velocity_source.grid.h / max(speed, 1e-14)
+
+
 def advect_flow(velocity_source, labels: FlowMap, t0: float, t1: float, dt: float) -> FlowMap:
     """RK4 particle integration of d/dt X = u(t, X) from t0 to t1.
 
@@ -182,8 +196,7 @@ def advect_flow(velocity_source, labels: FlowMap, t0: float, t1: float, dt: floa
     if dt <= 0:
         raise ValueError("dt must be positive")
     lookup = _FilteredLookup(velocity_source)
-    h = 1.0 / velocity_source.grid.n
-    limit = h / max(float(np.max(np.hypot(*velocity_source.pair(t0)))), 1e-14)
+    limit = _particle_limit(velocity_source, t0)
     if dt > limit * (1 + 1e-12):
         raise StepSizeError(f"dt = {dt:.3e} exceeds particle CFL limit {limit:.3e}")
 
@@ -244,7 +257,8 @@ def measure_preservation_defect(flow: FlowMap) -> float:
 
 
 def backward_flow(velocity_source, times, m: int, dt: float) -> list[FlowMap]:
-    """Inverse flows X^{-1}(t, .) at the m x m cell centers, one per t in times.
+    """Inverse flows X^{-1}(t, .) at the m x m cell centers, one per t in times;
+    the particle reference of inverse_flows.
 
     One backward sweep from the latest t to 0: at each t the label grid
     joins a particle stack, which advect_flow moves on to the next
@@ -261,6 +275,55 @@ def backward_flow(velocity_source, times, m: int, dt: float) -> list[FlowMap]:
         x = np.concatenate([back.positions_x, lab.positions_x[None]])
         y = np.concatenate([back.positions_y, lab.positions_y[None]])
     return [FlowMap(m, levels[i], x[i], y[i]) for i in (levels.index(float(t)) for t in times)]
+
+
+def inverse_flows(traj: Trajectory, times, m: int, dt: float) -> list[FlowMap]:
+    """Inverse flows X^{-1}(t, .) of a run at the m x m cell centers, one per
+    t in times, from one forward pass of the back-to-labels map.
+
+    The displacement d(t, x) = X^{-1}(t, x) - x is periodic and solves
+    d_t + u . grad d = -u with d(0) = 0, u = perp grad psi. advect_scalar
+    steps (d_x, d_y) on half-spectra at dt, under the run's potential
+    half-spectra combined in time like TrajectoryVelocity's velocities;
+    one batched irfft2 per requested time reads d at the grid points that
+    are cell centers, so n/m must be an even integer. The maps keep
+    backward_flow's contract: unwrapped positions, the labels at t = 0,
+    and dt within the CFL limit h/max|u| (here over every sample).
+    """
+    n = traj.grid.n
+    if n % m or (n // m) % 2:
+        raise ValueError(f"n/m = {n}/{m} must be an even integer")
+    limit = traj.grid.h / max(max(s.max_speed for s in traj.states), 1e-14)
+    if dt > limit * (1 + 1e-12):
+        raise StepSizeError(f"dt = {dt:.3e} exceeds CFL limit {limit:.3e}")
+    levels = sorted({float(t) for t in times})
+    if levels and levels[0] < 0:
+        raise ValueError("times must be >= 0")
+    kern = kernel(n)
+    sample_times = np.asarray(traj.times, dtype=float)
+    pots = [s.potential.hat for s in traj.states]
+
+    @lru_cache(maxsize=1)  # each stage reads it twice, for u and for -u
+    def potential_at(t):
+        return _lagrange(sample_times, t, pots)[0]
+
+    def forcing_at(t):  # -u = (d_y psi, -d_x psi)
+        gx, gy = kern.grad * potential_at(t)
+        return gy, -gx
+
+    lab = label_flow(m)
+    cells = (slice(n // m // 2, None, n // m),) * 2
+    d = (np.zeros_like(pots[0]),) * 2
+    t = 0.0
+    maps = {}
+    for level in levels:
+        if level > t:
+            d = advect_scalar(d, potential_at, t, level, dt, forcing_at)
+            t = level
+        dx, dy = irfft2(np.stack(d))
+        maps[level] = FlowMap(m, level, lab.positions_x + dx[cells],
+                              lab.positions_y + dy[cells])
+    return [maps[float(t)] for t in times]
 
 
 def inverse_flow_lipschitz(back: FlowMap) -> float:
@@ -307,26 +370,23 @@ def pushforward_density(rho0: ScalarField, velocity_source, t: float,
 
 
 def paired_gap_series(traj_a: Trajectory, traj_b: Trajectory,
-                      m: int | None = None, dt: float | None = None,
-                      providers=None) -> GapSeries:
+                      m: int | None = None, dt: float | None = None) -> GapSeries:
     """Gap metrics between two runs sharing a grid, sample times and initial data.
 
     flow_gap advects both flows sample-to-sample; velocity_gap is
     ||grad(pot_a - pot_b)||_L2; hminus1_gap is ||rho_a - rho_b||_{H^-1}.
-    providers, when given, is the (TrajectoryVelocity(traj_a),
-    TrajectoryVelocity(traj_b)) pair a caller already holds.
+    With dt None, the particle step is half the first sample interval,
+    or within an interval the particle CFL limit of either flow at its
+    start, where that is smaller.
     """
     times = _shared_times(traj_a, traj_b)
     k = len(times)
     n = traj_a.grid.n
     if m is None:
         m = n // 2
-    if dt is None:
-        dt = float(times[1] - times[0]) / 2
+    half = float(times[1] - times[0]) / 2
 
-    if providers is None:
-        providers = TrajectoryVelocity(traj_a), TrajectoryVelocity(traj_b)
-    prov_a, prov_b = providers
+    prov_a, prov_b = TrajectoryVelocity(traj_a), TrajectoryVelocity(traj_b)
     fa = label_flow(m)
     fb = label_flow(m)
     fgap = [flow_gap(fa, fb)]
@@ -338,8 +398,11 @@ def paired_gap_series(traj_a: Trajectory, traj_b: Trajectory,
         vgap.append(norm(sa.potential - sb.potential, h1))
         hgap.append(norm(sa.rho - sb.rho, NormKind.Hminus1))
         if i + 1 < k:
-            fa = advect_flow(prov_a, fa, float(times[i]), float(times[i + 1]), dt)
-            fb = advect_flow(prov_b, fb, float(times[i]), float(times[i + 1]), dt)
+            t0, t1 = float(times[i]), float(times[i + 1])
+            step = dt if dt is not None else min(
+                half, _particle_limit(prov_a, t0), _particle_limit(prov_b, t0))
+            fa = advect_flow(prov_a, fa, t0, t1, step)
+            fb = advect_flow(prov_b, fb, t0, t1, step)
             fgap.append(flow_gap(fa, fb))
     return GapSeries(
         times=times,

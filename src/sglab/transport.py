@@ -509,27 +509,29 @@ def _retime(state: SimState, t: float) -> SimState:
 
 # --- passive scalars under a prescribed potential --------------------------
 
-def advect_scalar(sigma0: ScalarField, potential_at, t0: float, t1: float,
-                  dt: float, forcing_at=None) -> ScalarField:
-    """Integrate d_t sigma + u . grad sigma = f with u = perp grad of a
-    prescribed potential series; RK4 on half-spectra with the same
-    dealiased advection as the active models. forcing_at may be None
-    for pure transport."""
+def advect_scalar(parts: tuple, potential_at, t0: float, t1: float,
+                  dt: float, forcing_at=None) -> tuple:
+    """Integrate d_t s + u . grad s = f from t0 to t1 for each half-spectrum
+    part s, with u = perp grad of the prescribed potential half-spectrum
+    potential_at(t): RK4 on half-spectra with the active models' dealiased
+    advection, in equal steps of at most dt. forcing_at(t) returns one
+    forcing half-spectrum per part; None is pure transport. Each stage
+    takes one batched irfft2 of the potential's and every part's gradient
+    and one batched rfft2 of the products."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     steps = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
     h = (t1 - t0) / steps
-    kern = kernel(sigma0.grid.n)
+    kern = kernel(parts[0].shape[0])
 
     def deriv(tau, y):
-        out = -_advection_half(kern, potential_at(tau).hat, y[0])
+        grads = irfft2(kern.grad * np.stack((potential_at(tau),) + y)[:, None])
+        (px, py), rx, ry = grads[0], grads[1:, 0], grads[1:, 1]
+        out = -(kern.mask_half * rfft2(px * ry - py * rx))
         if forcing_at is not None:
-            out = out + forcing_at(tau).hat
-        return (out,)
+            out = out + np.stack(forcing_at(tau))
+        return tuple(out)
 
-    sigma = sigma0
-    t = t0
-    for _ in range(steps):
-        s0 = sigma.hat
-        (s1,) = _rk4(deriv, t, (s0,), h)
-        sigma = _advance(sigma, s0, s1)
-        t += h
-    return sigma
+    for k in range(steps):
+        parts = _rk4(deriv, t0 + k * h, parts, h)
+    return parts

@@ -389,6 +389,31 @@ class TestExperimentVerb:
         assert line.startswith("error: sg_eps0.043: elliptic_divergence at t=0.8")
         assert_failed_row(tmp_path / "corr_out", 0.043, "elliptic_divergence")
 
+    def test_fast_flow_gaps_step_within_the_particle_cfl_limit(self, tmp_path, capfd):
+        # half the sample interval, 0.05, exceeds the particle CFL limit of
+        # these fast flows (about 3.5e-2); the gap series steps within the
+        # limit instead, so only the eps 0.043 abort reaches stderr
+        out = tmp_path / "fast_out"
+        cfg = write_json(tmp_path / "fast.json", {
+            "kind": "stability", "eps_list": [0.043, 0.02, 0.01],
+            "base": {"n": 32, "t_final": 1, "sample_interval": 0.1,
+                     "initial_data": [[1, 1, 4.0, 0.0], [1, -1, 4.0, 0.0], [2, 1, 5.6, 0.0]],
+                     "output_dir": str(out)},
+        })
+        capfd.readouterr()
+        assert main(["experiment", "--config", cfg]) == EXIT_INFRA
+        (line,) = capfd.readouterr().err.splitlines()
+        assert line.startswith("error: sg_eps0.043: elliptic_divergence at t=0.8")
+        assert_failed_row(out, 0.043, "elliptic_divergence")
+        rows = {r["eps"]: r for r in json.loads((out / "report.json").read_text())["summary"]}
+        for eps in (0.02, 0.01):
+            assert rows[eps]["sup_velocity_gap"] > 0
+            records = [json.loads(s) for s in
+                       (out / f"sg_eps{eps}.ndjson").read_text().splitlines()]
+            assert len(records) == 11
+            assert all(r["flow_gap"] >= 0 for r in records)
+            assert records[-1]["flow_gap"] > 0
+
 
 class TestCheckVerb:
     def test_single_seed_suite(self, tmp_path, capsys):

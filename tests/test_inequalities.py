@@ -21,7 +21,7 @@ from sglab.inequalities import (
 )
 from sglab.config import RunConfig
 from sglab.spectral import NormKind, ScalarField, TorusGrid, norm
-from sglab.transport import advect_scalar
+from sglab.transport import _advance, advect_scalar
 
 
 @pytest.fixture(scope="module")
@@ -164,8 +164,14 @@ def test_forced_transport_zero_velocity_is_exact(grid):
 def test_forced_transport_matches_zero_velocity_advect_scalar(grid, gamma):
     f = random_field(grid, np.random.default_rng(52), gamma=gamma)
     zero = ScalarField.zeros(grid)
-    out = advect_scalar(zero, lambda t: zero, 0.0, ineq.FORCED_T, dt=0.05,
-                        forcing_at=lambda t: f)
+    # the check keeps its state on the grid, so each of its steps is one
+    # advect_scalar step followed by the check's grid update
+    h = ineq.FORCED_T / ineq.FORCED_STEPS
+    out = zero
+    for _ in range(ineq.FORCED_STEPS):
+        (s1,) = advect_scalar((out.hat,), lambda t: zero.hat, 0.0, h, dt=h,
+                              forcing_at=lambda t: (f.hat,))
+        out = _advance(out, out.hat, s1)
     ratio = float(norm(out - zero, NormKind.Hminus1)
                   / (ineq.FORCED_T * norm(f, NormKind.Hminus1)))
     assert check_forced_transport_constant(f).ratio == ratio
@@ -223,16 +229,16 @@ def test_suite_collects_checker_errors(monkeypatch):
 
 
 def test_one_round_suite_sweeps_to_the_first_sample_only(monkeypatch):
-    swept = []
-    original = ineq.backward_flow
+    mapped = []
+    original = ineq.inverse_flows
 
-    def recording(provider, times, m, dt):
-        swept.append(list(times))
-        return original(provider, times, m, dt)
+    def recording(traj, times, m, dt):
+        mapped.append(list(times))
+        return original(traj, times, m, dt)
 
-    monkeypatch.setattr(ineq, "backward_flow", recording)
+    monkeypatch.setattr(ineq, "inverse_flows", recording)
     rep = run_suite(2, count=1)
-    assert swept == [[0.05], [0.05]]
+    assert mapped == [[0.05], [0.05]]
     assert not rep.errors
     assert [r.name for r in rep.results].count("inv_gap") == 1
 

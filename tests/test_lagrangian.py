@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import field_from
 
+from sglab import inequalities as ineq
 from sglab.config import RunConfig
 from sglab.lagrangian import (
     FlowMap,
@@ -13,6 +14,7 @@ from sglab.lagrangian import (
     backward_flow,
     flow_gap,
     inverse_flow_lipschitz,
+    inverse_flows,
     label_flow,
     measure_preservation_defect,
     paired_gap_series,
@@ -252,6 +254,66 @@ def test_lookup_fills_each_level_once_and_keeps_two(euler128, monkeypatch):
     backward_flow(prov, [0.1, 0.2], m=16, dt=0.0125)
     assert sum(fills.values()) == 2 * (2 * 8 + 1) and len(fills) == 2 * 16 + 1
     assert max(sizes) == 2
+
+
+@pytest.fixture(scope="module", params=[0, 3])
+def bundle(request):
+    return ineq._Bundle(request.param, count=20)
+
+
+def test_inverse_flows_match_backward_sweep(bundle):
+    times = bundle.times[1:]
+    for traj in (bundle.sg, bundle.euler):
+        maps = inverse_flows(traj, times, ineq.FLOW_LABELS, ineq.FLOW_DT)
+        refs = backward_flow(TrajectoryVelocity(traj), times, ineq.FLOW_LABELS, ineq.FLOW_DT)
+        for got, ref in zip(maps, refs):
+            assert got.time == ref.time
+            assert np.max(np.abs(got.positions_x - ref.positions_x)) <= 1e-7
+            assert np.max(np.abs(got.positions_y - ref.positions_y)) <= 1e-7
+
+
+def test_forward_flow_undoes_the_inverse_map(bundle):
+    m, dt = ineq.FLOW_LABELS, ineq.FLOW_DT
+    lab = label_flow(m)
+    for traj in (bundle.sg, bundle.euler):
+        prov = TrajectoryVelocity(traj)
+        for back in inverse_flows(traj, [0.25, 0.5], m, dt):
+            start = FlowMap(m, 0.0, back.positions_x, back.positions_y)
+            there = advect_flow(prov, start, 0.0, back.time, dt)
+            assert np.max(np.abs(there.positions_x - lab.positions_x)) <= 1e-7
+            assert np.max(np.abs(there.positions_y - lab.positions_y)) <= 1e-7
+
+
+def test_inverse_flows_keep_the_backward_contract(euler128):
+    # unsorted, with a duplicate and t = 0, as backward_flow takes them
+    times = [0.3, 0.05, 0.3, 0.0, 0.15]
+    maps = inverse_flows(euler128, times, m=16, dt=0.0125)
+    refs = backward_flow(TrajectoryVelocity(euler128), times, m=16, dt=0.0125)
+    lab = label_flow(16)
+    assert [b.time for b in maps] == times
+    for got, ref in zip(maps, refs):
+        assert got.positions_x.shape == (16, 16)
+        assert np.max(np.abs(got.positions_x - ref.positions_x)) <= 1e-7
+        assert np.max(np.abs(got.positions_y - ref.positions_y)) <= 1e-7
+    assert np.array_equal(maps[3].positions_x, lab.positions_x)
+    assert np.array_equal(maps[0].positions_x, maps[2].positions_x)
+    with pytest.raises(ValueError, match=">= 0"):
+        inverse_flows(euler128, [0.1, -0.05], m=16, dt=0.0125)
+    with pytest.raises(ValueError, match="outside"):
+        inverse_flows(euler128, [1.5], m=16, dt=0.0125)
+    with pytest.raises(ValueError, match="positive"):
+        inverse_flows(euler128, [0.1], m=16, dt=0.0)
+    limit = euler128.grid.h / max(s.max_speed for s in euler128.states)
+    inverse_flows(euler128, [0.1], m=16, dt=limit)
+    with pytest.raises(StepSizeError):
+        inverse_flows(euler128, [0.1], m=16, dt=1.01 * limit)
+
+
+@pytest.mark.parametrize("m", [128, 43, 256])
+def test_inverse_flows_need_cell_centers_on_the_grid(euler128, m):
+    # n/m = 1 is odd, 128/43 and 1/2 are no integers
+    with pytest.raises(ValueError, match="even integer"):
+        inverse_flows(euler128, [0.1], m=m, dt=0.0125)
 
 
 def test_inverse_lipschitz_identity():

@@ -13,6 +13,7 @@ from sglab.spectral import (
     dealias,
     derivative,
     inv_laplacian,
+    irfft2,
     norm,
     perp_gradient,
 )
@@ -325,7 +326,10 @@ def test_advect_scalar_matches_scalarfield_reference():
         return (1 + t) * force
 
     for forcing in (None, forcing_at):
-        out = advect_scalar(sigma0, potential_at, 0.1, 0.4, dt=0.05, forcing_at=forcing)
+        (out_hat,) = advect_scalar(
+            (sigma0.hat,), lambda t: potential_at(t).hat, 0.1, 0.4, dt=0.05,
+            forcing_at=forcing and (lambda t: (forcing(t).hat,)))
+        out = ScalarField(g, irfft2(out_hat))
 
         def rate(t, y):
             r = -reference_advection(potential_at(t), y[0])
@@ -588,9 +592,10 @@ def test_advect_scalar_constant_forcing_zero_velocity():
     f = field_from(g, lambda x, y: np.sin(TWO_PI * y))
     sigma0 = field_from(g, lambda x, y: np.cos(TWO_PI * x))
     T = 0.7
-    out = advect_scalar(
-        sigma0, lambda t: zero_pot, 0.0, T, dt=0.1, forcing_at=lambda t: f
+    (out_hat,) = advect_scalar(
+        (sigma0.hat,), lambda t: zero_pot.hat, 0.0, T, dt=0.1, forcing_at=lambda t: (f.hat,)
     )
+    out = ScalarField(g, irfft2(out_hat))
     expect = sigma0 + T * f
     assert norm(out - expect, NormKind.L2) <= 1e-13
 
