@@ -186,6 +186,17 @@ def _cmd_load(args):
     return EXIT_OK
 
 
+def _seed(text):
+    """check's --seed: a non-negative int, as numpy's generators need."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse would print the usage and exit 2, the code of a failed
     # acceptance assertion; a usage error is bad input like a bad config
@@ -214,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.set_defaults(func=_cmd_experiment)
 
     chk = sub.add_parser("check", help="run the inequality suite for one seed")
-    chk.add_argument("--seed", type=int, default=0, help="suite seed (default 0)")
+    chk.add_argument("--seed", type=_seed, default=0, help="suite seed (default 0)")
     chk.add_argument("--out", help="optional directory for suite.ndjson")
     chk.set_defaults(func=_cmd_check)
 

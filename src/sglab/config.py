@@ -75,6 +75,8 @@ class RunConfig:
             raise ConfigError("key 'stop_on_exit': expected bool")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError("key 'seed': expected int")
+        if self.seed < 0:
+            raise ConfigError(f"key 'seed': must be >= 0, got {self.seed}")
         if not isinstance(self.output_dir, str):
             raise ConfigError("key 'output_dir': expected str")
         self._check_initial_data()

@@ -35,6 +35,7 @@ fixed spec and seed.
 """
 
 import csv
+import importlib
 import json
 import math
 import multiprocessing
@@ -563,6 +564,15 @@ _DRIVERS = {
     "inequalities": _run_inequalities,
 }
 
+# the scipy modules a driver's workers load on first use (particle flows,
+# the exact LP); imported before the pool forks, the workers inherit them
+# instead of each importing its own
+_WORKER_SCIPY = {
+    "stability": ("scipy.ndimage",),
+    "wasserstein": ("scipy.ndimage", "scipy.optimize", "scipy.sparse"),
+    "inequalities": ("scipy.ndimage",),
+}
+
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentReport:
     """Execute one experiment and evaluate its acceptance gates."""
@@ -571,6 +581,9 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentReport:
     if threads < 1:
         raise ValueError("threads must be >= 1")
     report = ExperimentReport(kind=spec.kind, eps_list=list(spec.eps_list))
+    if threads > 1:
+        for name in _WORKER_SCIPY.get(spec.kind, ()):
+            importlib.import_module(name)
     _DRIVERS[spec.kind](spec, threads, report)
     return _finalize(report)
 

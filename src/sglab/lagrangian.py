@@ -375,16 +375,15 @@ def paired_gap_series(traj_a: Trajectory, traj_b: Trajectory,
 
     flow_gap advects both flows sample-to-sample; velocity_gap is
     ||grad(pot_a - pot_b)||_L2; hminus1_gap is ||rho_a - rho_b||_{H^-1}.
-    With dt None, the particle step is half the first sample interval,
-    or within an interval the particle CFL limit of either flow at its
-    start, where that is smaller.
+    With dt None, each sample interval takes one RK4 step, or steps at
+    the particle CFL limit of either flow at the interval's start where
+    that is smaller.
     """
     times = _shared_times(traj_a, traj_b)
     k = len(times)
     n = traj_a.grid.n
     if m is None:
         m = n // 2
-    half = float(times[1] - times[0]) / 2
 
     prov_a, prov_b = TrajectoryVelocity(traj_a), TrajectoryVelocity(traj_b)
     fa = label_flow(m)
@@ -400,7 +399,7 @@ def paired_gap_series(traj_a: Trajectory, traj_b: Trajectory,
         if i + 1 < k:
             t0, t1 = float(times[i]), float(times[i + 1])
             step = dt if dt is not None else min(
-                half, _particle_limit(prov_a, t0), _particle_limit(prov_b, t0))
+                t1 - t0, _particle_limit(prov_a, t0), _particle_limit(prov_b, t0))
             fa = advect_flow(prov_a, fa, t0, t1, step)
             fb = advect_flow(prov_b, fb, t0, t1, step)
             fgap.append(flow_gap(fa, fb))

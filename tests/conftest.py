@@ -1,8 +1,12 @@
 """Shared pytest plumbing: collected acceptance verdicts are printed
 as one block after the normal test summary, property tests draw the
-same Hypothesis examples on every run, and `field_from` samples a
-function on a grid."""
+same Hypothesis examples on every run, `field_from` samples a
+function on a grid, and `bundle` is the inequality suite's trajectory
+bundle of seeds 0 and 3, built once per session."""
 
+import pytest
+
+from sglab.inequalities import _Bundle
 from sglab.spectral import ScalarField
 
 try:
@@ -21,6 +25,11 @@ _ACCEPTANCE = []
 def field_from(grid, fn):
     """The field of fn(x, y) sampled at the grid points."""
     return ScalarField(grid, fn(*grid.points()))
+
+
+@pytest.fixture(scope="session", params=[0, 3])
+def bundle(request):
+    return _Bundle(request.param, count=20)
 
 
 def record_acceptance(number, name, passed, detail=""):

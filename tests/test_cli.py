@@ -390,9 +390,9 @@ class TestExperimentVerb:
         assert_failed_row(tmp_path / "corr_out", 0.043, "elliptic_divergence")
 
     def test_fast_flow_gaps_step_within_the_particle_cfl_limit(self, tmp_path, capfd):
-        # half the sample interval, 0.05, exceeds the particle CFL limit of
-        # these fast flows (about 3.5e-2); the gap series steps within the
-        # limit instead, so only the eps 0.043 abort reaches stderr
+        # the sample interval, 0.1, exceeds the particle CFL limit of these
+        # fast flows (about 3.5e-2); the gap series steps within the limit
+        # instead, so only the eps 0.043 abort reaches stderr
         out = tmp_path / "fast_out"
         cfg = write_json(tmp_path / "fast.json", {
             "kind": "stability", "eps_list": [0.043, 0.02, 0.01],
@@ -426,6 +426,18 @@ class TestCheckVerb:
         rec = json.loads(lines[0])
         assert set(rec) == {"name", "ratio", "bound", "passed", "seed", "digest"}
         assert rec["seed"] == 3
+
+    @pytest.mark.parametrize("verb", ["check", "experiment"])
+    def test_negative_seed_is_named(self, tmp_path, capsys, verb):
+        cfg = write_json(tmp_path / "ineq.json", {"kind": "inequalities"})
+        argv = {"check": ["check"], "experiment": ["experiment", "--config", cfg]}[verb]
+        out = tmp_path / "chk"
+        assert main(argv + ["--seed", "-2", "--out", str(out)]) == EXIT_INFRA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert "seed" in captured.err and "got -2" in captured.err
+        assert not (out / "suite.ndjson").exists()
 
 
 class TestDumpLoad:

@@ -36,7 +36,7 @@ run_objects = st.fixed_dictionaries({}, optional={
     "initial_data": (st.sampled_from(["default", "steep", "shear"])
                      | st.lists(mode_row.map(list), min_size=1, max_size=6)),
     "stop_on_exit": st.booleans(),
-    "seed": st.integers(),
+    "seed": st.integers(min_value=0),
     "output_dir": st.text(),
 })
 
@@ -132,3 +132,24 @@ def test_corrupt_config_exits_3(text):
         path.write_text(text, encoding="utf-8")
         for verb in ("run", "experiment", "dump"):
             assert main([verb, "--config", str(path), "--out", tmp]) == EXIT_INFRA
+
+
+# numpy's generators take no negative seed; a config must say which key is
+# wrong before any run starts, not end in numpy's bare message
+@pytest.mark.parametrize("obj", [
+    {"seed": -1},
+    {"kind": "inequalities", "base": {"seed": -3}},
+    {"kind": "stability", "eps_list": [0.04, 0.02, 0.01], "base": {"seed": -1}},
+])
+def test_negative_seed_is_named(obj, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=r"key 'seed': must be >= 0, got -\d"):
+        parse_config(json.dumps(obj))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    verb = "experiment" if "kind" in obj else "run"
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(path), "--out", str(out)]) == EXIT_INFRA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "key 'seed'" in err
+    assert not out.exists()

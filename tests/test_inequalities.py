@@ -20,6 +20,7 @@ from sglab.inequalities import (
     run_suite,
 )
 from sglab.config import RunConfig
+from sglab.lagrangian import inverse_flows, paired_gap_series
 from sglab.spectral import NormKind, ScalarField, TorusGrid, norm
 from sglab.transport import _advance, advect_scalar
 
@@ -268,3 +269,26 @@ def test_bundle_reads_euler_from_its_corrector_run(monkeypatch):
         assert mine.model == ref.model and mine.eps == ref.eps
         for name in ("rho", "potential"):
             assert getattr(mine, name).values.tobytes() == getattr(ref, name).values.tobytes()
+
+
+# The bundle's flows take one RK4 step per sample interval, about 1/14 of
+# their particle CFL limit; a quarter interval must not move what they measure.
+def test_bundle_flow_gaps_converged_at_one_step_per_interval(bundle):
+    fine = paired_gap_series(bundle.sg, bundle.euler, m=ineq.FLOW_LABELS,
+                             dt=ineq.BUNDLE_INTERVAL / 4)
+    got, ref = bundle.gaps.flow_gap, fine.flow_gap
+    assert got[0] == ref[0] == 0.0
+    assert np.all(np.abs(got[1:] - ref[1:]) <= 1e-10 * ref[1:])  # measured 8.7e-12
+
+
+def test_bundle_inverse_flows_converged_at_one_step_per_interval(bundle):
+    idxs = sorted(bundle.backward)
+    for side, traj in enumerate((bundle.sg, bundle.euler)):
+        fine = inverse_flows(traj, bundle.times[idxs], ineq.FLOW_LABELS,
+                             ineq.BUNDLE_INTERVAL / 4)
+        for i, ref in zip(idxs, fine, strict=True):
+            got = bundle.backward[i][side]
+            assert got.time == ref.time
+            for a, b in ((got.positions_x, ref.positions_x),
+                         (got.positions_y, ref.positions_y)):
+                assert np.max(np.abs(a - b)) <= 1e-11  # measured 6e-13

@@ -256,16 +256,12 @@ def test_lookup_fills_each_level_once_and_keeps_two(euler128, monkeypatch):
     assert max(sizes) == 2
 
 
-@pytest.fixture(scope="module", params=[0, 3])
-def bundle(request):
-    return ineq._Bundle(request.param, count=20)
-
-
 def test_inverse_flows_match_backward_sweep(bundle):
     times = bundle.times[1:]
+    m, dt = ineq.FLOW_LABELS, ineq.BUNDLE_INTERVAL
     for traj in (bundle.sg, bundle.euler):
-        maps = inverse_flows(traj, times, ineq.FLOW_LABELS, ineq.FLOW_DT)
-        refs = backward_flow(TrajectoryVelocity(traj), times, ineq.FLOW_LABELS, ineq.FLOW_DT)
+        maps = inverse_flows(traj, times, m, dt)
+        refs = backward_flow(TrajectoryVelocity(traj), times, m, dt)
         for got, ref in zip(maps, refs):
             assert got.time == ref.time
             assert np.max(np.abs(got.positions_x - ref.positions_x)) <= 1e-7
@@ -273,7 +269,7 @@ def test_inverse_flows_match_backward_sweep(bundle):
 
 
 def test_forward_flow_undoes_the_inverse_map(bundle):
-    m, dt = ineq.FLOW_LABELS, ineq.FLOW_DT
+    m, dt = ineq.FLOW_LABELS, ineq.BUNDLE_INTERVAL
     lab = label_flow(m)
     for traj in (bundle.sg, bundle.euler):
         prov = TrajectoryVelocity(traj)
@@ -377,6 +373,29 @@ def test_paired_gap_series_self_is_zero(euler128):
     assert np.all(gs.hminus1_gap == 0.0)
     assert gs.flow_gap[0] == 0.0
     assert len(gs.times) == len(gs.flow_gap)
+
+
+def test_default_gap_step_is_the_sample_interval(euler128, monkeypatch):
+    # these flows are slow (particle CFL limit 0.075 at n=128), so the
+    # default takes one RK4 step per 0.05 interval; a quarter of that
+    # moves the flow gaps by about 2.6e-8 relative
+    from sglab import lagrangian
+
+    sg = run_simulation(RunConfig(n=128, model="SGeps", eps=0.04, t_final=1.0,
+                                  sample_interval=0.05))
+    steps = []
+
+    def recording(prov, labels, t0, t1, dt):
+        steps.append(dt / (t1 - t0))
+        return advect_flow(prov, labels, t0, t1, dt)
+
+    monkeypatch.setattr(lagrangian, "advect_flow", recording)
+    coarse = paired_gap_series(sg, euler128)
+    assert len(steps) == 2 * 20 and all(abs(r - 1.0) < 1e-9 for r in steps)
+    fine = paired_gap_series(sg, euler128, dt=0.0125)
+    assert coarse.flow_gap[0] == fine.flow_gap[0] == 0.0
+    assert np.all(np.abs(coarse.flow_gap - fine.flow_gap) <= 1e-6 * fine.flow_gap)
+    assert np.array_equal(coarse.velocity_gap, fine.velocity_gap)
 
 
 def test_paired_gap_series_grid_mismatch():
