@@ -8,7 +8,7 @@ fieldio       binary field dumps and checkpoints
 elliptic      Monge-Ampere-corrected Poisson solver, corrector solver,
               determinant algebra, bootstrap monitor
 transport     RK4 time integration of Euler / SG / corrector systems
-lagrangian    particle flow maps, flow gaps, pushforwards
+lagrangian    particle flow maps, paired-run gap series, Eulerian inverse flows
 wasserstein   torus W2 distances (Sinkhorn + exact LP oracle), Gronwall bound
 inequalities  randomized checkers for every supporting functional estimate
 config        run/experiment configuration parsing

@@ -113,7 +113,10 @@ def _cmd_experiment(args):
     aborted = [(tag, traj) for tag, traj in report.runs.items() if _exit_code(traj) != EXIT_OK]
     for tag, traj in aborted:
         print(f"error: {tag}: {traj.exit_reason} at t={traj.exit_time:g}", file=sys.stderr)
-    if aborted:
+    errors = [r for r in report.summary_rows if r["error"]]
+    for row in errors:
+        print(f"error: eps{row['eps']!r}: {row['error']}", file=sys.stderr)
+    if aborted or errors:
         return EXIT_INFRA
     if report.failed_assertions():
         return EXIT_ASSERTION

@@ -18,9 +18,10 @@ Five experiment kinds share one harness:
   inequalities  delegates to the randomized checker suite.
 
 Each eps driver maps one worker over eps_list, smallest eps first: it does
-all of one eps's work and returns its summary row and runs. The parent
-runs only the Euler reference (each worker gets a copy), the fits across
-eps and the merge in eps_list order.
+all of one eps's work and returns its summary row and runs. An error the
+datum causes there becomes that eps's failed row and keeps its finished
+runs. The parent runs only the Euler reference (each worker gets a copy),
+the fits across eps and the merge in eps_list order.
 
 Slope fits use ordinary least squares on log eps vs log metric and only
 include runs that stayed inside the bootstrap window the whole way; the
@@ -82,9 +83,14 @@ CONSISTENCY_TOL = 1e-10
 RICCATI_R2_MIN = 0.9
 
 # the per-eps columns summary.csv and report.json write; a row also
-# carries the fit inputs in_window and metric, which stay internal
+# carries the fit inputs in_window and metric, and a worker's datum
+# error, which stay internal
 SUMMARY_COLUMNS = ("eps", "sup_velocity_gap", "sup_w2", "exit_time", "slope",
                    "slope_stderr", "status")
+
+# what a datum can raise in a per-eps worker besides a run's elliptic
+# exits: a negative physical density, a stalled Sinkhorn solve, a failed LP
+DATUM_ERRORS = (ValueError, RuntimeError, ArithmeticError)
 
 LIFESPAN_NOTE = (
     "The eps^-1 * log log(1/eps) lifespan asymptotic is not reproducible at "
@@ -167,8 +173,8 @@ def riccati_fit(times, y_values):
 # ------------------------------------------------------------- helpers
 
 def _fresh_row(eps):
-    return dict.fromkeys(SUMMARY_COLUMNS) | {"eps": eps, "status": "ok",
-                                             "in_window": False, "metric": None}
+    return dict.fromkeys(SUMMARY_COLUMNS) | {"eps": eps, "status": "ok", "in_window": False,
+                                             "metric": None, "error": None}
 
 
 _worker = {}  # in a forked pool worker, "fn": the function it maps, set by its initializer
@@ -263,18 +269,32 @@ def _finalize(report):
     return report
 
 
+def _guarded(worker, *args):
+    """worker(*args, runs) -> (row, extra) as (row, runs, extra), the worker
+    adding each run to runs as it finishes. A datum error becomes a failed
+    row with extra None that keeps the finished runs; others propagate."""
+    runs = {}
+    try:
+        row, extra = worker(*args, runs)
+    except DATUM_ERRORS as err:
+        row, extra = _fresh_row(args[-1]), None
+        row["error"] = f"{type(err).__name__}: {err}"
+        row["status"] = f"failed: {row['error']}"
+    return row, runs, extra
+
+
 def _per_eps(spec, threads, report, worker, *args):
-    """Map worker(spec.base, *args, eps) -> (row, runs, extra) over
-    eps_list, add each row and its runs to the report in eps_list order,
-    and return the extras in that order.
+    """Map worker(spec.base, *args, eps, runs) -> (row, extra) over
+    eps_list through _guarded, add each row and its runs to the report in
+    eps_list order, and return the extras in that order.
 
     The smallest eps goes out first: it lives longest in a lifespan run,
     and a wasserstein worker calibrates every W2 time of a run that stays
     inside the bootstrap window, which small eps do.
     """
     ascending = sorted(spec.eps_list)
-    done = dict(zip(ascending, _map_runs(ascending, partial(worker, spec.base, *args),
-                                         threads)))
+    done = dict(zip(ascending, _map_runs(ascending, partial(_guarded, worker, spec.base,
+                                                            *args), threads)))
     extras = []
     for eps in spec.eps_list:
         row, runs, extra = done[eps]
@@ -293,10 +313,10 @@ def _euler_reference(spec, report):
     return euler
 
 
-def _stability_one(base, euler, eps):
+def _stability_one(base, euler, eps, runs):
     """One eps of the stability experiment: the SG run, with its gaps to
     the Euler reference patched into its records."""
-    traj = _run_model(base, "SGeps", eps)
+    traj = runs[f"sg_eps{_eps_tag(eps)}"] = _run_model(base, "SGeps", eps)
     row = _fresh_row(eps)
     if traj.exit_reason is not None:
         row["status"] = f"failed: {traj.exit_reason}"
@@ -310,7 +330,7 @@ def _stability_one(base, euler, eps):
         row["metric"] = row["sup_velocity_gap"] = float(np.max(gaps.velocity_gap))
         if not row["in_window"]:
             row["status"] = "outside_window"
-    return row, {f"sg_eps{_eps_tag(eps)}": traj}, None
+    return row, None
 
 
 def _run_stability(spec, threads, report):
@@ -330,14 +350,14 @@ def _w2_sample_indices(times):
             or abs(t - round(t / W2_SAMPLE_SPACING) * W2_SAMPLE_SPACING) <= 1e-9]
 
 
-def _wasserstein_one(base, euler, eps):
+def _wasserstein_one(base, euler, eps, runs):
     """One eps of the wasserstein experiment: the stability worker's work,
     then the Gronwall bound and the W2 stream. Its extra is (stream,
     calibration rows, bound-check rows), None for a failed run."""
-    row, runs, _ = _stability_one(base, euler, eps)
+    row, _ = _stability_one(base, euler, eps, runs)
     (traj,) = runs.values()
     if traj.exit_reason is not None:
-        return row, runs, None
+        return row, None
     bound = gronwall_w2_bound(traj, euler)
     idxs = _w2_sample_indices(traj.times)
     stream, calibration, w2_check = [], [], []
@@ -390,7 +410,7 @@ def _wasserstein_one(base, euler, eps):
     row["sup_w2"] = max((r["w2"] for r in stream), default=None)
     final = [r for r in stream if abs(r["t"] - base.t_final) <= 1e-9]
     row["metric"] = final[-1]["w2"] if final and final[-1]["w2"] > 0 else None
-    return row, runs, (stream, calibration, w2_check)
+    return row, (stream, calibration, w2_check)
 
 
 def _run_wasserstein(spec, threads, report):
@@ -434,16 +454,16 @@ def _consistency_residual(corr_state, eps):
     return float(np.max(np.abs((direct - closed).values)))
 
 
-def _corrector_one(base, eps):
+def _corrector_one(base, eps, runs):
     """One eps of the corrector experiment: the SG and Corrector runs and
     the H^1 gap to the corrected potential. Its extra is the largest
-    consistency residual, 0.0 for a failed run."""
-    sg, corr = _run_model(base, "SGeps", eps), _run_model(base, "Corrector", eps)
+    consistency residual, None for a failed run."""
+    sg = runs[f"sg_eps{_eps_tag(eps)}"] = _run_model(base, "SGeps", eps)
+    corr = runs[f"corrector_eps{_eps_tag(eps)}"] = _run_model(base, "Corrector", eps)
     row = _fresh_row(eps)
-    runs = {f"sg_eps{_eps_tag(eps)}": sg, f"corrector_eps{_eps_tag(eps)}": corr}
     if sg.exit_reason is not None or corr.exit_reason is not None:
         row["status"] = f"failed: {sg.exit_reason or corr.exit_reason}"
-        return row, runs, 0.0
+        return row, None
     gaps = []
     for s_sg, s_c in zip(sg.states, corr.states):
         corrected = s_c.background.potential + eps * s_c.potential
@@ -452,11 +472,12 @@ def _corrector_one(base, eps):
     row["in_window"] = _stayed_inside(sg)
     if not row["in_window"]:
         row["status"] = "outside_window"
-    return row, runs, max(_consistency_residual(s, eps) for s in corr.states)
+    return row, max(_consistency_residual(s, eps) for s in corr.states)
 
 
 def _run_corrector(spec, threads, report):
-    worst_resid = max(_per_eps(spec, threads, report, _corrector_one))
+    worst_resid = max((r for r in _per_eps(spec, threads, report, _corrector_one)
+                       if r is not None), default=0.0)
     report.extras["consistency_residual"] = worst_resid
     _apply_fit(report, "corrector_slope")
     report.assertions.append({
@@ -468,11 +489,12 @@ def _run_corrector(spec, threads, report):
 
 # ------------------------------------------------------------- lifespan
 
-def _lifespan_one(base, eps):
+def _lifespan_one(base, eps, runs):
     """One eps of the lifespan experiment: the run to its bootstrap exit,
     its Hoelder-norm series and the Riccati fit to it. Its extra is
     (times, series, fit), fit None below four samples."""
-    traj = _run_model(base, "SGeps", eps, stop_on_exit=True)
+    traj = runs[f"lifespan_eps{_eps_tag(eps)}"] = _run_model(base, "SGeps", eps,
+                                                            stop_on_exit=True)
     y = [s.calpha for s in traj.states]
     row = _fresh_row(eps)
     if traj.exit_reason == "bootstrap_exit":
@@ -487,12 +509,13 @@ def _lifespan_one(base, eps):
         fit = {"C": c, "stderr": stderr, "r2": r2}
         row["slope"] = c
         row["slope_stderr"] = stderr
-    return row, {f"lifespan_eps{_eps_tag(eps)}": traj}, (list(traj.times), y, fit)
+    return row, (list(traj.times), y, fit)
 
 
 def _run_lifespan(spec, threads, report):
     report.notes.append(LIFESPAN_NOTE)
-    series = dict(zip(spec.eps_list, _per_eps(spec, threads, report, _lifespan_one)))
+    series = {e: s for e, s in zip(spec.eps_list, _per_eps(spec, threads, report,
+                                                           _lifespan_one)) if s is not None}
     report.notes += [f"eps = {r['eps']} never left the bootstrap window by "
                      f"t = {spec.base.t_final}; raise t_final"
                      for r in report.summary_rows if r["status"] == "no_exit"]

@@ -71,7 +71,6 @@ __all__ = [
     "run_suite",
     "FIELD_CHECKS",
     "BUNDLE_CHECKS",
-    "CHECKER_NAMES",
 ]
 
 BUNDLE_EPS = 0.05
@@ -558,9 +557,6 @@ BUNDLE_CHECKS = {
     "l2_stab_hm": _check_l2_stab_hm,
     "forced_transport_flow": _check_forced_transport_flow,
 }
-
-CHECKER_NAMES = tuple(FIELD_CHECKS) + tuple(BUNDLE_CHECKS)
-
 
 def run_suite(seed: int, count: int = 20) -> SuiteReport:
     """Run every registered checker count times with one seeded stream.

@@ -245,12 +245,16 @@ def initial_data_field(grid: TorusGrid, spec) -> ScalarField:
 
 # --- stage algebra ---------------------------------------------------------
 
-def _advection_half(kern, pot_hat: np.ndarray, rho_hat: np.ndarray) -> np.ndarray:
-    """Half-spectrum of the dealiased u . grad rho for u = perp grad potential:
-    4 inverse transforms (two batched irfft2 calls) and 1 masked rfft2."""
+def _advection(kern, pot_hat: np.ndarray, parts) -> list:
+    """Half-spectra of the dealiased -u . grad s for each half-spectrum part
+    s, u = perp grad pot_hat: one 2-stack irfft2 of the potential's
+    gradient, then per part one 2-stack irfft2 and one masked rfft2."""
     px, py = irfft2(kern.grad * pot_hat)
-    rx, ry = irfft2(kern.grad * rho_hat)
-    return kern.mask_half * rfft2(px * ry - py * rx)
+    out = []
+    for s in parts:
+        sx, sy = irfft2(kern.grad * s)
+        out.append(-(kern.mask_half * rfft2(px * sy - py * sx)))
+    return out
 
 
 # each model's parts, background first; a half-spectrum state y holds one
@@ -291,9 +295,9 @@ def _equations(model: str, eps: float, n: int, start=None):
             return (poisson(y[0]),)
 
     def rates(y, pots):
-        out = [-_advection_half(kern, pots[0], r) for r in y]
+        out = _advection(kern, pots[0], y)
         if model == "Corrector":
-            out[1] = out[1] - _advection_half(kern, pots[1], y[0])
+            out[1] = out[1] + _advection(kern, pots[1], y[:1])[0]
         return tuple(out)
 
     return potentials, rates
@@ -514,10 +518,8 @@ def advect_scalar(parts: tuple, potential_at, t0: float, t1: float,
     """Integrate d_t s + u . grad s = f from t0 to t1 for each half-spectrum
     part s, with u = perp grad of the prescribed potential half-spectrum
     potential_at(t): RK4 on half-spectra with the active models' dealiased
-    advection, in equal steps of at most dt. forcing_at(t) returns one
-    forcing half-spectrum per part; None is pure transport. Each stage
-    takes one batched irfft2 of the potential's and every part's gradient
-    and one batched rfft2 of the products."""
+    advection, `_advection`, in equal steps of at most dt. forcing_at(t)
+    returns one forcing half-spectrum per part; None is pure transport."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     steps = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
@@ -525,11 +527,9 @@ def advect_scalar(parts: tuple, potential_at, t0: float, t1: float,
     kern = kernel(parts[0].shape[0])
 
     def deriv(tau, y):
-        grads = irfft2(kern.grad * np.stack((potential_at(tau),) + y)[:, None])
-        (px, py), rx, ry = grads[0], grads[1:, 0], grads[1:, 1]
-        out = -(kern.mask_half * rfft2(px * ry - py * rx))
+        out = _advection(kern, potential_at(tau), y)
         if forcing_at is not None:
-            out = out + np.stack(forcing_at(tau))
+            out = [a + f for a, f in zip(out, forcing_at(tau))]
         return tuple(out)
 
     for k in range(steps):

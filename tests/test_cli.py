@@ -371,6 +371,32 @@ class TestExperimentVerb:
             assert files["1"][name] == (ref / name).read_bytes()
         assert "w2_eps3.0.ndjson" not in files["1"]
 
+    def test_datum_error_in_a_worker_is_a_failed_row(self, tmp_path, capfd):
+        # 1 + eps * rho of the shear datum (amplitude 4 pi^2) is negative at
+        # eps 0.03, so that worker's W2 densities raise ValueError after its
+        # SG run finished; eps 0.002 and 0.001 keep their rows and streams.
+        # eps 0.002 leaves the bootstrap window (eps ||grad rho|| = 0.50)
+        cfg = write_json(tmp_path / "neg.json", {
+            "kind": "wasserstein", "eps_list": [0.03, 0.002, 0.001],
+            "base": {"n": 32, "t_final": 0.1, "sample_interval": 0.05,
+                     "initial_data": "shear"}})
+        reason = "ValueError: 1 + eps*rho reaches -1.844e-01 < 0; density is not a measure"
+        files = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            capfd.readouterr()
+            assert main(["experiment", "--config", cfg, "--out", str(out),
+                         "--threads", threads]) == EXIT_INFRA
+            assert capfd.readouterr().err == f"error: eps0.03: {reason}\n"
+            assert_failed_row(out, 0.03, reason)
+            files[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert files["1"] == files["2"]
+        assert {"report.json", "summary.csv", "sg_eps0.03.ndjson"} <= set(files["1"])
+        rows = {r["eps"]: r["status"] for r in
+                json.loads((out / "report.json").read_text())["summary"]}
+        assert rows == {0.03: f"failed: {reason}", 0.002: "outside_window", 0.001: "ok"}
+        assert {"w2_eps0.002.ndjson", "w2_eps0.001.ndjson"} <= set(files["1"])
+
     def test_mid_run_abort_outranks_a_failed_gate(self, tmp_path, capfd):
         # the eps 0.043 SG run diverges near t = 0.88 (see
         # test_divergence_mid_run_leaves_partial_ndjson), and too few runs

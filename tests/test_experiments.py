@@ -266,6 +266,27 @@ class TestWorkerPool:
             _map_runs([0, 1, 2], _raise_on_odd, threads=2)
         assert exc.value.marginal_error == 0.5
 
+    @pytest.mark.parametrize("err", [W2ConvergenceError("stalled", 0.5),
+                                     ValueError("negative density"),
+                                     ZeroDivisionError("division by zero")])
+    def test_datum_error_becomes_a_failed_row_that_keeps_its_runs(self, err):
+        def worker(eps, runs):
+            runs["sg"] = "finished run"
+            raise err
+
+        row, runs, extra = experiments._guarded(worker, 0.03)
+        name = type(err).__name__
+        assert row["status"] == f"failed: {name}: {err}" and row["eps"] == 0.03
+        assert runs == {"sg": "finished run"} and extra is None
+
+    @pytest.mark.parametrize("err", [TypeError("bad call"), AttributeError("no field")])
+    def test_programming_error_in_a_worker_propagates(self, err):
+        def worker(eps, runs):
+            raise err
+
+        with pytest.raises(type(err)):
+            experiments._guarded(worker, 0.03)
+
     def test_worker_function_reaches_forked_workers_unpickled(self):
         # the pool hands fn to each worker once, through its initializer;
         # under fork that is inherited, so fn itself never pickles

@@ -7,7 +7,6 @@ import pytest
 
 import sglab.inequalities as ineq
 from sglab.inequalities import (
-    CHECKER_NAMES,
     CheckResult,
     check_det_expansion,
     check_det_lipschitz,
@@ -23,6 +22,9 @@ from sglab.config import RunConfig
 from sglab.lagrangian import inverse_flows, paired_gap_series
 from sglab.spectral import NormKind, ScalarField, TorusGrid, norm
 from sglab.transport import _advance, advect_scalar
+
+# every registered checker, in run_suite's order
+CHECKER_NAMES = tuple(ineq.FIELD_CHECKS) + tuple(ineq.BUNDLE_CHECKS)
 
 
 @pytest.fixture(scope="module")

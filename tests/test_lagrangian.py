@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from conftest import field_from
+from reference import measure_preservation_defect, pushforward_density
 
 from sglab import inequalities as ineq
 from sglab.config import RunConfig
@@ -16,9 +17,7 @@ from sglab.lagrangian import (
     inverse_flow_lipschitz,
     inverse_flows,
     label_flow,
-    measure_preservation_defect,
     paired_gap_series,
-    pushforward_density,
 )
 from sglab.spectral import NormKind, ScalarField, TorusGrid, norm
 from sglab.transport import StepSizeError, run_simulation

@@ -427,17 +427,11 @@ def test_stage_solves_start_from_the_poisson_predictor(monkeypatch):
     assert sum(sweeps) / len(sweeps) <= 4.5
 
 
-def test_sg_step_transform_count(monkeypatch):
-    # one n=64 steep eps 0.2 SG step from t = 0. Its four stage solves take
-    # 5/4/5/3 sweeps, each sweep one determinant (rfft2) of one Hessian
-    # (3-stack irfft2), the converged iterate neither; four advection
-    # rates take 2 gradients (2-stack irfft2) and one rfft2 each; the CFL
-    # speed is a 2-stack irfft2; the increment and the new potential one
-    # irfft2 each; the state's potential half-spectrum one rfft2
-    from collections import Counter
+def _counted_transforms(monkeypatch) -> list:
+    """A list that gathers (name, shape) of every rfft2/irfft2 call."""
     from sglab import elliptic, spectral, transport
 
-    calls, sweeps = [], []
+    calls = []
 
     def counting(fn):
         def wrapper(a):
@@ -449,6 +443,20 @@ def test_sg_step_transform_count(monkeypatch):
     for module in (spectral, elliptic, transport):
         for fn in kernels:
             monkeypatch.setattr(module, fn.__name__, counting(fn))
+    return calls
+
+
+def test_sg_step_transform_count(monkeypatch):
+    # one n=64 steep eps 0.2 SG step from t = 0. Its four stage solves take
+    # 5/4/5/3 sweeps, each sweep one determinant (rfft2) of one Hessian
+    # (3-stack irfft2), the converged iterate neither; four advection
+    # rates take 2 gradients (2-stack irfft2) and one rfft2 each; the CFL
+    # speed is a 2-stack irfft2; the increment and the new potential one
+    # irfft2 each; the state's potential half-spectrum one rfft2
+    from collections import Counter
+    from sglab import transport
+
+    calls, sweeps = _counted_transforms(monkeypatch), []
     picard = transport._picard
 
     def sweeping(*a, **k):
@@ -467,6 +475,27 @@ def test_sg_step_transform_count(monkeypatch):
                               ("irfft2", (3, 64, 33)): 17,
                               ("irfft2", (2, 64, 33)): 8 + 1,
                               ("irfft2", (64, 33)): 2}
+
+
+def test_corrector_step_transform_count(monkeypatch):
+    # one n=64 Corrector step from t = 0. Four rates each transform the
+    # gradients (2-stack irfft2) of phibar once and of rhobar and rho1
+    # once each, one rfft2 per part, then the gradients of phi1 and
+    # rhobar and one rfft2 for -u1 . grad rhobar: 5 and 3 per rate.
+    # Four stage solves each take one Hessian (3-stack irfft2) and one
+    # determinant (rfft2) of phibar; the CFL speed is a 2-stack irfft2;
+    # per part the increment and the new potential one irfft2 each and
+    # the state's potential half-spectrum one rfft2
+    from collections import Counter
+
+    calls = _counted_transforms(monkeypatch)
+    state = _initial_state(RunConfig(n=64, model="Corrector", eps=0.04, t_final=1.0))
+    calls.clear()
+    step_rk4(state, cfl_limit(state))
+    assert Counter(calls) == {("rfft2", (64, 64)): 12 + 4 + 2,
+                              ("irfft2", (3, 64, 33)): 4,
+                              ("irfft2", (2, 64, 33)): 20 + 1,
+                              ("irfft2", (64, 33)): 4}
 
 
 def test_final_time_not_on_lattice():
