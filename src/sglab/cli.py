@@ -19,8 +19,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, ExperimentSpec, RunConfig, parse_config
-from .experiments import SUITE_COUNT, _record_line, emit_report, run_experiment
-from .fieldio import load_field, read_checkpoint, write_checkpoint, write_text
+from .experiments import SUITE_COUNT, emit_report, run_experiment
+from .fieldio import load_field, read_checkpoint, write_checkpoint, write_table, write_text
 from .inequalities import run_suite
 from .spectral import NormKind, norm
 from .transport import run_simulation
@@ -57,7 +57,7 @@ def _write_run(out, cfg, traj):
     """Write run.ndjson (one record per sample) and run.json (summary)."""
     out.mkdir(parents=True, exist_ok=True)
     nd = out / "run.ndjson"
-    write_text(nd, "".join(_record_line(r) + "\n" for r in traj.diagnostics))
+    write_table(nd, [vars(r) for r in traj.diagnostics])
     last = traj.diagnostics[-1] if traj.diagnostics else None
     summary = {
         "model": cfg.model,
@@ -140,12 +140,9 @@ def _cmd_check(args):
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        lines = [json.dumps({"name": r.name, "ratio": r.ratio, "bound": r.bound,
-                             "passed": r.passed, "seed": r.seed,
-                             "digest": r.inputs_digest},
-                            separators=(",", ":"))
-                 for r in rep.results]
-        write_text(out / "suite.ndjson", "".join(s + "\n" for s in lines))
+        write_table(out / "suite.ndjson", [
+            {"name": r.name, "ratio": r.ratio, "bound": r.bound, "passed": r.passed,
+             "seed": r.seed, "digest": r.inputs_digest} for r in rep.results])
         print(f"wrote {out / 'suite.ndjson'}")
     if rep.errors:
         return EXIT_INFRA

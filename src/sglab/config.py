@@ -10,6 +10,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .transport import mode_rows
+
 __all__ = ["MODELS", "RunConfig", "ExperimentSpec", "parse_config", "ConfigError"]
 
 EXPERIMENT_KINDS = ("stability", "wasserstein", "corrector", "lifespan", "inequalities")
@@ -83,26 +85,24 @@ class RunConfig:
 
     def _check_initial_data(self):
         spec = self.initial_data
-        if isinstance(spec, str):
-            return
-        if not isinstance(spec, list) or not spec:
-            raise ConfigError(
-                "key 'initial_data': expected preset name or nonempty list of "
-                "[p, q, cos_coeff, sin_coeff] rows"
-            )
-        for row in spec:
-            if not isinstance(row, list) or len(row) != 4:
-                raise ConfigError(f"key 'initial_data': bad mode row {row!r}")
-            p, q, c, s = row
-            for v in row:
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ConfigError(f"key 'initial_data': non-numeric entry in {row!r}")
-                if not _is_finite(v):
-                    raise ConfigError("key 'initial_data': non-finite entry in a mode row")
-            if int(p) != p or int(q) != q:
-                raise ConfigError(f"key 'initial_data': mode indices must be integers in {row!r}")
-            if p == 0 and q == 0:
-                raise ConfigError("key 'initial_data': (0, 0) mode not allowed")
+        if not isinstance(spec, str):
+            if not isinstance(spec, list) or not spec:
+                raise ConfigError(
+                    "key 'initial_data': expected preset name or nonempty list of "
+                    "[p, q, cos_coeff, sin_coeff] rows"
+                )
+            for row in spec:
+                if not isinstance(row, list) or len(row) != 4:
+                    raise ConfigError(f"key 'initial_data': bad mode row {row!r}")
+                for v in row:
+                    if isinstance(v, bool) or not isinstance(v, (int, float)):
+                        raise ConfigError(f"key 'initial_data': non-numeric entry in {row!r}")
+                    if not _is_finite(v):
+                        raise ConfigError("key 'initial_data': non-finite entry in a mode row")
+        try:
+            mode_rows(self.n, spec)
+        except ValueError as err:
+            raise ConfigError(f"key 'initial_data': {err}") from None
 
 
 @dataclass

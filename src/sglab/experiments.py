@@ -30,12 +30,13 @@ variance over n - 2 degrees of freedom (reported as 0 when there are no
 spare degrees of freedom).
 
 Each driver evaluates its acceptance gates and stores them as assertion
-rows; emit_report writes per-run NDJSON diagnostics, a summary CSV, the
-plot-ready CSVs, and report.json. Outputs are byte-deterministic for a
-fixed spec and seed.
+rows, and puts the rows of every file it owns beyond the common ones
+(W2 streams, plot-ready CSVs, suite records) in report.tables. emit_report
+writes, for every kind alike, each run's NDJSON diagnostics, summary.csv,
+every table and report.json, all through fieldio. Outputs are
+byte-deterministic for a fixed spec and seed.
 """
 
-import csv
 import importlib
 import json
 import math
@@ -49,11 +50,11 @@ import numpy as np
 
 from .config import ExperimentSpec
 from .elliptic import cofactor_contract, hessian_det
-from .fieldio import atomic_open, write_text
+from .fieldio import json_value, write_table, write_text
 from .inequalities import SuiteReport, run_suite
 from .lagrangian import paired_gap_series
 from .spectral import NormKind, derivative, norm
-from .transport import DiagnosticsRecord, run_simulation
+from .transport import run_simulation
 from .wasserstein import (
     downsample,
     gronwall_w2_bound,
@@ -112,7 +113,7 @@ class ExperimentReport:
     assertions: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     runs: dict = field(default_factory=dict)  # tag -> Trajectory
-    w2_streams: dict = field(default_factory=dict)  # eps -> [row dicts]
+    tables: dict = field(default_factory=dict)  # file name -> rows (fieldio.write_table)
     extras: dict = field(default_factory=dict)
 
     def failed_assertions(self):
@@ -248,6 +249,9 @@ def _apply_fit(report, gate_name):
         "target": target,
         "tolerance": tol,
     }
+    report.tables["rate_loglog.csv"] = [("eps", "log_eps", "metric", "log_metric", "in_fit")] + [
+        (r["eps"], math.log(r["eps"]), r["metric"], math.log(r["metric"]), r in usable)
+        for r in rows if r["metric"]]
     excluded = [r["eps"] for r in rows if r not in usable]
     if excluded:
         report.notes.append(
@@ -333,8 +337,18 @@ def _stability_one(base, euler, eps, runs):
     return row, None
 
 
+def _gap_table(report):
+    """velocity_gap_vs_t.csv: the velocity gaps of the SG runs, by tag."""
+    rows = [(traj.eps, rec.t, rec.velocity_gap) for tag, traj in sorted(report.runs.items())
+            if tag.startswith("sg_eps") for rec in traj.diagnostics
+            if rec.velocity_gap is not None]
+    if rows:
+        report.tables["velocity_gap_vs_t.csv"] = [("eps", "t", "velocity_gap"), *rows]
+
+
 def _run_stability(spec, threads, report):
     _per_eps(spec, threads, report, _stability_one, _euler_reference(spec, report))
+    _gap_table(report)
     _apply_fit(report, "velocity_slope")
 
 
@@ -353,14 +367,15 @@ def _w2_sample_indices(times):
 def _wasserstein_one(base, euler, eps, runs):
     """One eps of the wasserstein experiment: the stability worker's work,
     then the Gronwall bound and the W2 stream. Its extra is (stream,
-    calibration rows, bound-check rows), None for a failed run."""
+    w2_vs_t.csv rows, calibration rows, bound-check rows), None for a
+    failed run."""
     row, _ = _stability_one(base, euler, eps, runs)
     (traj,) = runs.values()
     if traj.exit_reason is not None:
         return row, None
     bound = gronwall_w2_bound(traj, euler)
     idxs = _w2_sample_indices(traj.times)
-    stream, calibration, w2_check = [], [], []
+    stream, plot, calibration, w2_check = [], [], [], []
     for i, rec in enumerate(traj.diagnostics):
         rec.gronwall_bound = float(bound.bound[i])
     for i in idxs:
@@ -376,8 +391,8 @@ def _wasserstein_one(base, euler, eps, runs):
             "reg": res.reg,
             "marginal_error": res.marginal_error,
             "iterations": res.iterations,
-            "bound": b_t,
         })
+        plot.append((eps, t, res.distance, b_t))
         # the exact-LP oracle is affordable on 16^2 downsamples. Runs
         # that stay inside the bootstrap window get calibrated at
         # every W2 time, feeding the bias-budgeted bound check below
@@ -410,18 +425,21 @@ def _wasserstein_one(base, euler, eps, runs):
     row["sup_w2"] = max((r["w2"] for r in stream), default=None)
     final = [r for r in stream if abs(r["t"] - base.t_final) <= 1e-9]
     row["metric"] = final[-1]["w2"] if final and final[-1]["w2"] > 0 else None
-    return row, (stream, calibration, w2_check)
+    return row, (stream, plot, calibration, w2_check)
 
 
 def _run_wasserstein(spec, threads, report):
-    calibration = []
-    w2_check = []
+    plot, calibration, w2_check = [], [], []
     for eps, extra in zip(spec.eps_list, _per_eps(spec, threads, report, _wasserstein_one,
                                                   _euler_reference(spec, report))):
         if extra is not None:
-            report.w2_streams[eps] = extra[0]
-            calibration += extra[1]
-            w2_check += extra[2]
+            report.tables[f"w2_eps{_eps_tag(eps)}.ndjson"] = extra[0]
+            plot += extra[1]
+            calibration += extra[2]
+            w2_check += extra[3]
+    _gap_table(report)
+    if plot:
+        report.tables["w2_vs_t.csv"] = [("eps", "t", "w2", "gronwall_bound"), *plot]
     report.extras["lp_calibration"] = calibration
     report.extras["w2_bound_check"] = w2_check
     _apply_fit(report, "w2_slope")
@@ -476,14 +494,14 @@ def _corrector_one(base, eps, runs):
 
 
 def _run_corrector(spec, threads, report):
-    worst_resid = max((r for r in _per_eps(spec, threads, report, _corrector_one)
-                       if r is not None), default=0.0)
-    report.extras["consistency_residual"] = worst_resid
+    resids = [r for r in _per_eps(spec, threads, report, _corrector_one) if r is not None]
+    worst_resid = report.extras["consistency_residual"] = max(resids, default=None)
     _apply_fit(report, "corrector_slope")
     report.assertions.append({
         "name": "elliptic_consistency",
-        "ok": worst_resid <= CONSISTENCY_TOL,
-        "detail": f"max |defect - closed form| = {worst_resid:.3e}",
+        "ok": bool(resids) and worst_resid <= CONSISTENCY_TOL,
+        "detail": f"max |defect - closed form| = {worst_resid:.3e}" if resids
+                  else "no eps produced a residual: every eps failed",
     })
 
 
@@ -527,6 +545,8 @@ def _run_lifespan(spec, threads, report):
     report.extras["calpha_series"] = {
         _eps_tag(e): {"t": t, "calpha": y} for e, (t, y, _) in series.items()
     }
+    report.tables["calpha_vs_t.csv"] = [("eps", "t", "calpha")] + [
+        (e, t, y) for e, (times, ys, _) in series.items() for t, y in zip(times, ys)]
     monotone = (all(t is not None for t in ordered)
                 and all(a < b for a, b in zip(ordered, ordered[1:])))
     report.assertions.append({
@@ -563,11 +583,11 @@ def _run_inequalities(spec, threads, report):
                 "digest": r.inputs_digest} for r in merged.results]
     bounds = {r.name: r.bound for r in merged.results}
     max_ratios = merged.max_ratios()
-    report.extras["suite_records"] = records
-    report.extras["max_ratios"] = [
-        {"name": n, "max_ratio": max_ratios[n], "bound": bounds[n]}
-        for n in sorted(max_ratios)
-    ]
+    report.tables["suite.ndjson"] = records
+    report.extras["max_ratios"] = [{"name": n, "max_ratio": max_ratios[n], "bound": bounds[n]}
+                                   for n in sorted(max_ratios)]
+    report.tables["max_ratios.csv"] = [("name", "max_ratio", "bound")] + [
+        tuple(r.values()) for r in report.extras["max_ratios"]]
     report.extras["checker_errors"] = [list(e) for e in merged.errors]
     report.assertions.append({
         "name": "suite_all_pass",
@@ -613,74 +633,27 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentReport:
 
 # ------------------------------------------------------------- emission
 
-def _json_value(v):
-    if v is None:
-        return None
-    if isinstance(v, (bool, str)):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    f = float(v)
-    return f if math.isfinite(f) else None
-
-
-def _record_line(rec: DiagnosticsRecord) -> str:
-    obj = {k: _json_value(getattr(rec, k)) for k in DiagnosticsRecord.FIELD_ORDER}
-    return json.dumps(obj, separators=(",", ":"))
-
-
-def _csv_cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _write_csv(path: Path, header, rows):
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_csv_cell(v) for v in row])
-
-
 def emit_report(report: ExperimentReport, out_dir) -> list:
-    """Write diagnostics NDJSON, summary.csv, figure CSVs, report.json.
+    """Write each run's NDJSON diagnostics, summary.csv, every table of the
+    report and report.json, for every kind alike.
 
     Returns the list of paths written. Identical reports produce
     byte-identical files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def emit(name, text):
-        path = out / name
-        write_text(path, text)
-        written.append(path)
-
-    for tag, traj in report.runs.items():
-        lines = [_record_line(r) for r in traj.diagnostics]
-        emit(f"{tag}.ndjson", "\n".join(lines) + "\n" if lines else "")
-
-    for eps, rows in report.w2_streams.items():
-        lines = [json.dumps({k: _json_value(r[k]) for k in
-                             ("t", "w2", "method", "reg", "marginal_error", "iterations")},
-                            separators=(",", ":")) for r in rows]
-        emit(f"w2_eps{_eps_tag(eps)}.ndjson", "\n".join(lines) + "\n" if lines else "")
-
-    rows = [[r[k] for k in SUMMARY_COLUMNS] for r in report.summary_rows]
+    summary = [SUMMARY_COLUMNS] + [[r[k] for k in SUMMARY_COLUMNS] for r in report.summary_rows]
     if report.fit is not None:
-        rows.append(["fit", None, None, None, report.fit["slope"],
-                     report.fit["stderr"], report.status])
+        summary.append(["fit", None, None, None, report.fit["slope"],
+                        report.fit["stderr"], report.status])
     elif not report.summary_rows:
-        rows.append([None, None, None, None, None, None, "failed"])
-    _write_csv(out / "summary.csv", SUMMARY_COLUMNS, rows)
-    written.append(out / "summary.csv")
-
-    _emit_figures(report, out, written)
-
+        summary.append([None, None, None, None, None, None, "failed"])
+    tables = {f"{tag}.ndjson": [vars(rec) for rec in traj.diagnostics]
+              for tag, traj in report.runs.items()}
+    written = []
+    for name, rows in (tables | {"summary.csv": summary} | report.tables).items():
+        write_table(out / name, rows)
+        written.append(out / name)
     payload = {
         "kind": report.kind,
         "eps_list": report.eps_list,
@@ -689,58 +662,7 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
         "assertions": report.assertions,
         "notes": report.notes,
         "summary": [{k: r[k] for k in SUMMARY_COLUMNS} for r in report.summary_rows],
-        "extras": {k: v for k, v in report.extras.items()
-                   if k not in ("suite_records",)},
+        "extras": report.extras,
     }
-    emit("report.json", json.dumps(payload, indent=2, default=_json_value) + "\n")
-    return written
-
-
-def _emit_figures(report, out: Path, written):
-    gap_rows = []
-    for tag, traj in sorted(report.runs.items()):
-        if not tag.startswith("sg_eps"):
-            continue
-        for rec in traj.diagnostics:
-            if rec.velocity_gap is not None:
-                gap_rows.append([traj.eps, rec.t, rec.velocity_gap])
-    if gap_rows:
-        _write_csv(out / "velocity_gap_vs_t.csv", ["eps", "t", "velocity_gap"],
-                   gap_rows)
-        written.append(out / "velocity_gap_vs_t.csv")
-
-    w2_rows = [[eps, r["t"], r["w2"], r["bound"]]
-               for eps, rows in report.w2_streams.items() for r in rows]
-    if w2_rows:
-        _write_csv(out / "w2_vs_t.csv", ["eps", "t", "w2", "gronwall_bound"],
-                   w2_rows)
-        written.append(out / "w2_vs_t.csv")
-
-    if report.fit is not None:
-        rate_rows = [[r["eps"], math.log(r["eps"]), r["metric"], math.log(r["metric"]),
-                      r["eps"] in report.fit["eps_used"]]
-                     for r in report.summary_rows if r["metric"]]
-        _write_csv(out / "rate_loglog.csv",
-                   ["eps", "log_eps", "metric", "log_metric", "in_fit"],
-                   rate_rows)
-        written.append(out / "rate_loglog.csv")
-
-    if report.kind == "lifespan":
-        rows = []
-        for eps in report.eps_list:
-            series = report.extras["calpha_series"].get(_eps_tag(eps))
-            if series:
-                rows.extend([eps, t, y] for t, y in
-                            zip(series["t"], series["calpha"]))
-        _write_csv(out / "calpha_vs_t.csv", ["eps", "t", "calpha"], rows)
-        written.append(out / "calpha_vs_t.csv")
-
-    if report.kind == "inequalities":
-        lines = [json.dumps(r, separators=(",", ":"))
-                 for r in report.extras["suite_records"]]
-        write_text(out / "suite.ndjson", "\n".join(lines) + "\n" if lines else "")
-        written.append(out / "suite.ndjson")
-        _write_csv(out / "max_ratios.csv", ["name", "max_ratio", "bound"],
-                   [[r["name"], r["max_ratio"], r["bound"]]
-                    for r in report.extras["max_ratios"]])
-        written.append(out / "max_ratios.csv")
+    write_text(out / "report.json", json.dumps(payload, indent=2, default=json_value) + "\n")
+    return written + [out / "report.json"]

@@ -1,4 +1,10 @@
-"""Binary field dumps and checkpoint sidecars.
+"""Output files: tables (NDJSON and CSV), binary field dumps and
+checkpoint sidecars.
+
+write_table writes a table, a list of rows. To a .csv path a row is a
+list of cells, the header first: a float cell is its repr, None empty,
+anything else its str. To any other path (.ndjson) a row is a dict,
+written as one compact JSON object per line through json_value.
 
 Field dump layout: one UTF-8 JSON header line terminated by '\n' with keys
 {"n", "kind", "time", "epsilon"}, then n^2 little-endian float64 values,
@@ -10,15 +16,17 @@ known "model", "time" and "eps" numbers in float range, or an integer
 headers disagree with the sidecar on "time" or "epsilon", or whose
 field kinds are not "rho" and the model's potential kind (POTENTIAL_KINDS).
 
-Every output file of the package is written through atomic_open: a
-temp file in the target directory, renamed over the target once it is
+Every output file of the package is written here, through atomic_open:
+a temp file in the target directory, renamed over the target once it is
 complete, so a failed write leaves neither a partial target nor a temp.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -30,6 +38,8 @@ from .spectral import ScalarField, TorusGrid
 __all__ = [
     "atomic_open",
     "write_text",
+    "write_table",
+    "json_value",
     "dump_field",
     "load_field",
     "write_checkpoint",
@@ -74,6 +84,33 @@ def write_text(path, text: str) -> None:
     """Write UTF-8 text to path through atomic_open."""
     with atomic_open(path, encoding="utf-8") as fh:
         fh.write(text)
+
+
+def json_value(v):
+    """v as JSON holds it: numpy numbers as Python ones, non-finite as None."""
+    if v is None or isinstance(v, (bool, str)):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    f = float(v)
+    return f if math.isfinite(f) else None
+
+
+def _csv_cell(v):
+    if v is None:
+        return ""
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+def write_table(path, rows) -> None:
+    """Write rows to path through atomic_open: as CSV if its suffix is .csv,
+    else as NDJSON (see the module docstring)."""
+    if Path(path).suffix == ".csv":
+        with atomic_open(path, newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([_csv_cell(v) for v in row] for row in rows)
+    else:
+        write_text(path, "".join(json.dumps({k: json_value(v) for k, v in row.items()},
+                                            separators=(",", ":")) + "\n" for row in rows))
 
 
 def dump_field(path, f: ScalarField, kind: str, time: float, epsilon: float | None) -> None:

@@ -30,7 +30,7 @@ of each segment to land on k * sample_interval exactly, which keeps
 sample clocks of paired runs aligned bit for bit.
 """
 
-from dataclasses import dataclass, field as dataclass_field, fields, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from functools import cached_property
 
 import numpy as np
@@ -61,6 +61,7 @@ __all__ = [
     "DiagnosticsRecord",
     "Trajectory",
     "initial_data_field",
+    "mode_rows",
     "step_rk4",
     "run_simulation",
     "cumulative_trapezoid",
@@ -149,9 +150,6 @@ class DiagnosticsRecord:
     gronwall_bound: float | None = None
 
 
-DiagnosticsRecord.FIELD_ORDER = tuple(f.name for f in fields(DiagnosticsRecord))
-
-
 @dataclass
 class Trajectory:
     """Sampled history of one run.
@@ -202,44 +200,51 @@ PRESETS = {
 }
 
 
-def _mode_list_values(n: int, spec) -> np.ndarray:
-    """Grid samples of a mode list through one inverse FFT.
+def mode_rows(n: int, spec) -> list:
+    """The mode rows of a datum (a preset's rows, or spec), checked for the
+    n x n grid without building a field. ValueError for an unknown preset,
+    a non-integer index, or a row that would vanish: its indices, reduced
+    mod n into [-n/2, n/2) as grid sampling reduces them, are (0, 0) or lie
+    above the 2/3 band, max(|p|, |q|) > n/3 (the rule of kernel(n).mask).
+    """
+    if isinstance(spec, str):
+        if spec not in PRESETS:
+            raise ValueError(f"unknown preset {spec!r}; have {sorted(PRESETS)}")
+        spec = PRESETS[spec]
+    half, band = n // 2, n / 3
+    for row in spec:
+        p, q, _, _ = row  # a row of another length raises ValueError here
+        if int(p) != p or int(q) != q:
+            raise ValueError(f"mode indices must be integers, got {row!r}")
+        p, q = (int(p) + half) % n - half, (int(q) + half) % n - half
+        if p == q == 0:
+            raise ValueError(f"mode row {row!r} is the (0, 0) mode on the n = {n} grid, "
+                             "which the zero-mean convention removes")
+        if abs(p) > band or abs(q) > band:
+            raise ValueError(f"mode row {row!r} lies above the 2/3 band of the "
+                             f"n = {n} grid, where dealiasing would zero it")
+    return spec
+
+
+def initial_data_field(grid: TorusGrid, spec) -> ScalarField:
+    """Initial data from a preset name or a list of mode rows (see the
+    module docstring and `mode_rows`), sampled through one inverse FFT.
 
     cos(2 pi(px+qy)) sampled on the n x n grid is (e + conj e)/2 with
     e the DFT basis vector at (p mod n, q mod n), and sin is
     (e - conj e)/2i, so each row adds n^2/2 * (c -/+ i s) to the
     coefficients at +/-(p, q) mod n. Reducing mod n puts aliased rows
     (|p| >= n/2) where grid sampling puts them: p = 60 at n = 64 acts as
-    p = -4. A row whose reduced frequency lies above the 2/3 band
-    (max(|p|, |q|) > n/3), which dealiasing would zero, raises ValueError.
+    p = -4.
     """
+    n = grid.n
     spec_hat = np.zeros((n, n), dtype=complex)
-    keep = kernel(n).mask
-    for row in spec:
-        p, q, c, s = row  # a row of another length raises ValueError here
-        if int(p) != p or int(q) != q:
-            raise ValueError(f"mode indices must be integers, got {row!r}")
-        if p == 0 and q == 0:
-            raise ValueError("(0, 0) mode is not allowed (zero-mean convention)")
+    for p, q, c, s in mode_rows(n, spec):
         p, q = int(p), int(q)
-        if not keep[p % n, q % n]:
-            raise ValueError(f"mode row {row!r} lies above the 2/3 band of the "
-                             f"n = {n} grid, where dealiasing would zero it")
         half = 0.5 * n * n * complex(float(c), -float(s))
         spec_hat[p % n, q % n] += half
         spec_hat[-p % n, -q % n] += half.conjugate()
-    return np.fft.ifft2(spec_hat).real
-
-
-def initial_data_field(grid: TorusGrid, spec) -> ScalarField:
-    """Initial data from a preset name or a list of mode rows (see the
-    module docstring); a (0, 0) row would break the zero-mean convention
-    and a row above the 2/3 band would vanish, so both are rejected."""
-    if isinstance(spec, str):
-        if spec not in PRESETS:
-            raise ValueError(f"unknown preset {spec!r}; have {sorted(PRESETS)}")
-        spec = PRESETS[spec]
-    out = dealias(ScalarField(grid, _mode_list_values(grid.n, spec)))
+    out = dealias(ScalarField(grid, np.fft.ifft2(spec_hat).real))
     return out - out.mean()
 
 

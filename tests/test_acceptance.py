@@ -237,7 +237,7 @@ def test_lifespan(lifespan_result):
 @pytest.mark.slow
 def test_inequality_suite(inequalities_result):
     rep, wall = inequalities_result
-    records = rep.extras["suite_records"]
+    records = rep.tables["suite.ndjson"]
     all_pass = (not rep.extras["checker_errors"]
                 and len(records) == 4000
                 and all(r["pass"] for r in records))

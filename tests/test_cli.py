@@ -127,6 +127,8 @@ class TestRunVerb:
         # solve after it gets one Picard sweep, which cannot reach the
         # tolerance, so the first step stalls
         from sglab import transport
+        from dataclasses import fields
+
         from sglab.transport import DiagnosticsRecord
 
         picard, calls = transport._picard, []
@@ -145,7 +147,7 @@ class TestRunVerb:
         lines = (out / "run.ndjson").read_text().splitlines()
         assert len(lines) == meta["samples"] == 1  # a full run has 3
         rec = json.loads(lines[0])
-        assert list(rec) == list(DiagnosticsRecord.FIELD_ORDER)
+        assert list(rec) == [f.name for f in fields(DiagnosticsRecord)]
         assert rec["t"] == meta["final_t"] == 0.0
         assert rec["l2_rho"] == meta["final_l2_rho"] > 0
 
@@ -182,9 +184,34 @@ class TestRunVerb:
         cfg = write_json(tmp_path / "band.json", {"n": 64, "initial_data": [[40, 0, 1.0, 0.0]]})
         assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_INFRA
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: mode row [40, 0, 1.0, 0.0]")
+        assert err.count("\n") == 1
+        assert err.startswith("error: key 'initial_data': mode row [40, 0, 1.0, 0.0]")
         assert "2/3 band" in err
         assert not (out / "run.ndjson").exists()
+
+    @pytest.mark.parametrize("verb, kind", [("run", None), ("dump", None),
+                                            ("experiment", "corrector"),
+                                            ("experiment", "stability")])
+    @pytest.mark.parametrize("datum, message", [
+        ([[20, 0, 1.0, 0.0]], "mode row [20, 0, 1.0, 0.0] lies above the 2/3 band"),
+        ("nonsense", "unknown preset 'nonsense'"),
+    ])
+    def test_bad_datum_fails_when_parsed(self, tmp_path, capfd, verb, kind, datum, message):
+        # a corrector experiment used to fork a worker per eps, print one
+        # error per eps and write a failed report; every verb now stops at
+        # the config with one line and writes nothing
+        run = {"n": 32, "t_final": 0.1, "sample_interval": 0.05, "initial_data": datum}
+        obj = run if kind is None else {"kind": kind, "eps_list": [0.08, 0.04, 0.02],
+                                        "base": run}
+        cfg = write_json(tmp_path / "bad.json", obj)
+        out = tmp_path / "out"
+        threads = ["--threads", "3"] if kind else []
+        assert main([verb, "--config", cfg, "--out", str(out), *threads]) == EXIT_INFRA
+        std = capfd.readouterr()
+        assert std.out == ""
+        assert std.err.count("\n") == 1
+        assert std.err.startswith(f"error: key 'initial_data': {message}")
+        assert not out.exists()
 
 
 # Runs in a fresh interpreter: the run verb and a lifespan experiment load

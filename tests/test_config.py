@@ -23,22 +23,40 @@ from sglab.config import (  # noqa: E402
 
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 coefficient = st.floats(allow_nan=False, allow_infinity=False, width=64)
-mode_row = st.tuples(st.integers(-200, 200), st.integers(-200, 200),
-                     coefficient, coefficient).filter(lambda r: r[:2] != (0, 0))
+GRID_SIZES = [32, 64, 128, 1024]
 
-run_objects = st.fixed_dictionaries({}, optional={
-    "n": st.sampled_from([32, 64, 128, 1024]),
+
+def rows_in_band(n):
+    """1-6 mode rows whose indices, reduced mod n, lie in the 2/3 band and
+    are not (0, 0); some are shifted by n into aliased rows."""
+    index = st.integers(-(n // 3), n // 3)
+    shift = st.sampled_from([-n, 0, 0, n])
+    row = st.tuples(index, index, shift, shift, coefficient, coefficient).filter(
+        lambda r: r[:2] != (0, 0)).map(lambda r: [r[0] + r[2], r[1] + r[3], r[4], r[5]])
+    return st.lists(row, min_size=1, max_size=6)
+
+
+run_keys = st.fixed_dictionaries({}, optional={
+    "n": st.sampled_from(GRID_SIZES),
     "model": st.sampled_from(MODELS),
     "eps": st.floats(min_value=0.0, allow_infinity=False) | st.integers(0, 10),
     "t_final": positive | st.integers(1, 10),
     "cfl": st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
     "sample_interval": positive,
-    "initial_data": (st.sampled_from(["default", "steep", "shear"])
-                     | st.lists(mode_row.map(list), min_size=1, max_size=6)),
     "stop_on_exit": st.booleans(),
     "seed": st.integers(min_value=0),
     "output_dir": st.text(),
 })
+
+
+@st.composite
+def run_objects(draw):
+    """A run config object; its mode rows lie in the band of its n."""
+    obj = draw(run_keys)
+    if draw(st.booleans()):
+        obj["initial_data"] = draw(st.sampled_from(["default", "steep", "shear"])
+                                   | rows_in_band(obj.get("n", 128)))
+    return obj
 
 
 @st.composite
@@ -47,14 +65,14 @@ def experiment_objects(draw):
     if kind == "inequalities":  # the suite reads no eps and two base keys
         obj = {"kind": kind, "eps_list": []}
         if draw(st.booleans()):
-            obj["base"] = draw(run_objects.map(
+            obj["base"] = draw(run_objects().map(
                 lambda base: {k: v for k, v in base.items() if k in SUITE_BASE_KEYS}))
         return obj
     eps = draw(st.lists(st.floats(min_value=1e-6, max_value=1.0), unique=True,
                         min_size=3, max_size=6))
     obj = {"kind": kind, "eps_list": sorted(eps, reverse=True)}
     if draw(st.booleans()):
-        obj["base"] = draw(run_objects)
+        obj["base"] = draw(run_objects())
     return obj
 
 
@@ -67,7 +85,7 @@ def dumped(cfg) -> str:
     return json.dumps(obj)
 
 
-@given(run_objects | experiment_objects())
+@given(run_objects() | experiment_objects())
 def test_serialize_round_trips(obj):
     cfg = parse_config(json.dumps(obj))
     assert isinstance(cfg, ExperimentSpec if "kind" in obj else RunConfig)
@@ -90,7 +108,7 @@ json_values = st.recursive(
 def corrupted_texts(draw):
     """A valid config with one key's value replaced, or its text cut or
     spliced."""
-    obj = draw(run_objects | experiment_objects())
+    obj = draw(run_objects() | experiment_objects())
     how = draw(st.sampled_from(["value", "row", "cut", "splice"]))
     if how == "value":
         keys = sorted(set(RunConfig.__dataclass_fields__)
@@ -132,6 +150,24 @@ def test_corrupt_config_exits_3(text):
         path.write_text(text, encoding="utf-8")
         for verb in ("run", "experiment", "dump"):
             assert main([verb, "--config", str(path), "--out", tmp]) == EXIT_INFRA
+
+
+@given(st.sampled_from([None] + GRID_SIZES), st.booleans(), st.data())
+def test_mode_row_above_the_band_is_config_error(n, in_experiment, data):
+    # reduced mod n into [-n/2, n/2), an index beyond n/3 lies above the
+    # 2/3 band, where dealiasing would zero its row; the check is made when
+    # the config is parsed, before any run starts
+    grid = 128 if n is None else n
+    k = data.draw(st.integers(grid // 3 + 1, grid // 2))
+    above = data.draw(st.sampled_from([k, -k])) + grid * data.draw(st.integers(-2, 2))
+    other = data.draw(st.integers(-200, 200))
+    row = data.draw(st.sampled_from([[above, other, 1.0, 0.0], [other, above, 0.0, 1.0]]))
+    base = {"initial_data": [[1, 0, 1.0, 0.0], row]} | ({} if n is None else {"n": n})
+    obj = {"kind": "stability", "eps_list": [0.04, 0.02, 0.01], "base": base} \
+        if in_experiment else base
+    with pytest.raises(ConfigError, match=r"^key 'initial_data': mode row .* lies above "
+                                          r"the 2/3 band"):
+        parse_config(json.dumps(obj))
 
 
 # numpy's generators take no negative seed; a config must say which key is

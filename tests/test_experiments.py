@@ -56,6 +56,11 @@ def assert_thread_counts_agree(spec, tmp_path, reports):
     assert files[1] == files[2] == files[3]
 
 
+def w2_streams(report):
+    """The report's w2_eps<tag>.ndjson tables, file name -> rows."""
+    return {name: rows for name, rows in report.tables.items() if name.startswith("w2_eps")}
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -256,7 +261,7 @@ class TestWorkerPool:
             monkeypatch.setattr(experiments, name, recording(getattr(experiments, name)))
         spec = ExperimentSpec(kind="wasserstein", eps_list=[0.04, 0.02, 0.01],
                               base=small_base("mild"))
-        assert run_experiment(spec, threads=2).w2_streams
+        assert w2_streams(run_experiment(spec, threads=2))
         assert seen == []
         run_experiment(spec, threads=1)
         assert seen.count("paired_gap_series") == 3 and "w2_sinkhorn" in seen
@@ -399,14 +404,22 @@ class TestEmission:
     def test_w2_stream_records_the_solver_iterations(self, kind_reports, tmp_path):
         rep = kind_reports["wasserstein"]
         emit_report(rep, tmp_path)
-        for eps, rows in rep.w2_streams.items():
-            path = tmp_path / f"w2_eps{_eps_tag(eps)}.ndjson"
+        for name, rows in w2_streams(rep).items():
+            path = tmp_path / name
             recs = [json.loads(x) for x in path.read_text().splitlines()]
             assert [r["iterations"] for r in recs] == [r["iterations"] for r in rows]
             for rec in recs:
                 assert list(rec) == ["t", "w2", "method", "reg", "marginal_error",
                                      "iterations"]
                 assert isinstance(rec["iterations"], int) and rec["iterations"] >= 1
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_writes_runs_summary_tables_and_report(self, kind_reports, kind, tmp_path):
+        rep = kind_reports[kind]
+        names = sorted(Path(p).name for p in emit_report(rep, tmp_path))
+        assert names == sorted([f"{tag}.ndjson" for tag in rep.runs] + list(rep.tables)
+                               + ["summary.csv", "report.json"])
+        assert names == sorted(p.name for p in tmp_path.iterdir())
 
     def test_empty_report_gets_failed_row(self, tmp_path):
         rep = ExperimentReport(kind="stability", eps_list=[0.04, 0.02, 0.01],
@@ -416,6 +429,19 @@ class TestEmission:
         assert lines[0] == SUMMARY_HEADER
         assert len(lines) == 2
         assert lines[1].endswith(",failed")
+
+
+def test_consistency_gate_needs_a_residual():
+    # at eps >= 1 every SG run ends in elliptic_divergence at t = 0, so no
+    # eps closes the consistency identity; the gate used to pass on an
+    # empty max's default of 0.0
+    base = RunConfig(n=32, t_final=0.1, sample_interval=0.05)
+    rep = run_experiment(ExperimentSpec(kind="corrector", eps_list=[3.0, 2.0, 1.0], base=base))
+    assert all(r["status"] == "failed: elliptic_divergence" for r in rep.summary_rows)
+    gate = next(a for a in rep.assertions if a["name"] == "elliptic_consistency")
+    assert not gate["ok"]
+    assert gate["detail"] == "no eps produced a residual: every eps failed"
+    assert rep.extras["consistency_residual"] is None
 
 
 class TestEpsTags:
@@ -470,7 +496,8 @@ class TestSampleIndices:
                          initial_data="default")
         rep = run_experiment(ExperimentSpec(kind="wasserstein",
                                             eps_list=[0.04, 0.02, 0.01], base=base))
-        assert [[r["t"] for r in s] for s in rep.w2_streams.values()] == [[0.0, 0.1, 0.2, 0.25]] * 3
+        assert [[r["t"] for r in s] for s in w2_streams(rep).values()] == [
+            [0.0, 0.1, 0.2, 0.25]] * 3
         assert rep.fit["eps_used"] == [0.02, 0.01]
         assert all(r["metric"] > 0 for r in rep.summary_rows)
         gate = next(a for a in rep.assertions if a["name"] == "w2_slope")

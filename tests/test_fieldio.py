@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from sglab import experiments, fieldio
+from sglab import fieldio
 from sglab.spectral import TorusGrid, ScalarField
 from sglab.fieldio import (
     atomic_open,
@@ -14,6 +14,7 @@ from sglab.fieldio import (
     load_field,
     write_checkpoint,
     read_checkpoint,
+    write_table,
 )
 
 
@@ -136,8 +137,7 @@ def test_failed_csv_row_leaves_nothing(tmp_path):
             raise RuntimeError("cell cannot be formatted")
 
     with pytest.raises(RuntimeError):
-        experiments._write_csv(tmp_path / "summary.csv", ["a", "b"],
-                               [[1, 2], [3, Unprintable()]])
+        write_table(tmp_path / "summary.csv", [["a", "b"], [1, 2], [3, Unprintable()]])
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,10 +1,13 @@
-"""Reachability guard: every top-level function, class and UPPER_CASE
-constant of `src/sglab/*.py` is read somewhere in `src/` or `demos/`.
+"""Layout guards on `src/sglab/*.py`.
 
-A definition counts as reached when an AST `Name` or `Attribute` node
-loads its name; strings (such as `__all__` entries) and imports do not.
-Code that only the tests read belongs in the tests (see
-`tests/reference.py`)."""
+Reachability: every top-level function, class and UPPER_CASE constant is
+read somewhere in `src/` or `demos/`. A definition counts as reached when
+an AST `Name` or `Attribute` node loads its name; strings (such as
+`__all__` entries) and imports do not. Code that only the tests read
+belongs in the tests (see `tests/reference.py`).
+
+One writer: only `fieldio.py` opens files or formats CSV, so every output
+file goes through its `atomic_open`."""
 
 import ast
 import re
@@ -66,3 +69,38 @@ def test_exemptions_are_still_needed():
     # an exempt name that src/ or demos/ reach again, or that left src/,
     # drops out of EXEMPT
     assert set(_unreached()) >= set(EXEMPT)
+
+
+# calls that open or write a file: open and atomic_open by any name,
+# csv.writer, and pathlib's write_text and write_bytes
+OPENERS = {"open", "atomic_open"}
+WRITER_METHODS = OPENERS | {"write_text", "write_bytes"}
+
+
+def _file_writes(tree: ast.Module) -> list:
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in OPENERS:
+            calls.append((node.lineno, f.id))
+        elif isinstance(f, ast.Attribute) and (
+                f.attr in WRITER_METHODS
+                or f.attr == "writer" and isinstance(f.value, ast.Name) and f.value.id == "csv"):
+            calls.append((node.lineno, f.attr))
+    return calls
+
+
+def test_only_fieldio_writes_files():
+    found = {path.name: _file_writes(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "fieldio.py"}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def test_file_write_scan_sees_fieldio():
+    # the scan finds fieldio's own opens, so an empty result elsewhere
+    # is not a blind scan
+    names = {call for _, call in _file_writes(ast.parse(
+        (PACKAGE / "fieldio.py").read_text(encoding="utf-8")))}
+    assert {"open", "atomic_open", "writer"} <= names
