@@ -127,22 +127,18 @@ def _cmd_experiment(args):
 
 def _cmd_check(args):
     rep = run_suite(args.seed, count=SUITE_COUNT)
-    bounds = {r.name: r.bound for r in rep.results}
-    for name, ratio in sorted(rep.max_ratios().items()):
-        bound = bounds[name]
-        gate = "unbounded" if bound is None else f"bound {bound:g}"
-        print(f"{name}: max ratio {ratio:.6g} ({gate})")
+    for row in rep.max_ratios():
+        gate = "unbounded" if row["bound"] is None else f"bound {row['bound']:g}"
+        print(f"{row['name']}: max ratio {row['max_ratio']:.6g} ({gate})")
     failures = [r for r in rep.results if not r.passed]
     print(f"{len(rep.results)} checks, {len(failures)} violations, "
           f"{len(rep.errors)} errors (seed {args.seed})")
     for name, msg in rep.errors:
-        print(f"error in {name}: {msg}", file=sys.stderr)
+        print(f"error: {name}: {msg}", file=sys.stderr)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        write_table(out / "suite.ndjson", [
-            {"name": r.name, "ratio": r.ratio, "bound": r.bound, "passed": r.passed,
-             "seed": r.seed, "digest": r.inputs_digest} for r in rep.results])
+        write_table(out / "suite.ndjson", rep.records())
         print(f"wrote {out / 'suite.ndjson'}")
     if rep.errors:
         return EXIT_INFRA

@@ -579,13 +579,9 @@ def _run_inequalities(spec, threads, report):
     merged = SuiteReport(seed=seeds[0], count=SUITE_COUNT,
                          results=[r for rep in suites for r in rep.results],
                          errors=[e for rep in suites for e in rep.errors])
-    records = [{"name": r.name, "ratio": r.ratio, "pass": r.passed, "seed": r.seed,
-                "digest": r.inputs_digest} for r in merged.results]
-    bounds = {r.name: r.bound for r in merged.results}
-    max_ratios = merged.max_ratios()
+    records = merged.records()
     report.tables["suite.ndjson"] = records
-    report.extras["max_ratios"] = [{"name": n, "max_ratio": max_ratios[n], "bound": bounds[n]}
-                                   for n in sorted(max_ratios)]
+    report.extras["max_ratios"] = merged.max_ratios()
     report.tables["max_ratios.csv"] = [("name", "max_ratio", "bound")] + [
         tuple(r.values()) for r in report.extras["max_ratios"]]
     report.extras["checker_errors"] = [list(e) for e in merged.errors]

@@ -246,13 +246,13 @@ def test_inequality_suite(inequalities_result):
     grid = TorusGrid(64)
     x, y = grid.points()
     psi = ScalarField(grid, np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y))
-    wente = check_wente(psi, seed=0)
-    wente_ok = abs(wente.ratio - 1.0 / (8.0 * np.pi)) <= 1e-10
+    wente = check_wente(psi)
+    wente_ok = abs(wente - 1.0 / (8.0 * np.pi)) <= 1e-10
 
     verdict(9, "inequality-suite",
             all_pass and wente_ok and wall <= 300.0,
             f"{len(records)} checks, wente ratio residual "
-            f"{abs(wente.ratio - 1 / (8 * np.pi)):.1e}, {wall:.0f}s")
+            f"{abs(wente - 1 / (8 * np.pi)):.1e}, {wall:.0f}s")
 
 
 def test_ndjson_determinism(tmp_path):

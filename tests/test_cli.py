@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import sglab.experiments as experiments
+import sglab.inequalities as ineq
 from sglab.cli import EXIT_ASSERTION, EXIT_INFRA, EXIT_OK, main
 
 
@@ -477,8 +479,42 @@ class TestCheckVerb:
         lines = (tmp_path / "chk" / "suite.ndjson").read_text().splitlines()
         assert len(lines) == 400  # 20 samples x 20 checkers
         rec = json.loads(lines[0])
-        assert set(rec) == {"name", "ratio", "bound", "passed", "seed", "digest"}
+        assert set(rec) == {"name", "ratio", "bound", "pass", "seed", "digest"}
         assert rec["seed"] == 3
+
+    def test_violation_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setitem(ineq.FIELD_CHECKS, "wente", (ineq.check_wente, 0.0, (0,)))
+        assert main(["check", "--seed", "1"]) == EXIT_ASSERTION
+        captured = capsys.readouterr()
+        assert "\nwente: max ratio " in captured.out and "(bound 0)\n" in captured.out
+        assert "400 checks, 20 violations, 0 errors (seed 1)" in captured.out
+        assert captured.err == ""
+
+    def test_checker_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def boom(f):
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setitem(ineq.FIELD_CHECKS, "wente", (boom, 1.0, (0,)))
+        assert main(["check", "--seed", "1", "--out", str(tmp_path / "chk")]) == EXIT_INFRA
+        captured = capsys.readouterr()
+        assert "380 checks, 0 violations, 20 errors (seed 1)" in captured.out
+        assert captured.err.splitlines() == ["error: wente: synthetic failure"] * 20
+        lines = (tmp_path / "chk" / "suite.ndjson").read_text().splitlines()
+        assert len(lines) == 380
+
+    def test_check_writes_the_experiments_records(self, tmp_path, monkeypatch):
+        # two suite seeds, 5 and 6, keep the experiment small; check --seed 5
+        # must write its seed-5 rows byte for byte, in order
+        monkeypatch.setattr(experiments, "SUITE_SEEDS", 2)
+        cfg = write_json(tmp_path / "ineq.json", {"kind": "inequalities"})
+        assert main(["check", "--seed", "5", "--out", str(tmp_path / "chk")]) == EXIT_OK
+        assert main(["experiment", "--config", cfg, "--seed", "5",
+                     "--out", str(tmp_path / "exp")]) == EXIT_OK
+        check = (tmp_path / "chk" / "suite.ndjson").read_text().splitlines()
+        exp = (tmp_path / "exp" / "suite.ndjson").read_text().splitlines()
+        assert {json.loads(line)["seed"] for line in exp} == {5, 6}
+        assert check == [line for line in exp if json.loads(line)["seed"] == 5]
+        assert len(check) == 400
 
     @pytest.mark.parametrize("verb", ["check", "experiment"])
     def test_negative_seed_is_named(self, tmp_path, capsys, verb):

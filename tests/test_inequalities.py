@@ -1,6 +1,8 @@
 """Checker-level and suite-level tests for the inequality lab."""
 
+import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,20 +83,20 @@ def test_random_field_deterministic(grid):
 
 def test_wente_product_cosine_constant(grid):
     psi = wave(grid, lambda x, y: np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y))
-    r = check_wente(psi)
-    assert abs(r.ratio - 1.0 / (8.0 * np.pi)) < 1e-10
-    assert r.passed
+    ratio = check_wente(psi)
+    assert abs(ratio - 1.0 / (8.0 * np.pi)) < 1e-10
+    assert ratio <= ineq.FIELD_CHECKS["wente"][1]
 
 
 def test_wente_one_dimensional_field_vanishes(grid):
     psi = wave(grid, lambda x, y: np.cos(2 * np.pi * y))
-    assert check_wente(psi).ratio == 0.0
+    assert check_wente(psi) == 0.0
 
 
 def test_wente_random_fields_stay_small(grid):
     rng = np.random.default_rng(100)
     worst = max(
-        check_wente(random_field(grid, rng, gamma=2.0 + (i % 3))).ratio
+        check_wente(random_field(grid, rng, gamma=2.0 + (i % 3)))
         for i in range(100)
     )
     assert worst <= 0.5
@@ -110,7 +112,7 @@ def test_endpoint_cz_single_mode_trend():
     # denominator grows while the Hessian quotient stays at 1
     grid = TorusGrid(128)
     ratios = [
-        check_endpoint_cz(wave(grid, lambda x, y, N=N: np.cos(2 * np.pi * N * x))).ratio
+        check_endpoint_cz(wave(grid, lambda x, y, N=N: np.cos(2 * np.pi * N * x)))
         for N in (1, 2, 4, 8, 16, 32)
     ]
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
@@ -119,29 +121,28 @@ def test_endpoint_cz_single_mode_trend():
 
 def test_h1_interp_single_mode_saturates(grid):
     g = wave(grid, lambda x, y: np.cos(2 * np.pi * (3 * x + 2 * y)))
-    r = check_h1_interp(g)
-    assert abs(r.ratio - 1.0) < 1e-10
-    assert r.passed
+    ratio = check_h1_interp(g)
+    assert abs(ratio - 1.0) < 1e-10
+    assert ratio <= ineq.FIELD_CHECKS["h1_interp"][1]
     with pytest.raises(ValueError, match="degenerate"):
         check_h1_interp(ScalarField.zeros(grid))
 
 
 def test_sobolev_interp_saturation_and_randoms(grid):
     g = wave(grid, lambda x, y: np.sin(2 * np.pi * (x + 4 * y)))
-    assert abs(check_sobolev_interp(g).ratio - 1.0) < 1e-10
+    assert abs(check_sobolev_interp(g) - 1.0) < 1e-10
     rng = np.random.default_rng(21)
     for _ in range(20):
-        r = check_sobolev_interp(random_field(grid, rng, gamma=3.0))
-        assert r.ratio <= 1.0 + 1e-12
+        assert check_sobolev_interp(random_field(grid, rng, gamma=3.0)) <= 1.0 + 1e-12
 
 
 def test_det_lipschitz_random_and_degenerate(grid):
     rng = np.random.default_rng(31)
     for _ in range(10):
-        r = check_det_lipschitz(
+        ratio = check_det_lipschitz(
             random_field(grid, rng, gamma=3.0), random_field(grid, rng, gamma=3.0)
         )
-        assert r.ratio <= 1.0
+        assert ratio <= 1.0
     f = random_field(grid, rng, gamma=3.0)
     with pytest.raises(ValueError, match="degenerate"):
         check_det_lipschitz(f, f)
@@ -149,16 +150,16 @@ def test_det_lipschitz_random_and_degenerate(grid):
 
 def test_det_expansion_closes(grid):
     rng = np.random.default_rng(41)
-    r = check_det_expansion(
+    ratio = check_det_expansion(
         random_field(grid, rng, gamma=3.0), random_field(grid, rng, gamma=4.0)
     )
-    assert r.ratio <= 1e-10
+    assert ratio <= 1e-10
 
 
 def test_forced_transport_zero_velocity_is_exact(grid):
     rng = np.random.default_rng(51)
-    r = check_forced_transport_constant(random_field(grid, rng, gamma=2.0))
-    assert abs(r.ratio - 1.0) < 1e-10
+    ratio = check_forced_transport_constant(random_field(grid, rng, gamma=2.0))
+    assert abs(ratio - 1.0) < 1e-10
     with pytest.raises(ValueError, match="degenerate"):
         check_forced_transport_constant(ScalarField.zeros(grid))
 
@@ -177,7 +178,35 @@ def test_forced_transport_matches_zero_velocity_advect_scalar(grid, gamma):
         out = _advance(out, out.hat, s1)
     ratio = float(norm(out - zero, NormKind.Hminus1)
                   / (ineq.FORCED_T * norm(f, NormKind.Hminus1)))
-    assert check_forced_transport_constant(f).ratio == ratio
+    assert check_forced_transport_constant(f) == ratio
+
+
+# ---------------------------------------------------------------- registry
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_TABLE_HEADER = "| check | inequality | bound | input |"
+
+
+def readme_checker_table() -> dict:
+    """name -> (bound, input) of each row of the README's checker table,
+    in its order; a bound reads as a sum of floats, or `none`."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index(README_TABLE_HEADER) + 2
+    rows = {}
+    for line in itertools.takewhile(lambda s: s.startswith("|"), lines[start:]):
+        name, _, bound, source = (c.strip() for c in line.strip("|").split("|"))
+        rows[name.strip("`")] = (
+            None if bound == "none" else sum(float(t) for t in bound.strip("`").split("+")),
+            source)
+    return rows
+
+
+def test_readme_checker_table_matches_the_registry():
+    registry = {name: (bound, f"{len(offsets)} random draw" + "s" * (len(offsets) > 1))
+                for name, (_, bound, offsets) in ineq.FIELD_CHECKS.items()}
+    registry |= {name: (bound, "bundle") for name, (_, bound) in ineq.BUNDLE_CHECKS.items()}
+    table = readme_checker_table()
+    assert list(table.items()) == list(registry.items())
 
 
 # ---------------------------------------------------------------- suite
@@ -214,17 +243,17 @@ def test_suite_count_validation():
 
 
 def test_suite_more_samples_never_lower_max():
-    small = run_suite(6, count=2).max_ratios()
-    large = run_suite(6, count=5).max_ratios()
+    small, large = ({r["name"]: r["max_ratio"] for r in run_suite(6, count=c).max_ratios()}
+                    for c in (2, 5))
     for name, r in small.items():
         assert large[name] >= r - 1e-15
 
 
 def test_suite_collects_checker_errors(monkeypatch):
-    def boom(f, seed):
+    def boom(f):
         raise ValueError("synthetic failure")
 
-    monkeypatch.setitem(ineq.FIELD_CHECKS, "boom", (boom, (0,)))
+    monkeypatch.setitem(ineq.FIELD_CHECKS, "boom", (boom, 1.0, (0,)))
     rep = run_suite(1, count=1)
     assert ("boom", "synthetic failure") in rep.errors
     assert any(r.name == "wente" for r in rep.results)
