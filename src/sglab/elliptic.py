@@ -116,7 +116,7 @@ def cofactor_contract(phi: ScalarField, eta: ScalarField) -> ScalarField:
     axx, axy, ayy = _hessian_values(phi)
     bxx, bxy, byy = _hessian_values(eta)
     out = ayy * bxx - 2.0 * (axy * bxy) + axx * byy
-    return ScalarField(phi.grid, irfft2(kernel(phi.grid.n).mask_half * rfft2(out)))
+    return ScalarField(phi.grid, irfft2(rfft2(out), kernel(phi.grid.n).mask_half))
 
 
 def det_expansion_residual(phi: ScalarField, eta: ScalarField, eps: float) -> float:
@@ -165,9 +165,10 @@ def hessian_l2(psi: ScalarField) -> float:
     return _hessian_frobenius_l2(*_hessian_values(psi))
 
 
-def _hessian_half(k: SpectralKernel, psi_hat: np.ndarray) -> np.ndarray:
-    """Real-space (psi_xx, psi_xy, psi_yy), stacked, from a half-spectrum."""
-    return irfft2(k.hess * psi_hat)
+def _hessian_half(k: SpectralKernel, psi_hat: np.ndarray, out=None) -> np.ndarray:
+    """Real-space (psi_xx, psi_xy, psi_yy), stacked, from a half-spectrum;
+    written into out when given."""
+    return irfft2(psi_hat, k.hess, out=out)
 
 
 def _det_half(k: SpectralKernel, hess: np.ndarray) -> np.ndarray:
@@ -183,7 +184,8 @@ def _picard(rho_hat: np.ndarray, eps: float, tol: float = 1e-12,
     start is None (seed with the Poisson solution) or a potential
     half-spectrum guess, e.g. `transport._equations`'s Poisson predictor.
     Each sweep that does not converge forms the Hessian of its new
-    iterate once, for the next sweep's sup-norm guard and determinant.
+    iterate once, for the next sweep's sup-norm guard and determinant,
+    over the previous one: a solve holds one Hessian array.
     Returns (psi_hat, sweeps) at the first sweep whose relative update is
     at most tol, without forming that iterate's Hessian or residual.
     """
@@ -207,7 +209,7 @@ def _picard(rho_hat: np.ndarray, eps: float, tol: float = 1e-12,
             raise EllipticDivergenceError(
                 f"eps*||D^2 psi||_Linf = {eps * hlinf:.3e} > 1/2 at sweep {sweep}"
             )
-        hess = _hessian_half(k, psi_hat)
+        _hessian_half(k, psi_hat, hess)
     raise EllipticConvergenceError(
         f"no convergence to tol={tol:g} within {max_iter} sweeps"
     )
@@ -257,7 +259,7 @@ def solve_corrector_potential(
     k = kernel(rho1.grid.n)
     rhs = rho1.hat - _det_half(k, _hessian_half(k, phibar.hat))
     _require_mean_zero(irfft2(rhs))
-    return ScalarField(rho1.grid, irfft2(k.inv_lap_half * rhs))
+    return ScalarField(rho1.grid, irfft2(rhs, k.inv_lap_half))
 
 
 def bootstrap_status(

@@ -20,8 +20,11 @@ Five experiment kinds share one harness:
 Each eps driver maps one worker over eps_list, smallest eps first: it does
 all of one eps's work and returns its summary row and runs. An error the
 datum causes there becomes that eps's failed row and keeps its finished
-runs. The parent runs only the Euler reference (each worker gets a copy),
-the fits across eps and the merge in eps_list order.
+runs. A per-eps run in report.runs carries its records, times, dt history
+and exit fields but no states, at every thread count: every number read
+from states is made in the worker. The parent runs only the Euler
+reference (each worker gets a copy), which keeps its states, the fits
+across eps and the merge in eps_list order.
 
 Slope fits use ordinary least squares on log eps vs log metric and only
 include runs that stayed inside the bootstrap window the whole way; the
@@ -112,7 +115,7 @@ class ExperimentReport:
     fit: dict | None = None
     assertions: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-    runs: dict = field(default_factory=dict)  # tag -> Trajectory
+    runs: dict = field(default_factory=dict)  # tag -> Trajectory, per-eps runs without states
     tables: dict = field(default_factory=dict)  # file name -> rows (fieldio.write_table)
     extras: dict = field(default_factory=dict)
 
@@ -276,7 +279,9 @@ def _finalize(report):
 def _guarded(worker, *args):
     """worker(*args, runs) -> (row, extra) as (row, runs, extra), the worker
     adding each run to runs as it finishes. A datum error becomes a failed
-    row with extra None that keeps the finished runs; others propagate."""
+    row with extra None that keeps the finished runs; others propagate.
+    Each run comes back with its states emptied: the worker has made
+    every number that reads them, and the parent keeps only records."""
     runs = {}
     try:
         row, extra = worker(*args, runs)
@@ -284,6 +289,8 @@ def _guarded(worker, *args):
         row, extra = _fresh_row(args[-1]), None
         row["error"] = f"{type(err).__name__}: {err}"
         row["status"] = f"failed: {row['error']}"
+    for traj in runs.values():
+        traj.states = []
     return row, runs, extra
 
 
@@ -660,5 +667,5 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
         "summary": [{k: r[k] for k in SUMMARY_COLUMNS} for r in report.summary_rows],
         "extras": report.extras,
     }
-    write_text(out / "report.json", json.dumps(payload, indent=2, default=json_value) + "\n")
+    write_text(out / "report.json", json.dumps(json_value(payload), indent=2) + "\n")
     return written + [out / "report.json"]

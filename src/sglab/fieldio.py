@@ -87,9 +87,14 @@ def write_text(path, text: str) -> None:
 
 
 def json_value(v):
-    """v as JSON holds it: numpy numbers as Python ones, non-finite as None."""
+    """v as JSON holds it: numpy numbers as Python ones, non-finite as None,
+    lists, tuples and dicts value by value."""
     if v is None or isinstance(v, (bool, str)):
         return v
+    if isinstance(v, dict):
+        return {k: json_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [json_value(x) for x in v]
     if isinstance(v, (int, np.integer)):
         return int(v)
     f = float(v)
@@ -109,8 +114,8 @@ def write_table(path, rows) -> None:
         with atomic_open(path, newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows([_csv_cell(v) for v in row] for row in rows)
     else:
-        write_text(path, "".join(json.dumps({k: json_value(v) for k, v in row.items()},
-                                            separators=(",", ":")) + "\n" for row in rows))
+        write_text(path, "".join(json.dumps(json_value(row), separators=(",", ":")) + "\n"
+                                 for row in rows))
 
 
 def dump_field(path, f: ScalarField, kind: str, time: float, epsilon: float | None) -> None:

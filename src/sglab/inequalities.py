@@ -119,11 +119,12 @@ class SuiteReport:
                  "seed": r.seed, "digest": r.inputs_digest} for r in self.results]
 
     def max_ratios(self) -> list:
-        """Name, largest finite ratio and bound of each check, in name order."""
+        """Name, largest ratio and bound of each check, in name order; a NaN
+        ratio makes its check's largest ratio NaN."""
         top = {}
         for r in self.results:
-            if math.isfinite(r.ratio):
-                top[r.name] = (max(top.get(r.name, (0.0,))[0], r.ratio), r.bound)
+            m = top.get(r.name, (0.0,))[0]
+            top[r.name] = (r.ratio if math.isnan(r.ratio) else max(m, r.ratio), r.bound)
         return [{"name": n, "max_ratio": m, "bound": b} for n, (m, b) in sorted(top.items())]
 
 

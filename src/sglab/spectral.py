@@ -15,8 +15,9 @@ columns and 1 on the self-mirrored columns q = 0 and q = n/2.
 Every rfft2/irfft2 of the solvers and steppers goes through this
 module's two-stage kernel, `rfft2`/`irfft2`: the two 1-D passes numpy's
 2-D calls make, bit for bit, with the complex intermediate of `irfft2`
-written into a per-shape buffer of the calling thread instead of a
-fresh array. Outputs are always fresh arrays.
+(and a multiplier's product with the half-spectrum it transforms)
+written into a per-shape work array of the calling thread instead of a
+fresh array. Outputs are fresh arrays, or an `out` array of the caller's.
 
 Sobolev norms are homogeneous: ||f||_Hs = (sum_{k != 0} |k|^{2s} |c_k|^2)^{1/2}
 with |k| = 2*pi*sqrt(p^2+q^2). This makes the interpolation inequalities
@@ -156,7 +157,7 @@ def _abs2(hat: np.ndarray) -> np.ndarray:
     return hat.real ** 2 + hat.imag ** 2
 
 
-_buffers = threading.local()  # its __dict__, per thread: shape -> irfft2 work array
+_buffers = threading.local()  # its __dict__, per thread: shapes -> irfft2 work array
 
 
 def rfft2(values: np.ndarray) -> np.ndarray:
@@ -166,14 +167,20 @@ def rfft2(values: np.ndarray) -> np.ndarray:
     return np.fft.fft(out, axis=-2, out=out)
 
 
-def irfft2(hat: np.ndarray) -> np.ndarray:
-    """np.fft.irfft2 over the last two axes, bit for bit: ifft along axis
-    -2 into this thread's buffer of hat's shape, then irfft along axis -1
-    into a fresh array."""
-    buf = _buffers.__dict__.get(hat.shape)
+def irfft2(hat: np.ndarray, mult: np.ndarray | None = None,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """np.fft.irfft2 of hat, or of mult * hat (say `SpectralKernel.hess`
+    times one half-spectrum), over the last two axes, bit for bit. The
+    product and the in-place ifft along axis -2 use this thread's work
+    array for these shapes; the irfft along axis -1 writes into out, an
+    array of the caller's, or else a fresh array, never the work array."""
+    key = hat.shape if mult is None else (mult.shape, hat.shape)
+    buf = _buffers.__dict__.get(key)
     if buf is None:
-        buf = _buffers.__dict__[hat.shape] = np.empty(hat.shape, dtype=complex)
-    return np.fft.irfft(np.fft.ifft(hat, axis=-2, out=buf), axis=-1)
+        shape = hat.shape if mult is None else np.broadcast_shapes(mult.shape, hat.shape)
+        buf = _buffers.__dict__[key] = np.empty(shape, dtype=complex)
+    src = hat if mult is None else np.multiply(mult, hat, out=buf)
+    return np.fft.irfft(np.fft.ifft(src, axis=-2, out=buf), axis=-1, out=out)
 
 
 @dataclass(frozen=True)
@@ -330,8 +337,8 @@ def _require_mean_zero(values: np.ndarray) -> None:
                                                  float(np.max(np.abs(values)))))
 
 
-def _from_hat(grid: TorusGrid, hat: np.ndarray) -> ScalarField:
-    return ScalarField(grid, irfft2(hat))
+def _from_hat(grid: TorusGrid, hat: np.ndarray, mult: np.ndarray) -> ScalarField:
+    return ScalarField(grid, irfft2(hat, mult))
 
 
 def derivative(f: ScalarField, order: tuple[int, int]) -> ScalarField:
@@ -343,18 +350,18 @@ def derivative(f: ScalarField, order: tuple[int, int]) -> ScalarField:
         return f
     k = kernel(f.grid.n)
     # (1,0), (0,1) are grad[0], grad[1]; (2,0), (1,1), (0,2) are hess[0..2]
-    return _from_hat(f.grid, (k.grad if a + b == 1 else k.hess)[b] * f.hat)
+    return _from_hat(f.grid, f.hat, (k.grad if a + b == 1 else k.hess)[b])
 
 
 def inv_laplacian(f: ScalarField) -> ScalarField:
     """Solve Laplace(g) = f spectrally on mean-zero f; <g> = 0."""
     _require_mean_zero(f.values)
-    return _from_hat(f.grid, kernel(f.grid.n).inv_lap_half * f.hat)
+    return _from_hat(f.grid, f.hat, kernel(f.grid.n).inv_lap_half)
 
 
 def _gradient_values(f: ScalarField) -> np.ndarray:
     """Stacked (d_x f, d_y f) values from one batched irfft2."""
-    return irfft2(kernel(f.grid.n).grad * f.hat)
+    return irfft2(f.hat, kernel(f.grid.n).grad)
 
 
 def perp_gradient(psi: ScalarField) -> tuple[ScalarField, ScalarField]:
@@ -365,7 +372,7 @@ def perp_gradient(psi: ScalarField) -> tuple[ScalarField, ScalarField]:
 
 def dealias(f: ScalarField) -> ScalarField:
     """Zero all modes with max(|p|,|q|) > n/3 (2/3-rule); idempotent."""
-    return _from_hat(f.grid, kernel(f.grid.n).mask_half * f.hat)
+    return _from_hat(f.grid, f.hat, kernel(f.grid.n).mask_half)
 
 
 def _holder_seminorm(f: ScalarField) -> float:

@@ -254,10 +254,10 @@ def _advection(kern, pot_hat: np.ndarray, parts) -> list:
     """Half-spectra of the dealiased -u . grad s for each half-spectrum part
     s, u = perp grad pot_hat: one 2-stack irfft2 of the potential's
     gradient, then per part one 2-stack irfft2 and one masked rfft2."""
-    px, py = irfft2(kern.grad * pot_hat)
+    px, py = irfft2(pot_hat, kern.grad)
     out = []
     for s in parts:
-        sx, sy = irfft2(kern.grad * s)
+        sx, sy = irfft2(s, kern.grad)
         out.append(-(kern.mask_half * rfft2(px * sy - py * sx)))
     return out
 

@@ -490,6 +490,20 @@ class TestCheckVerb:
         assert "400 checks, 20 violations, 0 errors (seed 1)" in captured.out
         assert captured.err == ""
 
+    def test_non_finite_check_keeps_its_line(self, tmp_path, capsys, monkeypatch):
+        # a check whose every ratio is NaN is a violation, and its line
+        # names it; its records write the ratio as null
+        monkeypatch.setitem(ineq.FIELD_CHECKS, "wente", (lambda f: float("nan"), 1.0, (0,)))
+        assert main(["check", "--seed", "1", "--out", str(tmp_path / "chk")]) == EXIT_ASSERTION
+        captured = capsys.readouterr()
+        assert "\nwente: max ratio nan (bound 1)\n" in captured.out
+        assert "400 checks, 20 violations, 0 errors (seed 1)" in captured.out
+        assert captured.err == ""
+        records = [json.loads(line) for line in
+                   (tmp_path / "chk" / "suite.ndjson").read_text().splitlines()]
+        wente = [r for r in records if r["name"] == "wente"]
+        assert len(wente) == 20 and all(r["ratio"] is None and not r["pass"] for r in wente)
+
     def test_checker_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def boom(f):
             raise ValueError("synthetic failure")

@@ -4,6 +4,7 @@ emission schema, and byte determinism."""
 import csv
 import json
 import pickle
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from sglab import experiments
+from sglab import inequalities as ineq
 from sglab.config import EXPERIMENT_KINDS, ConfigError, ExperimentSpec, RunConfig
 from sglab.elliptic import EllipticConvergenceError, EllipticDivergenceError
 from sglab.experiments import (
@@ -26,7 +28,7 @@ from sglab.experiments import (
     run_experiment,
 )
 from sglab.spectral import MeanViolationError
-from sglab.transport import StepSizeError
+from sglab.transport import StepSizeError, run_simulation
 from sglab.wasserstein import W2ConvergenceError
 
 SUMMARY_HEADER = "eps,sup_velocity_gap,sup_w2,exit_time,slope,slope_stderr,status"
@@ -246,6 +248,28 @@ class TestWorkerPool:
     def test_threads_do_not_change_emitted_files(self, spec, tmp_path):
         assert_thread_counts_agree(spec, tmp_path, {})
 
+    @pytest.mark.parametrize("kind", ["stability", "wasserstein", "corrector", "lifespan"])
+    def test_per_eps_runs_come_back_without_states(self, kind_reports, kind):
+        # at one thread and in forked workers alike, the parent gets each
+        # per-eps run's records and exit fields, and no states; only the
+        # Euler reference the parent ran itself keeps them
+        forked = kind_reports[kind]
+        serial = run_experiment(ExperimentSpec(
+            kind=kind, eps_list=forked.eps_list,
+            base=SMALL_LIFESPAN_BASE if kind == "lifespan" else small_base("mild")), threads=1)
+        assert set(serial.runs) == set(forked.runs)
+        for name, traj in serial.runs.items():
+            other = forked.runs[name]
+            if name == "euler":
+                assert traj.states and other.states
+                continue
+            assert traj.states == [] and other.states == []
+            assert traj.diagnostics == other.diagnostics
+            assert (traj.times, traj.dt_history, traj.exit_reason, traj.exit_time) == (
+                other.times, other.dt_history, other.exit_reason, other.exit_time)
+            assert (traj.eps, traj.model, traj.grid, traj.m0) == (
+                other.eps, other.model, other.grid, other.m0)
+
     def test_per_eps_analysis_runs_in_the_workers(self, monkeypatch):
         # forked workers call their own copies of these wrappers, so `seen`
         # only records the calls made in this process
@@ -275,14 +299,20 @@ class TestWorkerPool:
                                      ValueError("negative density"),
                                      ZeroDivisionError("division by zero")])
     def test_datum_error_becomes_a_failed_row_that_keeps_its_runs(self, err):
+        finished = run_simulation(small_base("mild"))
+        records, times = list(finished.diagnostics), list(finished.times)
+        assert finished.states
+
         def worker(eps, runs):
-            runs["sg"] = "finished run"
+            runs["sg"] = finished
             raise err
 
         row, runs, extra = experiments._guarded(worker, 0.03)
         name = type(err).__name__
         assert row["status"] == f"failed: {name}: {err}" and row["eps"] == 0.03
-        assert runs == {"sg": "finished run"} and extra is None
+        assert runs == {"sg": finished} and extra is None
+        assert finished.states == []
+        assert finished.diagnostics == records and finished.times == times
 
     @pytest.mark.parametrize("err", [TypeError("bad call"), AttributeError("no field")])
     def test_programming_error_in_a_worker_propagates(self, err):
@@ -431,6 +461,25 @@ class TestEmission:
         assert lines[1].endswith(",failed")
 
 
+def test_non_finite_max_ratio_keeps_its_row(tmp_path, monkeypatch):
+    # report.json holds JSON: the NaN max ratio is null there, and
+    # max_ratios.csv writes its repr
+    monkeypatch.setattr(experiments, "SUITE_SEEDS", 1)
+    monkeypatch.setattr(experiments, "SUITE_COUNT", 1)
+    monkeypatch.setitem(ineq.FIELD_CHECKS, "wente", (lambda f: float("nan"), 1.0, (0,)))
+    rep = run_experiment(ExperimentSpec(kind="inequalities", base=small_base("mild")))
+    emit_report(rep, tmp_path)
+
+    def no_constant(token):
+        raise AssertionError(f"{token} in report.json")
+
+    payload = json.loads((tmp_path / "report.json").read_text(), parse_constant=no_constant)
+    assert {"name": "wente", "max_ratio": None, "bound": 1.0} in payload["extras"]["max_ratios"]
+    assert {"name": "wente", "max_ratio": "nan", "bound": "1.0"} in read_csv(
+        tmp_path / "max_ratios.csv")
+    assert payload["status"] == "failed"
+
+
 def test_consistency_gate_needs_a_residual():
     # at eps >= 1 every SG run ends in elliptic_divergence at t = 0, so no
     # eps closes the consistency identity; the gate used to pass on an
@@ -471,9 +520,10 @@ class TestEpsTags:
         assert list(rep.extras["calpha_series"]) == tags
         assert sorted(rep.extras["riccati"]) == sorted(tags)
         rows = read_csv(tmp_path / "calpha_vs_t.csv")
-        for eps, tag in zip(eps_list, tags):
+        for eps in eps_list:
             series = [float(r["calpha"]) for r in rows if float(r["eps"]) == eps]
-            assert series == [s.calpha for s in rep.runs[f"lifespan_eps{tag}"].states]
+            fresh = run_simulation(replace(SMALL_LIFESPAN_BASE, eps=eps))
+            assert series == [s.calpha for s in fresh.states]
         assert rep.extras["calpha_series"][tags[0]] != rep.extras["calpha_series"][tags[1]]
 
 

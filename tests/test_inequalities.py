@@ -58,6 +58,18 @@ def test_checkresult_pass_flag_is_derived(ratio, bound, passed):
     assert CheckResult("x", ratio, bound, 0, "00").passed is passed
 
 
+def test_max_ratios_keep_a_check_with_non_finite_ratios():
+    # a check whose every ratio is NaN keeps its row; NaN wins over finite
+    # ratios of its check, inf is larger than any finite one
+    results = [CheckResult(name, ratio, 1.0, 0, "00") for name, ratio in [
+        ("a", 0.5), ("a", np.nan), ("a", 0.7), ("b", np.nan), ("c", 0.2), ("c", np.inf),
+        ("d", 0.3), ("d", 0.1)]]
+    rows = ineq.SuiteReport(seed=0, count=1, results=results).max_ratios()
+    assert [r["name"] for r in rows] == ["a", "b", "c", "d"]
+    got = [r["max_ratio"] for r in rows]
+    assert np.isnan(got[0]) and np.isnan(got[1]) and got[2:] == [np.inf, 0.3]
+
+
 def test_random_field_band_limited_and_normalized(grid):
     rng = np.random.default_rng(11)
     f = random_field(grid, rng, gamma=2.0)

@@ -460,6 +460,19 @@ def test_two_stage_transforms_equal_numpy_bit_for_bit(n, lead):
     assert np.array_equal(irfft2(hat), np.fft.irfft2(hat))
 
 
+@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("stack", ["grad", "hess"])
+def test_irfft2_of_a_multiplier_product_equals_numpy_bit_for_bit(n, stack):
+    rng = np.random.default_rng([n, len(stack)])
+    hat = np.fft.rfft2(rng.standard_normal((n, n))) + 1j * rng.standard_normal((n, n // 2 + 1))
+    mult = getattr(kernel(n), stack)
+    want = np.fft.irfft2(mult * hat)
+    assert np.array_equal(irfft2(hat, mult), want)
+    out = np.empty(want.shape)
+    assert irfft2(hat, mult, out=out) is out
+    assert np.array_equal(out, want)
+
+
 def test_irfft2_outputs_do_not_share_its_buffer():
     rng = np.random.default_rng(3)
     a, b = np.fft.rfft2(rng.standard_normal((2, 2, 32, 32)))
@@ -468,6 +481,16 @@ def test_irfft2_outputs_do_not_share_its_buffer():
     second = irfft2(b)
     assert np.array_equal(first, kept)
     assert not np.shares_memory(first, second)
+    # with a multiplier, the product is formed in the work array, never
+    # in an output or in the multiplier
+    grad = kernel(32).grad
+    grad_before = grad.copy()
+    first = irfft2(a[0], grad)
+    kept = first.copy()
+    second = irfft2(b[0], grad)
+    assert np.array_equal(first, kept)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(grad, grad_before)
 
 
 def test_irfft2_threads_keep_their_own_buffers():

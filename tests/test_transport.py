@@ -428,15 +428,17 @@ def test_stage_solves_start_from_the_poisson_predictor(monkeypatch):
 
 
 def _counted_transforms(monkeypatch) -> list:
-    """A list that gathers (name, shape) of every rfft2/irfft2 call."""
+    """A list that gathers (name, shape) of every rfft2/irfft2 call; the
+    shape of an irfft2 with a multiplier is that of the product it
+    transforms."""
     from sglab import elliptic, spectral, transport
 
     calls = []
 
     def counting(fn):
-        def wrapper(a):
-            calls.append((fn.__name__, a.shape))
-            return fn(a)
+        def wrapper(a, *mult, **out):
+            calls.append((fn.__name__, np.broadcast_shapes(a.shape, *(m.shape for m in mult))))
+            return fn(a, *mult, **out)
         return wrapper
 
     kernels = (spectral.rfft2, spectral.irfft2)
