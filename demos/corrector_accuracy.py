@@ -18,10 +18,11 @@ from sglab.transport import run_simulation
 
 base = RunConfig(n=64, t_final=0.5, sample_interval=0.25, initial_data="mild")
 
+# the corrector pair solves eps-free equations: one run serves every eps
+corr = run_simulation(replace(base, model="Corrector"))
 rows = []
 for eps in (0.08, 0.04, 0.02):
     sg = run_simulation(replace(base, model="SGeps", eps=eps))
-    corr = run_simulation(replace(base, model="Corrector", eps=eps))
     gap_bare = []
     gap_corr = []
     for s_sg, s_c in zip(sg.states, corr.states):

@@ -38,7 +38,7 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass
 class RunConfig:
-    """Parameters of a single simulation run."""
+    """Parameters of a single simulation run; eps is SGeps's alone."""
 
     n: int = 128
     model: str = "Euler"
@@ -67,6 +67,8 @@ class RunConfig:
             setattr(self, key, float(v))
         if self.eps < 0:
             raise ConfigError(f"key 'eps': must be >= 0, got {self.eps}")
+        if self.eps and self.model != "SGeps":
+            raise ConfigError(f"key 'eps': only SGeps reads eps, a {self.model} run is eps-free")
         if self.t_final <= 0:
             raise ConfigError(f"key 't_final': must be > 0, got {self.t_final}")
         if not (0 < self.cfl <= 1):
@@ -110,7 +112,8 @@ class ExperimentSpec:
     """Parameters of a multi-run experiment.
 
     eps_list must be strictly decreasing with at least three entries for
-    the slope-fitting kinds, and empty for 'inequalities'.
+    the slope-fitting kinds, and empty for 'inequalities'. It sets each
+    run's eps, so base.eps stays 0.
     """
 
     kind: str
@@ -143,6 +146,8 @@ class ExperimentSpec:
         self.eps_list = eps
         if not isinstance(self.base, RunConfig):
             raise ConfigError("key 'base': expected a run-config object")
+        if self.base.eps and self.kind != "inequalities":  # whose base keys parse_config names
+            raise ConfigError("key 'eps': eps_list sets each run's eps; base.eps must be 0")
 
 
 _RUN_KEYS = set(RunConfig.__dataclass_fields__)

@@ -9,9 +9,9 @@ Five experiment kinds share one harness:
                 densities at coarse sample times, the integrated
                 Gronwall-type bound B(t), and an exact-LP calibration of
                 the entropic solver on 16^2 downsamples.
-  corrector     SG against the first-order corrected fields; fits the
-                second-order rate and closes the elliptic consistency
-                identity to roundoff.
+  corrector     SG against the first-order fields of one Corrector
+                run; fits the second-order rate and closes the
+                elliptic consistency identity to roundoff.
   lifespan      SG runs with stop_on_exit from the steep datum; records
                 bootstrap-exit times and fits the logarithmic Riccati
                 envelope to the Hoelder-norm growth.
@@ -22,9 +22,10 @@ all of one eps's work and returns its summary row and runs. An error the
 datum causes there becomes that eps's failed row and keeps its finished
 runs. A per-eps run in report.runs carries its records, times, dt history
 and exit fields but no states, at every thread count: every number read
-from states is made in the worker. The parent runs only the Euler
-reference (each worker gets a copy), which keeps its states, the fits
-across eps and the merge in eps_list order.
+from states is made in the worker. The parent runs only a rate
+experiment's eps-free reference, Euler or Corrector, which finishes
+before the pool forks, keeps its states and reaches each worker as a
+copy; then the fits across eps and the merge in eps_list order.
 
 Slope fits use ordinary least squares on log eps vs log metric and only
 include runs that stayed inside the bootstrap window the whole way; the
@@ -197,7 +198,7 @@ def _map_runs(items, fn, threads):
     worker before its manager thread, so no thread is alive at fork
     time. fn reaches each worker once, as the argument of the pool's
     initializer, which a forked worker inherits rather than unpickles, so
-    fn and whatever it holds (an Euler reference run) need not pickle.
+    fn and whatever it holds (a reference run) need not pickle.
     The items, the results and anything fn raises must pickle.
     """
     workers = min(threads, len(items))
@@ -207,11 +208,6 @@ def _map_runs(items, fn, threads):
                                  initializer=_worker.__setitem__, initargs=("fn", fn)) as pool:
             return list(pool.map(_call_worker_fn, items))
     return [fn(item) for item in items]
-
-
-def _run_model(base, model, eps, **overrides):
-    cfg = replace(base, model=model, eps=eps, **overrides)
-    return run_simulation(cfg)
 
 
 def _run_suite_seed(seed):
@@ -317,17 +313,18 @@ def _per_eps(spec, threads, report, worker, *args):
 
 # ------------------------------------------------------ rate experiments
 
-def _euler_reference(spec, report):
-    euler = report.runs["euler"] = _run_model(spec.base, "Euler", 0.0)
-    if euler.exit_reason is not None:
-        raise RuntimeError(f"Euler reference run ended early: {euler.exit_reason}")
-    return euler
+def _reference(spec, report, model):
+    """A rate experiment's eps-free reference run, tagged by its model; it keeps its states."""
+    ref = report.runs[model.lower()] = run_simulation(replace(spec.base, model=model))
+    if ref.exit_reason is not None:
+        raise RuntimeError(f"{model} reference run ended early: {ref.exit_reason}")
+    return ref
 
 
 def _stability_one(base, euler, eps, runs):
     """One eps of the stability experiment: the SG run, with its gaps to
     the Euler reference patched into its records."""
-    traj = runs[f"sg_eps{_eps_tag(eps)}"] = _run_model(base, "SGeps", eps)
+    traj = runs[f"sg_eps{_eps_tag(eps)}"] = run_simulation(replace(base, model="SGeps", eps=eps))
     row = _fresh_row(eps)
     if traj.exit_reason is not None:
         row["status"] = f"failed: {traj.exit_reason}"
@@ -354,7 +351,7 @@ def _gap_table(report):
 
 
 def _run_stability(spec, threads, report):
-    _per_eps(spec, threads, report, _stability_one, _euler_reference(spec, report))
+    _per_eps(spec, threads, report, _stability_one, _reference(spec, report, "Euler"))
     _gap_table(report)
     _apply_fit(report, "velocity_slope")
 
@@ -438,7 +435,7 @@ def _wasserstein_one(base, euler, eps, runs):
 def _run_wasserstein(spec, threads, report):
     plot, calibration, w2_check = [], [], []
     for eps, extra in zip(spec.eps_list, _per_eps(spec, threads, report, _wasserstein_one,
-                                                  _euler_reference(spec, report))):
+                                                  _reference(spec, report, "Euler"))):
         if extra is not None:
             report.tables[f"w2_eps{_eps_tag(eps)}.ndjson"] = extra[0]
             plot += extra[1]
@@ -479,15 +476,14 @@ def _consistency_residual(corr_state, eps):
     return float(np.max(np.abs((direct - closed).values)))
 
 
-def _corrector_one(base, eps, runs):
-    """One eps of the corrector experiment: the SG and Corrector runs and
-    the H^1 gap to the corrected potential. Its extra is the largest
-    consistency residual, None for a failed run."""
-    sg = runs[f"sg_eps{_eps_tag(eps)}"] = _run_model(base, "SGeps", eps)
-    corr = runs[f"corrector_eps{_eps_tag(eps)}"] = _run_model(base, "Corrector", eps)
+def _corrector_one(base, corr, eps, runs):
+    """One eps of the corrector experiment: the SG run and its H^1 gap to
+    the potential corrected by the shared Corrector run. Its extra is the
+    largest consistency residual, None for a failed run."""
+    sg = runs[f"sg_eps{_eps_tag(eps)}"] = run_simulation(replace(base, model="SGeps", eps=eps))
     row = _fresh_row(eps)
-    if sg.exit_reason is not None or corr.exit_reason is not None:
-        row["status"] = f"failed: {sg.exit_reason or corr.exit_reason}"
+    if sg.exit_reason is not None:
+        row["status"] = f"failed: {sg.exit_reason}"
         return row, None
     gaps = []
     for s_sg, s_c in zip(sg.states, corr.states):
@@ -501,7 +497,8 @@ def _corrector_one(base, eps, runs):
 
 
 def _run_corrector(spec, threads, report):
-    resids = [r for r in _per_eps(spec, threads, report, _corrector_one) if r is not None]
+    resids = [r for r in _per_eps(spec, threads, report, _corrector_one,
+                                  _reference(spec, report, "Corrector")) if r is not None]
     worst_resid = report.extras["consistency_residual"] = max(resids, default=None)
     _apply_fit(report, "corrector_slope")
     report.assertions.append({
@@ -518,8 +515,8 @@ def _lifespan_one(base, eps, runs):
     """One eps of the lifespan experiment: the run to its bootstrap exit,
     its Hoelder-norm series and the Riccati fit to it. Its extra is
     (times, series, fit), fit None below four samples."""
-    traj = runs[f"lifespan_eps{_eps_tag(eps)}"] = _run_model(base, "SGeps", eps,
-                                                            stop_on_exit=True)
+    traj = runs[f"lifespan_eps{_eps_tag(eps)}"] = run_simulation(
+        replace(base, model="SGeps", eps=eps, stop_on_exit=True))
     y = [s.calpha for s in traj.states]
     row = _fresh_row(eps)
     if traj.exit_reason == "bootstrap_exit":

@@ -281,8 +281,7 @@ class _Bundle:
         base = dict(n=BUNDLE_N, t_final=BUNDLE_T, sample_interval=BUNDLE_INTERVAL,
                     initial_data=modes)
         self.sg = run_simulation(RunConfig(model="SGeps", eps=BUNDLE_EPS, **base))
-        corr = self.corrector = run_simulation(
-            RunConfig(model="Corrector", eps=BUNDLE_EPS, **base))
+        corr = self.corrector = run_simulation(RunConfig(model="Corrector", **base))
         # the Corrector's backgrounds are the Euler run bit for bit; their
         # records leave A_t unset, which no bundle check reads
         bgs = [s.background for s in corr.states]

@@ -5,7 +5,8 @@ adding cos * cos(2 pi(px+qy)) + sin * sin(2 pi(px+qy)); a preset name
 stands for its rows in `PRESETS`. The rows are sampled on the grid by one
 inverse FFT, then dealiased and projected to mean zero.
 
-Three models share one stepper:
+Three models share one stepper; only SGeps reads eps, so Euler and
+Corrector runs are eps-free (RunConfig holds them at eps 0):
 
   Euler       d_t rho + u . grad rho = 0,   u = perp grad lap^-1 rho
   SGeps       same transport, but the potential solves the corrected
@@ -312,8 +313,7 @@ def _state(t: float, model: str, eps: float, rhos, pot_hats) -> SimState:
     """A model's SimState from its parts' densities and potential half-spectra."""
     state = None
     for part, rho, pot in zip(PARTS[model], rhos, pot_hats):
-        state = SimState(t, part, eps if part == model else 0.0, rho,
-                         ScalarField(rho.grid, irfft2(pot)), background=state)
+        state = SimState(t, part, eps, rho, ScalarField(rho.grid, irfft2(pot)), background=state)
     return state
 
 

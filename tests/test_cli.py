@@ -602,7 +602,7 @@ class TestDumpLoad:
 
     @pytest.mark.parametrize("model, eps, kind", [("SGeps", 0.05, "psi_sg"),
                                                   ("Euler", 0.0, "phibar"),
-                                                  ("Corrector", 0.05, "phi1")])
+                                                  ("Corrector", 0.0, "phi1")])
     def test_potential_kind_follows_model(self, tmp_path, capsys, model, eps, kind):
         ckpt = tmp_path / "ckpt"
         cfg = write_json(tmp_path / "m.json", {

@@ -39,7 +39,6 @@ def rows_in_band(n):
 run_keys = st.fixed_dictionaries({}, optional={
     "n": st.sampled_from(GRID_SIZES),
     "model": st.sampled_from(MODELS),
-    "eps": st.floats(min_value=0.0, allow_infinity=False) | st.integers(0, 10),
     "t_final": positive | st.integers(1, 10),
     "cfl": st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
     "sample_interval": positive,
@@ -50,9 +49,14 @@ run_keys = st.fixed_dictionaries({}, optional={
 
 
 @st.composite
-def run_objects(draw):
-    """A run config object; its mode rows lie in the band of its n."""
+def run_objects(draw, eps_free=False):
+    """A run config object; its mode rows lie in the band of its n, and its
+    eps is nonzero only for an SGeps run, never with eps_free."""
     obj = draw(run_keys)
+    if draw(st.booleans()):
+        nonzero = obj.get("model") == "SGeps" and not eps_free
+        obj["eps"] = draw(st.floats(min_value=0.0, allow_infinity=False) | st.integers(0, 10)
+                          if nonzero else st.sampled_from([0, 0.0]))
     if draw(st.booleans()):
         obj["initial_data"] = draw(st.sampled_from(["default", "steep", "shear"])
                                    | rows_in_band(obj.get("n", 128)))
@@ -72,7 +76,7 @@ def experiment_objects(draw):
                         min_size=3, max_size=6))
     obj = {"kind": kind, "eps_list": sorted(eps, reverse=True)}
     if draw(st.booleans()):
-        obj["base"] = draw(run_objects())
+        obj["base"] = draw(run_objects(eps_free=True))  # eps_list sets each run's eps
     return obj
 
 
@@ -189,3 +193,38 @@ def test_negative_seed_is_named(obj, tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "key 'seed'" in err
     assert not out.exists()
+
+
+# eps is SGeps's alone: Euler and Corrector runs are eps-free, and an
+# experiment's eps_list sets each run's eps
+@pytest.mark.parametrize("model", ["Euler", "Corrector"])
+def test_eps_free_model_rejects_eps(model):
+    with pytest.raises(ConfigError,
+                       match=rf"^key 'eps': only SGeps reads eps, a {model} run is eps-free$"):
+        RunConfig(n=32, model=model, eps=0.3)
+    assert RunConfig(n=32, model=model, eps=0.0).eps == 0.0
+    assert RunConfig(n=32, model="SGeps", eps=0.3).eps == 0.3
+
+
+@pytest.mark.parametrize("obj", [
+    {"n": 32, "model": "Euler", "eps": 0.3, "stop_on_exit": True},
+    {"n": 32, "model": "Corrector", "eps": 0.05},
+    {"kind": "stability", "eps_list": [0.04, 0.02, 0.01],
+     "base": {"model": "SGeps", "eps": 0.3}},
+    {"kind": "corrector", "eps_list": [0.08, 0.04, 0.02], "base": {"model": "Corrector",
+                                                                   "eps": 0.02}},
+])
+def test_stray_eps_exits_3_naming_eps(obj, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    verbs = ["experiment"] if "kind" in obj else ["run", "dump"]
+    out = tmp_path / "out"
+    for verb in verbs:
+        assert main([verb, "--config", str(path), "--out", str(out)]) == EXIT_INFRA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: key 'eps': ")
+    assert not out.exists()
+    if "kind" in obj and obj["base"]["model"] == "SGeps":
+        assert "eps_list sets each run's eps" in err
+    with pytest.raises(ConfigError, match=r"^key 'eps': "):
+        parse_config(json.dumps(obj))

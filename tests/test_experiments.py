@@ -252,7 +252,7 @@ class TestWorkerPool:
     def test_per_eps_runs_come_back_without_states(self, kind_reports, kind):
         # at one thread and in forked workers alike, the parent gets each
         # per-eps run's records and exit fields, and no states; only the
-        # Euler reference the parent ran itself keeps them
+        # Euler or Corrector reference the parent ran itself keeps them
         forked = kind_reports[kind]
         serial = run_experiment(ExperimentSpec(
             kind=kind, eps_list=forked.eps_list,
@@ -260,7 +260,7 @@ class TestWorkerPool:
         assert set(serial.runs) == set(forked.runs)
         for name, traj in serial.runs.items():
             other = forked.runs[name]
-            if name == "euler":
+            if name in ("euler", "corrector"):
                 assert traj.states and other.states
                 continue
             assert traj.states == [] and other.states == []
@@ -480,6 +480,29 @@ def test_non_finite_max_ratio_keeps_its_row(tmp_path, monkeypatch):
     assert payload["status"] == "failed"
 
 
+def test_corrector_experiment_runs_one_corrector(monkeypatch):
+    # the corrector pair is eps-free: the parent runs it once, at eps 0,
+    # and every eps's worker reads its states
+    made = []
+    original = experiments.run_simulation
+
+    def counting(cfg):
+        made.append(cfg.model)
+        return original(cfg)
+
+    monkeypatch.setattr(experiments, "run_simulation", counting)
+    base = small_base("mild")
+    rep = run_experiment(ExperimentSpec(kind="corrector", eps_list=[0.04, 0.02, 0.01],
+                                        base=base), threads=1)
+    assert {m: made.count(m) for m in set(made)} == {"SGeps": 3, "Corrector": 1}
+    corr = rep.runs["corrector"]
+    fresh = original(replace(base, model="Corrector"))
+    assert corr.states and corr.eps == 0.0
+    assert corr.diagnostics == fresh.diagnostics
+    assert (corr.times, corr.dt_history) == (fresh.times, fresh.dt_history)
+    assert all(d.grad_margin == 0.25 for d in corr.diagnostics)
+
+
 def test_consistency_gate_needs_a_residual():
     # at eps >= 1 every SG run ends in elliptic_divergence at t = 0, so no
     # eps closes the consistency identity; the gate used to pass on an
@@ -505,10 +528,10 @@ class TestEpsTags:
         base = RunConfig(n=32, t_final=0.05, sample_interval=0.05, initial_data="mild")
         rep = run_experiment(ExperimentSpec(kind="corrector", eps_list=eps_list, base=base))
         names = {Path(p).name for p in emit_report(rep, tmp_path)}
-        for model in ("sg", "corrector"):
-            assert {n for n in names if n.startswith(f"{model}_eps")} == {
-                f"{model}_eps{_eps_tag(e)}.ndjson" for e in eps_list}
-            assert [rep.runs[f"{model}_eps{_eps_tag(e)}"].eps for e in eps_list] == eps_list
+        assert {n for n in names if n.startswith("sg_eps")} == {
+            f"sg_eps{_eps_tag(e)}.ndjson" for e in eps_list}
+        assert [rep.runs[f"sg_eps{_eps_tag(e)}"].eps for e in eps_list] == eps_list
+        assert {n for n in names if n.startswith("corrector")} == {"corrector.ndjson"}
         assert [r["eps"] for r in rep.summary_rows] == eps_list
 
     def test_close_eps_keep_their_own_lifespan_extras(self, tmp_path):

@@ -294,7 +294,7 @@ def reference_corrector_step(state, dt):
 
 
 def test_corrector_step_matches_scalarfield_reference():
-    s0 = _initial_state(RunConfig(n=64, model="Corrector", eps=0.02))
+    s0 = _initial_state(RunConfig(n=64, model="Corrector"))
     dt = 0.9 * cfl_limit(s0, 0.5)
     s1 = step_rk4(s0, dt)  # rho1 starts at 0; the second step moves both parts
     for s in (s0, s1):
@@ -377,7 +377,7 @@ def test_max_speed_is_computed_once_per_state(monkeypatch):
 def test_sampling_grid_and_alignment():
     cfg_e = RunConfig(n=32, model="Euler", t_final=0.3, sample_interval=0.1)
     cfg_s = RunConfig(n=32, model="SGeps", eps=0.02, t_final=0.3, sample_interval=0.1)
-    cfg_c = RunConfig(n=32, model="Corrector", eps=0.02, t_final=0.3, sample_interval=0.1)
+    cfg_c = RunConfig(n=32, model="Corrector", t_final=0.3, sample_interval=0.1)
     te = run_simulation(cfg_e)
     ts = run_simulation(cfg_s)
     tc = run_simulation(cfg_c)
@@ -491,7 +491,7 @@ def test_corrector_step_transform_count(monkeypatch):
     from collections import Counter
 
     calls = _counted_transforms(monkeypatch)
-    state = _initial_state(RunConfig(n=64, model="Corrector", eps=0.04, t_final=1.0))
+    state = _initial_state(RunConfig(n=64, model="Corrector", t_final=1.0))
     calls.clear()
     step_rk4(state, cfl_limit(state))
     assert Counter(calls) == {("rfft2", (64, 64)): 12 + 4 + 2,
@@ -569,7 +569,7 @@ def test_corrector_background_is_the_euler_run():
     # the same stage algebra, so they agree bit for bit
     base = dict(n=64, initial_data="default", t_final=0.5)
     euler = run_simulation(RunConfig(model="Euler", **base))
-    corr = run_simulation(RunConfig(model="Corrector", eps=0.02, **base))
+    corr = run_simulation(RunConfig(model="Corrector", **base))
     assert corr.times == euler.times and corr.dt_history == euler.dt_history
     for s_c, s_e in zip(corr.states, euler.states, strict=True):
         assert np.array_equal(s_c.background.rho.values, s_e.rho.values)
