@@ -22,10 +22,10 @@ all of one eps's work and returns its summary row and runs. An error the
 datum causes there becomes that eps's failed row and keeps its finished
 runs. A per-eps run in report.runs carries its records, times, dt history
 and exit fields but no states, at every thread count: every number read
-from states is made in the worker. The parent runs only a rate
-experiment's eps-free reference, Euler or Corrector, which finishes
-before the pool forks, keeps its states and reaches each worker as a
-copy; then the fits across eps and the merge in eps_list order.
+from states is made in the worker. The parent makes only a rate
+experiment's eps-free reference (Euler with its particle flows, or
+Corrector), which finishes before the pool forks, keeps its states and
+reaches each worker as a copy; then the fits and the eps_list merge.
 
 Slope fits use ordinary least squares on log eps vs log metric and only
 include runs that stayed inside the bootstrap window the whole way; the
@@ -56,7 +56,7 @@ from .config import ExperimentSpec
 from .elliptic import cofactor_contract, hessian_det
 from .fieldio import json_value, write_table, write_text
 from .inequalities import SuiteReport, run_suite
-from .lagrangian import paired_gap_series
+from .lagrangian import paired_gap_series, sample_flows
 from .spectral import NormKind, derivative, norm
 from .transport import run_simulation
 from .wasserstein import (
@@ -321,7 +321,13 @@ def _reference(spec, report, model):
     return ref
 
 
-def _stability_one(base, euler, eps, runs):
+def _euler_reference(spec, report):
+    """The Euler reference and its particle flows on (n/2)^2 labels; workers take m from them."""
+    euler = _reference(spec, report, "Euler")
+    return euler, sample_flows(euler, euler.grid.n // 2)
+
+
+def _stability_one(base, euler, euler_flows, eps, runs):
     """One eps of the stability experiment: the SG run, with its gaps to
     the Euler reference patched into its records."""
     traj = runs[f"sg_eps{_eps_tag(eps)}"] = run_simulation(replace(base, model="SGeps", eps=eps))
@@ -329,7 +335,7 @@ def _stability_one(base, euler, eps, runs):
     if traj.exit_reason is not None:
         row["status"] = f"failed: {traj.exit_reason}"
     else:
-        gaps = paired_gap_series(traj, euler)
+        gaps = paired_gap_series(traj, euler, sample_flows(traj, euler_flows[0].m), euler_flows)
         for i, rec in enumerate(traj.diagnostics):
             rec.velocity_gap = float(gaps.velocity_gap[i])
             rec.flow_gap = float(gaps.flow_gap[i])
@@ -351,7 +357,7 @@ def _gap_table(report):
 
 
 def _run_stability(spec, threads, report):
-    _per_eps(spec, threads, report, _stability_one, _reference(spec, report, "Euler"))
+    _per_eps(spec, threads, report, _stability_one, *_euler_reference(spec, report))
     _gap_table(report)
     _apply_fit(report, "velocity_slope")
 
@@ -368,12 +374,12 @@ def _w2_sample_indices(times):
             or abs(t - round(t / W2_SAMPLE_SPACING) * W2_SAMPLE_SPACING) <= 1e-9]
 
 
-def _wasserstein_one(base, euler, eps, runs):
+def _wasserstein_one(base, euler, euler_flows, eps, runs):
     """One eps of the wasserstein experiment: the stability worker's work,
     then the Gronwall bound and the W2 stream. Its extra is (stream,
     w2_vs_t.csv rows, calibration rows, bound-check rows), None for a
     failed run."""
-    row, _ = _stability_one(base, euler, eps, runs)
+    row, _ = _stability_one(base, euler, euler_flows, eps, runs)
     (traj,) = runs.values()
     if traj.exit_reason is not None:
         return row, None
@@ -435,7 +441,7 @@ def _wasserstein_one(base, euler, eps, runs):
 def _run_wasserstein(spec, threads, report):
     plot, calibration, w2_check = [], [], []
     for eps, extra in zip(spec.eps_list, _per_eps(spec, threads, report, _wasserstein_one,
-                                                  _reference(spec, report, "Euler"))):
+                                                  *_euler_reference(spec, report))):
         if extra is not None:
             report.tables[f"w2_eps{_eps_tag(eps)}.ndjson"] = extra[0]
             plot += extra[1]
@@ -607,12 +613,10 @@ _DRIVERS = {
     "inequalities": _run_inequalities,
 }
 
-# the scipy modules a driver's workers load on first use (particle flows,
-# the exact LP); imported before the pool forks, the workers inherit them
-# instead of each importing its own
+# the scipy modules only a driver's workers load (the exact LP, the check
+# bundle's flows); imported before a pool forks, the workers share them
 _WORKER_SCIPY = {
-    "stability": ("scipy.ndimage",),
-    "wasserstein": ("scipy.ndimage", "scipy.optimize", "scipy.sparse"),
+    "wasserstein": ("scipy.optimize", "scipy.sparse"),
     "inequalities": ("scipy.ndimage",),
 }
 

@@ -45,6 +45,7 @@ from .lagrangian import (
     inverse_flow_lipschitz,
     inverse_flows,
     paired_gap_series,
+    sample_flows,
 )
 from .spectral import (
     NormKind,
@@ -289,7 +290,8 @@ class _Bundle:
                                 states=bgs, times=corr.times,
                                 diagnostics=[_diagnostics(bg, corr.m0) for bg in bgs])
         self.rho0 = self.euler.states[0].rho
-        self.gaps = paired_gap_series(self.sg, self.euler, m=FLOW_LABELS)
+        self.gaps = paired_gap_series(self.sg, self.euler, sample_flows(self.sg, FLOW_LABELS),
+                                      sample_flows(self.euler, FLOW_LABELS))
         self.times = np.asarray(self.euler.times)
         # the sample index that each of run_suite's count rounds reads
         self.rounds = [1 + k % (len(self.times) - 1) for k in range(count)]

@@ -1,5 +1,6 @@
-"""Particle flow maps under computed velocity fields, the gap series of
-paired runs, and Eulerian inverse flows.
+"""Particle flow maps under computed velocity fields, each run's own flow
+at its sample times, the gap series that compares two runs' flows (so a
+reference's flow is made once), and Eulerian inverse flows.
 
 Particles are integrated with RK4 in unwrapped (covering-plane)
 coordinates: flow gaps appear inside Gronwall arguments as plain
@@ -49,6 +50,7 @@ __all__ = [
     "backward_flow",
     "inverse_flows",
     "inverse_flow_lipschitz",
+    "sample_flows",
     "paired_gap_series",
 ]
 
@@ -308,43 +310,35 @@ def inverse_flow_lipschitz(back: FlowMap) -> float:
     return best
 
 
+def sample_flows(traj: Trajectory, m: int, dt: float | None = None) -> list[FlowMap]:
+    """The m x m labels' flow under one run's velocity at each of its sample
+    times, the labels first. With dt None, each sample interval takes one
+    RK4 step, or steps at the run's particle CFL limit at the interval's
+    start where that is smaller."""
+    prov = TrajectoryVelocity(traj)
+    flows = [label_flow(m)]
+    for t0, t1 in zip(traj.times, traj.times[1:]):
+        t0, t1 = float(t0), float(t1)
+        step = dt if dt is not None else min(t1 - t0, _particle_limit(prov, t0))
+        flows.append(advect_flow(prov, flows[-1], t0, t1, step))
+    return flows
+
+
 def paired_gap_series(traj_a: Trajectory, traj_b: Trajectory,
-                      m: int | None = None, dt: float | None = None) -> GapSeries:
+                      flows_a: list[FlowMap], flows_b: list[FlowMap]) -> GapSeries:
     """Gap metrics between two runs sharing a grid, sample times and initial data.
 
-    flow_gap advects both flows sample-to-sample; velocity_gap is
+    flow_gap compares the runs' sample_flows; velocity_gap is
     ||grad(pot_a - pot_b)||_L2; hminus1_gap is ||rho_a - rho_b||_{H^-1}.
-    With dt None, each sample interval takes one RK4 step, or steps at
-    the particle CFL limit of either flow at the interval's start where
-    that is smaller.
     """
     times = _shared_times(traj_a, traj_b)
     k = len(times)
-    n = traj_a.grid.n
-    if m is None:
-        m = n // 2
-
-    prov_a, prov_b = TrajectoryVelocity(traj_a), TrajectoryVelocity(traj_b)
-    fa = label_flow(m)
-    fb = label_flow(m)
-    fgap = [flow_gap(fa, fb)]
-    vgap = []
-    hgap = []
+    flows = zip(times, flows_a[:k], flows_b[:k], strict=True)  # a short flow list raises
     h1 = NormKind.Hs(1.0)
-    for i in range(k):
-        sa, sb = traj_a.states[i], traj_b.states[i]
-        vgap.append(norm(sa.potential - sb.potential, h1))
-        hgap.append(norm(sa.rho - sb.rho, NormKind.Hminus1))
-        if i + 1 < k:
-            t0, t1 = float(times[i]), float(times[i + 1])
-            step = dt if dt is not None else min(
-                t1 - t0, _particle_limit(prov_a, t0), _particle_limit(prov_b, t0))
-            fa = advect_flow(prov_a, fa, t0, t1, step)
-            fb = advect_flow(prov_b, fb, t0, t1, step)
-            fgap.append(flow_gap(fa, fb))
+    pairs = list(zip(traj_a.states[:k], traj_b.states[:k]))
     return GapSeries(
         times=times,
-        flow_gap=np.asarray(fgap),
-        velocity_gap=np.asarray(vgap),
-        hminus1_gap=np.asarray(hgap),
+        flow_gap=np.array([flow_gap(fa, fb) for _, fa, fb in flows]),
+        velocity_gap=np.array([norm(sa.potential - sb.potential, h1) for sa, sb in pairs]),
+        hminus1_gap=np.array([norm(sa.rho - sb.rho, NormKind.Hminus1) for sa, sb in pairs]),
     )

@@ -174,13 +174,13 @@ class Trajectory:
 
 
 def _shared_times(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:
-    """The sample times two runs on one grid share; at least two."""
+    """The sample times two runs on one grid share; at least two, equal to 1e-12."""
     if traj_a.grid.n != traj_b.grid.n:
         raise ValueError("trajectories live on different grids")
     ta = np.asarray(traj_a.times, dtype=float)
     tb = np.asarray(traj_b.times, dtype=float)
     k = min(len(ta), len(tb))
-    if k < 2 or not np.allclose(ta[:k], tb[:k], atol=1e-12):
+    if k < 2 or not np.allclose(ta[:k], tb[:k], rtol=0, atol=1e-12):
         raise ValueError("trajectories do not share sample times")
     return ta[:k]
 

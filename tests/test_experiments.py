@@ -503,6 +503,52 @@ def test_corrector_experiment_runs_one_corrector(monkeypatch):
     assert all(d.grad_margin == 0.25 for d in corr.diagnostics)
 
 
+@pytest.mark.parametrize("kind", ["stability", "wasserstein"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_euler_labels_are_advected_once_per_experiment(kind, threads, monkeypatch):
+    # the parent advects the Euler reference's labels before the pool
+    # forks, and each eps's worker only its own SG run's; forked workers
+    # record into their own copies of `models`
+    models = []
+    original = experiments.sample_flows
+
+    def recording(traj, m, dt=None):
+        models.append(traj.model)
+        return original(traj, m, dt)
+
+    monkeypatch.setattr(experiments, "sample_flows", recording)
+    run_experiment(ExperimentSpec(kind=kind, eps_list=[0.04, 0.02, 0.01],
+                                  base=small_base("mild")), threads=threads)
+    expected = {"Euler": 1, "SGeps": 3} if threads == 1 else {"Euler": 1}
+    assert {m: models.count(m) for m in set(models)} == expected
+
+
+def test_every_eps_reads_the_same_euler_flows(monkeypatch):
+    # fast flows whose particle CFL limit (about 3.5e-2) is below the 0.1
+    # sample interval: each run steps at its own limit, so the Euler flow
+    # is one flow, whatever SG run it is compared with
+    flows = []
+    original = experiments.paired_gap_series
+
+    def recording(traj_a, traj_b, flows_a, flows_b):
+        flows.append(flows_b)
+        return original(traj_a, traj_b, flows_a, flows_b)
+
+    monkeypatch.setattr(experiments, "paired_gap_series", recording)
+    base = RunConfig(n=32, t_final=1, sample_interval=0.1,
+                     initial_data=[[1, 1, 4.0, 0.0], [1, -1, 4.0, 0.0], [2, 1, 5.6, 0.0]])
+    rep = run_experiment(ExperimentSpec(kind="stability", eps_list=[0.043, 0.02, 0.01],
+                                        base=base), threads=1)
+    assert rep.summary_rows[0]["status"].startswith("failed")
+    own = experiments.sample_flows(rep.runs["euler"], 16)
+    assert len(flows) == 2 and len(own) == 11
+    for got in flows:
+        for a, b in zip(got, own, strict=True):
+            assert a.time == b.time
+            assert a.positions_x.tobytes() == b.positions_x.tobytes()
+            assert a.positions_y.tobytes() == b.positions_y.tobytes()
+
+
 def test_consistency_gate_needs_a_residual():
     # at eps >= 1 every SG run ends in elliptic_divergence at t = 0, so no
     # eps closes the consistency identity; the gate used to pass on an

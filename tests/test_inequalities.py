@@ -21,7 +21,7 @@ from sglab.inequalities import (
     run_suite,
 )
 from sglab.config import RunConfig
-from sglab.lagrangian import inverse_flows, paired_gap_series
+from sglab.lagrangian import inverse_flows, paired_gap_series, sample_flows
 from sglab.spectral import NormKind, ScalarField, TorusGrid, norm
 from sglab.transport import _advance, advect_scalar
 
@@ -317,8 +317,9 @@ def test_bundle_reads_euler_from_its_corrector_run(monkeypatch):
 # The bundle's flows take one RK4 step per sample interval, about 1/14 of
 # their particle CFL limit; a quarter interval must not move what they measure.
 def test_bundle_flow_gaps_converged_at_one_step_per_interval(bundle):
-    fine = paired_gap_series(bundle.sg, bundle.euler, m=ineq.FLOW_LABELS,
-                             dt=ineq.BUNDLE_INTERVAL / 4)
+    fine = paired_gap_series(bundle.sg, bundle.euler,
+                             *(sample_flows(traj, ineq.FLOW_LABELS, dt=ineq.BUNDLE_INTERVAL / 4)
+                               for traj in (bundle.sg, bundle.euler)))
     got, ref = bundle.gaps.flow_gap, fine.flow_gap
     assert got[0] == ref[0] == 0.0
     assert np.all(np.abs(got[1:] - ref[1:]) <= 1e-10 * ref[1:])  # measured 8.7e-12

@@ -18,9 +18,11 @@ from sglab.lagrangian import (
     inverse_flows,
     label_flow,
     paired_gap_series,
+    sample_flows,
 )
 from sglab.spectral import NormKind, ScalarField, TorusGrid, norm
 from sglab.transport import StepSizeError, run_simulation
+from sglab.wasserstein import gronwall_w2_bound
 
 
 @pytest.fixture(scope="module")
@@ -365,8 +367,22 @@ def test_pushforward_matches_spectral(euler128):
 
 # ------------------------------------------------------------- series
 
+def test_sample_flows_start_at_the_labels_one_map_per_sample(euler128):
+    flows = sample_flows(euler128, 32)
+    assert len(flows) == len(euler128.times)
+    with pytest.raises(ValueError):  # flows that stop short of the shared times
+        paired_gap_series(euler128, euler128, flows[:-1], flows)
+    assert [f.time for f in flows] == [float(t) for t in euler128.times]
+    labels = label_flow(32)
+    assert flows[0].m == 32
+    assert np.array_equal(flows[0].positions_x, labels.positions_x)
+    assert np.array_equal(flows[0].positions_y, labels.positions_y)
+    assert flow_gap(flows[-1], labels) > 0
+
+
 def test_paired_gap_series_self_is_zero(euler128):
-    gs = paired_gap_series(euler128, euler128, m=32, dt=0.025)
+    gs = paired_gap_series(euler128, euler128, sample_flows(euler128, m=32, dt=0.025),
+                           sample_flows(euler128, m=32, dt=0.025))
     assert np.all(gs.flow_gap == 0.0)
     assert np.all(gs.velocity_gap == 0.0)
     assert np.all(gs.hminus1_gap == 0.0)
@@ -389,9 +405,10 @@ def test_default_gap_step_is_the_sample_interval(euler128, monkeypatch):
         return advect_flow(prov, labels, t0, t1, dt)
 
     monkeypatch.setattr(lagrangian, "advect_flow", recording)
-    coarse = paired_gap_series(sg, euler128)
+    coarse = paired_gap_series(sg, euler128, sample_flows(sg, 64), sample_flows(euler128, 64))
     assert len(steps) == 2 * 20 and all(abs(r - 1.0) < 1e-9 for r in steps)
-    fine = paired_gap_series(sg, euler128, dt=0.0125)
+    fine = paired_gap_series(sg, euler128, sample_flows(sg, 64, dt=0.0125),
+                             sample_flows(euler128, 64, dt=0.0125))
     assert coarse.flow_gap[0] == fine.flow_gap[0] == 0.0
     assert np.all(np.abs(coarse.flow_gap - fine.flow_gap) <= 1e-6 * fine.flow_gap)
     assert np.array_equal(coarse.velocity_gap, fine.velocity_gap)
@@ -402,7 +419,7 @@ def test_paired_gap_series_grid_mismatch():
     coarse = run_simulation(RunConfig(n=32, **base))
     fine = run_simulation(RunConfig(n=64, **base))
     with pytest.raises(ValueError, match="different grids"):
-        paired_gap_series(coarse, fine)
+        paired_gap_series(coarse, fine, sample_flows(coarse, 16), sample_flows(fine, 32))
 
 
 def test_paired_gap_series_time_mismatch(euler128):
@@ -410,4 +427,18 @@ def test_paired_gap_series_time_mismatch(euler128):
                     sample_interval=0.1)
     other = run_simulation(cfg)
     with pytest.raises(ValueError):
-        paired_gap_series(euler128, other)
+        paired_gap_series(euler128, other, sample_flows(euler128, 64), sample_flows(other, 16))
+
+
+def test_runs_whose_sample_times_drift_apart_are_not_paired():
+    # 0.05 against 0.0500001: the times drift apart by up to 3e-7, far
+    # inside np.allclose's default rtol, so only atol may admit a pair
+    base = dict(n=32, t_final=0.2)
+    euler = run_simulation(RunConfig(model="Euler", sample_interval=0.05, **base))
+    sg = run_simulation(RunConfig(model="SGeps", eps=0.02, sample_interval=0.0500001, **base))
+    drift = np.max(np.abs(np.subtract(euler.times[:len(sg.times)], sg.times[:len(euler.times)])))
+    assert 1e-12 < drift <= 3e-7
+    with pytest.raises(ValueError, match="do not share sample times"):
+        paired_gap_series(sg, euler, sample_flows(sg, 16), sample_flows(euler, 16))
+    with pytest.raises(ValueError, match="do not share sample times"):
+        gronwall_w2_bound(sg, euler)
